@@ -16,8 +16,6 @@ from .closed_form import (
     mandel_q,
     mean_photon,
     moment,
-    moment_c,
-    moment_ic,
     moment_table,
     normalization,
     parity,
@@ -46,15 +44,13 @@ from .fockspace import (
     oracle_parity,
     oracle_wigner,
 )
-from .roots import PolarAmplitude, RootSet, from_cartesian, nth_roots, root_sum
+from .roots import PolarAmplitude, nth_roots, root_sum
 from .states import Family, StateSpec
 from .sweeps import Quantity, SweepTemplate, find_crossings, squeezing_window, sweep
 
 __all__ = [
     "__version__",
     "PolarAmplitude",
-    "RootSet",
-    "from_cartesian",
     "nth_roots",
     "root_sum",
     "Family",
@@ -63,8 +59,6 @@ __all__ = [
     "QuadratureVariances",
     "normalization",
     "moment",
-    "moment_ic",
-    "moment_c",
     "moment_table",
     "mean_photon",
     "mandel_q",

@@ -20,8 +20,8 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .roots import nth_roots, root_sum
-from .serialize import fmt, parse_amplitude, parse_family, render_json, spec_to_jsonable
-from .states import StateSpec
+from .serialize import fmt, parse_amplitude, render_json, spec_to_jsonable
+from .states import Family, StateSpec
 from .sweeps import Quantity, SweepTemplate
 
 GRID_POINT_CAP = 4_000_000
@@ -45,7 +45,7 @@ def _spec_from_args(args) -> StateSpec:
     return StateSpec(
         alpha=parse_amplitude(args.alpha),
         n_heads=args.heads,
-        family=parse_family(args.family),
+        family=Family.parse(args.family),
     )
 
 
@@ -62,18 +62,18 @@ def _provenance(payload: dict) -> dict:
 
 
 def cmd_roots(args) -> int:
-    rs = nth_roots(parse_amplitude(args.alpha), args.heads)
+    alpha = parse_amplitude(args.alpha)
+    roots = nth_roots(alpha, args.heads)
     if args.format == "text":
-        lines = [f"{z.real:+.12g}{z.imag:+.12g}i" for z in rs.roots]
+        lines = [f"{z.real:+.12g}{z.imag:+.12g}i" for z in roots]
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
-    alpha = parse_amplitude(args.alpha)
     payload = _provenance(
         {
             "alpha": {"r": alpha.r, "theta_p": alpha.theta_p},
-            "n_heads": rs.n_heads,
-            "roots": [complex(z) for z in rs.roots],
-            "root_sum": complex(root_sum(rs)),
+            "n_heads": args.heads,
+            "roots": [complex(z) for z in roots],
+            "root_sum": complex(root_sum(roots)),
         }
     )
     _emit(render_json(payload) + "\n", args.out)
@@ -162,7 +162,7 @@ _DEFAULT_THRESHOLDS = {
 def cmd_sweep(args) -> int:
     quantity = Quantity.parse(args.quantity)
     template = SweepTemplate(
-        theta_p=args.theta, n_heads=args.heads, family=parse_family(args.family)
+        theta_p=args.theta, n_heads=args.heads, family=Family.parse(args.family)
     )
     result = sweeps.sweep(template, quantity, args.r_min, args.r_max, args.step)
     threshold = args.threshold

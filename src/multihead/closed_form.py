@@ -1,8 +1,13 @@
 """Closed-form statistics, Fock matrix elements, Wigner functions and parity.
 
 All quantities are evaluated directly from the finite head sums, with no
-Fock-space truncation.  Sums that are physically real (normalization, mean
-photon number, Wigner values) are checked for an imaginary residue below
+Fock-space truncation.  The heads are the N-th roots of one amplitude, so the
+overlap of heads k1 and k2 depends only on j = (k1 - k2) mod N, and every
+double sum over head pairs reduces to N times one circulant head sum
+
+    S_l(mu) = sum_j w^(l*j) exp(mu*(w^j - 1)),   w = exp(2*pi*i/N), mu = r^(2/N).
+
+Sums that are physically real are checked for an imaginary residue below
 ``RESIDUE_TOL`` before the imaginary part is discarded; a larger residue
 raises InternalConsistencyError because it can only come from a formula bug.
 """
@@ -18,80 +23,75 @@ from scipy.special import gammaln
 
 from .errors import InternalConsistencyError, InvalidInputError, UndefinedStatisticError
 from .roots import PolarAmplitude, root_angles, root_modulus
-from .states import Family, StateSpec
+from .states import StateSpec
 
 RESIDUE_TOL = 1e-10
 TWO_OVER_PI = 2.0 / math.pi
 
 
-def _require_real(value: complex, what: str, tol: float = RESIDUE_TOL) -> float:
-    imag = abs(np.imag(value))
-    scale = max(1.0, float(np.max(np.abs(value))) if np.ndim(value) else abs(value))
-    if np.max(imag) > tol * scale:
-        raise InternalConsistencyError(
-            f"{what}: imaginary residue {np.max(imag):.3e} exceeds tolerance"
-        )
+def _require_real(value, what: str):
+    imag = np.max(np.abs(np.imag(value)))
+    if imag > RESIDUE_TOL * max(1.0, float(np.max(np.abs(value)))):
+        raise InternalConsistencyError(f"{what}: imaginary residue {imag:.3e} exceeds tolerance")
     return np.real(value)
 
 
-def _head_weights(mu: float, n_heads: int) -> np.ndarray:
-    """Overlap weights exp(mu*(exp(2*pi*i*(k1-k2)/N) - 1)) as an N x N matrix."""
-    k = np.arange(n_heads)
-    delta = k[:, None] - k[None, :]
-    return np.exp(mu * (np.exp(2j * np.pi * delta / n_heads) - 1.0))
+def _overlaps(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
+    """Head overlaps exp(mu*(turn*w^j - 1)) for j = 0..N-1 on a new last axis.
+
+    With ``turn = 1`` these are <g_k2|g_k1> for k1 - k2 = j; ``turn = -1``
+    inserts the parity operator between the two heads.
+    """
+    omega = np.exp(2j * np.pi * np.arange(n_heads) / n_heads)
+    return np.exp(np.multiply.outer(mu, turn * omega - 1.0))
+
+
+def _head_sums(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
+    """Circulant head sums S_l = sum_j w^(l*j) overlap_j for l = 0..N-1 on the last axis.
+
+    This is N times the inverse DFT of the overlaps; ``mu`` broadcasts.  Terms
+    j and N - j are complex conjugates, so every S_l is real; the imaginary
+    residue is checked here, where it arises.
+    """
+    sums = n_heads * np.fft.ifft(_overlaps(mu, n_heads, turn), axis=-1)
+    return _require_real(sums, "head sum")
 
 
 def normalization(alpha: PolarAmplitude, n_heads: int) -> float:
-    """Normalization factor of the coherent superposition.
+    """Normalization factor N_c = N * S_0 of the coherent superposition.
 
     Equals 1 for a single head and 2 + 2*exp(-2r) for two heads.
     """
     if n_heads < 1:
         raise InvalidInputError("head count must be >= 1")
-    mu = alpha.r ** (2.0 / n_heads)
-    total = _head_weights(mu, n_heads).sum()
-    value = _require_real(total, "normalization")
+    value = float(n_heads * _head_sums(alpha.r ** (2.0 / n_heads), n_heads)[0])
     if value <= 0.0:
         raise InternalConsistencyError(f"normalization must be positive, got {value}")
-    return float(value)
+    return value
 
 
-def moment_ic(alpha: PolarAmplitude, n_heads: int, h: int, l: int) -> complex:
-    """Moment <a^dag^h a^l> of the incoherent family.
+def _moment(spec: StateSpec, r, h: int, l: int) -> np.ndarray:
+    """<a^dag^h a^l> at the moduli r, with angle, head count and family from spec.
 
-    The single head sum collapses to a multiple-of-N selection rule:
-    nonzero only when (l - h) is divisible by N.
+    The head sums leave r^((h+l)/N) e^(i(l-h)theta/N), nonzero only when N
+    divides l - h, times S_l/S_0 for the coherent family.
     """
-    if h < 0 or l < 0:
-        raise InvalidInputError("moment orders must be nonnegative")
-    if (l - h) % n_heads != 0:
-        return 0.0 + 0.0j
-    if alpha.r == 0.0:
-        return complex(1.0 if h == l == 0 else 0.0)
-    mag = alpha.r ** ((h + l) / n_heads)
-    return mag * cmath.exp(1j * (l - h) * alpha.theta_p / n_heads)
-
-
-def moment_c(alpha: PolarAmplitude, n_heads: int, h: int, l: int) -> complex:
-    """Moment <a^dag^h a^l> of the coherent family (head double sum over N_c)."""
-    if h < 0 or l < 0:
-        raise InvalidInputError("moment orders must be nonnegative")
-    if alpha.r == 0.0:
-        return complex(1.0 if h == l == 0 else 0.0)
-    mu = alpha.r ** (2.0 / n_heads)
-    phases = np.array(root_angles(alpha, n_heads))
-    w = _head_weights(mu, n_heads)
-    ket = np.exp(1j * l * phases)  # index k1
-    bra = np.exp(-1j * h * phases)  # index k2
-    total = np.einsum("i,ij,j->", ket, w, bra)
-    n_c = _require_real(w.sum(), "normalization")
-    return complex(alpha.r ** ((h + l) / n_heads) * total / n_c)
+    n = spec.n_heads
+    r = np.asarray(r, dtype=float)
+    if (l - h) % n != 0:
+        return np.zeros(r.shape, dtype=complex)
+    value = r ** ((h + l) / n) * cmath.exp(1j * (l - h) * spec.alpha.theta_p / n)
+    if spec.is_coherent:
+        sums = _head_sums(r ** (2.0 / n), n)
+        value = value * sums[..., l % n] / sums[..., 0]
+    return value
 
 
 def moment(spec: StateSpec, h: int, l: int) -> complex:
-    if spec.is_coherent:
-        return moment_c(spec.alpha, spec.n_heads, h, l)
-    return moment_ic(spec.alpha, spec.n_heads, h, l)
+    """Moment <a^dag^h a^l> of either family."""
+    if h < 0 or l < 0:
+        raise InvalidInputError("moment orders must be nonnegative")
+    return complex(_moment(spec, spec.alpha.r, h, l))
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class MomentTable:
 
 
 def moment_table(spec: StateSpec) -> MomentTable:
-    table = MomentTable(
+    return MomentTable(
         a_dag=moment(spec, 1, 0),
         a=moment(spec, 0, 1),
         n_mean=moment(spec, 1, 1),
@@ -115,22 +115,49 @@ def moment_table(spec: StateSpec) -> MomentTable:
         a2=moment(spec, 0, 2),
         a_dag2_a2=moment(spec, 2, 2),
     )
-    _require_real(table.n_mean, "mean photon number")
-    _require_real(table.a_dag2_a2, "second factorial moment")
-    return table
+
+
+# Statistic formulas over an array of moduli r; angle, N and family come from spec.
+
+
+def _mean_photon(spec: StateSpec, r) -> np.ndarray:
+    return _moment(spec, r, 1, 1).real
+
+
+def _mandel_q(spec: StateSpec, r) -> np.ndarray:
+    """Mandel Q = <a^dag2 a^2>/<a^dag a> - <a^dag a>; NaN where <n> = 0."""
+    n = _mean_photon(spec, r)
+    g2 = _moment(spec, r, 2, 2).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(n == 0.0, np.nan, g2 / n - n)
+
+
+def _quadrature_variances(spec: StateSpec, r) -> tuple[np.ndarray, np.ndarray]:
+    # Real arithmetic only, so an array of moduli rounds exactly like a scalar.
+    a, a_dag = _moment(spec, r, 0, 1), _moment(spec, r, 1, 0)
+    base = _mean_photon(spec, r) - (a.real * a.real + a.imag * a.imag) + 0.5
+    cross = _moment(spec, r, 2, 0).real - (a_dag.real * a_dag.real - a_dag.imag * a_dag.imag)
+    return base + cross, base - cross
+
+
+def _parity(spec: StateSpec, r) -> np.ndarray:
+    """<(-1)^n>: exp(-2 mu) for the mixture, sum_j e^(-mu(1 + w^j)) / S_0 for the cat."""
+    n = spec.n_heads
+    mu = np.asarray(r, dtype=float) ** (2.0 / n)
+    if not spec.is_coherent:
+        return np.exp(-2.0 * mu)
+    return _head_sums(mu, n, turn=-1.0)[..., 0] / _head_sums(mu, n)[..., 0]
 
 
 def mean_photon(spec: StateSpec) -> float:
-    return float(_require_real(moment(spec, 1, 1), "mean photon number"))
+    return float(_mean_photon(spec, spec.alpha.r))
 
 
 def mandel_q(spec: StateSpec) -> float:
     """Mandel Q = <a^dag2 a^2>/<a^dag a> - <a^dag a>; sign classifies the statistics."""
-    n = mean_photon(spec)
-    if n == 0.0:
+    if mean_photon(spec) == 0.0:
         raise UndefinedStatisticError("Mandel Q is undefined at zero amplitude")
-    g2 = _require_real(moment(spec, 2, 2), "second factorial moment")
-    return float(g2 / n - n)
+    return float(_mandel_q(spec, spec.alpha.r))
 
 
 @dataclass(frozen=True)
@@ -142,10 +169,13 @@ class QuadratureVariances:
 
 
 def quadrature_variances(spec: StateSpec) -> QuadratureVariances:
-    t = moment_table(spec)
-    base = float(np.real(t.n_mean)) - abs(t.a) ** 2 + 0.5
-    cross = float(np.real(t.a_dag2 - t.a_dag**2))
-    return QuadratureVariances(var_x1=base + cross, var_x2=base - cross)
+    var_x1, var_x2 = _quadrature_variances(spec, spec.alpha.r)
+    return QuadratureVariances(var_x1=float(var_x1), var_x2=float(var_x2))
+
+
+def parity(spec: StateSpec) -> float:
+    """Photon-number parity <(-1)^n>, equal to pi/2 times the Wigner origin value."""
+    return float(_parity(spec, spec.alpha.r))
 
 
 def _log_fock_magnitude(alpha: PolarAmplitude, n_heads: int, m: int, n: int) -> float:
@@ -163,8 +193,8 @@ def fock_element(spec: StateSpec, m: int, n: int) -> complex:
 
     The head sums reduce to selection rules: the incoherent family needs
     (m - n) divisible by N, the coherent family needs both m and n divisible
-    by N.  Magnitudes are assembled in log space so large m, n never
-    overflow the factorials.
+    by N and carries the scale N/S_0.  Magnitudes are assembled in log space
+    so large m, n never overflow the factorials.
     """
     if m < 0 or n < 0:
         raise InvalidInputError("Fock indices must be nonnegative")
@@ -175,8 +205,7 @@ def fock_element(spec: StateSpec, m: int, n: int) -> complex:
     if spec.is_coherent:
         if m % n_heads != 0 or n % n_heads != 0:
             return 0.0 + 0.0j
-        n_c = normalization(alpha, n_heads)
-        scale = n_heads**2 / n_c
+        scale = n_heads / _head_sums(alpha.r ** (2.0 / n_heads), n_heads)[0]
     else:
         if (m - n) % n_heads != 0:
             return 0.0 + 0.0j
@@ -214,44 +243,15 @@ def wigner(spec: StateSpec, beta):
             total += np.exp(-2.0 * np.abs(g - beta) ** 2)
         out = TWO_OVER_PI * total / n_heads
     else:
-        mu = rho**2
-        w = _head_weights(mu, n_heads)
+        overlaps = _overlaps(rho**2, n_heads)
         total = np.zeros(beta.shape, dtype=complex)
         for k1, g1 in enumerate(heads):
             for k2, g2 in enumerate(heads):
-                total += w[k1, k2] * np.exp(
+                total += overlaps[(k1 - k2) % n_heads] * np.exp(
                     -2.0 * (np.conj(g2) - np.conj(beta)) * (g1 - beta)
                 )
-        n_c = _require_real(w.sum(), "normalization")
+        n_c = normalization(alpha, n_heads)
         out = TWO_OVER_PI * _require_real(total, "Wigner value") / n_c
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def wigner_two_head_incoherent(alpha: PolarAmplitude, beta):
-    """Two-head incoherent Wigner function in its explicit two-Gaussian form."""
-    beta = np.asarray(beta, dtype=complex)
-    g = math.sqrt(alpha.r) * cmath.exp(1j * alpha.theta_p / 2.0)
-    out = (
-        np.exp(-2.0 * np.abs(g - beta) ** 2) + np.exp(-2.0 * np.abs(-g - beta) ** 2)
-    ) / math.pi
-    return float(out) if out.ndim == 0 else out
-
-
-def wigner_two_head_coherent(alpha: PolarAmplitude, beta):
-    """Two-head cat Wigner function: two Gaussians plus the interference fringe."""
-    beta = np.asarray(beta, dtype=complex)
-    r = alpha.r
-    g = math.sqrt(r) * cmath.exp(1j * alpha.theta_p / 2.0)
-    denom = math.pi * (1.0 + math.exp(-2.0 * r))
-    gauss = np.exp(-2.0 * np.abs(g - beta) ** 2) + np.exp(-2.0 * np.abs(-g - beta) ** 2)
-    cross = np.exp(-2.0 * np.conj(g) * beta + 2.0 * g * np.conj(beta) - 2.0 * np.abs(beta) ** 2)
-    fringe = _require_real(cross + np.conj(cross), "interference fringe")
-    out = (gauss + fringe) / denom
-    return float(out) if out.ndim == 0 else out
-
-
-def parity(spec: StateSpec) -> float:
-    """Photon-number parity via the phase-space origin value."""
-    return float(math.pi / 2.0 * wigner(spec, 0.0))

@@ -8,6 +8,7 @@ paths can cross-validate each other.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -31,9 +32,6 @@ class FockVector:
     cutoff: int
     amplitudes: np.ndarray
     tail_bound: float
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -73,11 +71,18 @@ def choose_cutoff(alpha: PolarAmplitude, n_heads: int, eps: float = EPS_DEFAULT)
 
 
 def build_coherent(gamma: complex, cutoff: int, eps: float = EPS_DEFAULT) -> FockVector:
-    """Coherent state amplitudes c_m = exp(-|gamma|^2/2) gamma^m / sqrt(m!)."""
-    c = np.zeros(cutoff, dtype=complex)
-    c[0] = math.exp(-abs(gamma) ** 2 / 2.0)
-    for m in range(1, cutoff):
-        c[m] = c[m - 1] * gamma / math.sqrt(m)
+    """Coherent state amplitudes c_m = exp(-|gamma|^2/2) gamma^m / sqrt(m!).
+
+    Each amplitude is exponentiated from its logarithm, so exp(-|gamma|^2/2)
+    never underflows on its own at large |gamma|.
+    """
+    m = np.arange(cutoff)
+    if gamma == 0:
+        c = (m == 0).astype(complex)
+    else:
+        x = abs(gamma)
+        log_c = m * math.log(x) - x * x / 2.0 - 0.5 * gammaln(m + 1)
+        c = np.exp(log_c + 1j * m * cmath.phase(gamma))
     tail = max(0.0, 1.0 - float(np.vdot(c, c).real))
     if tail >= eps:
         raise TruncationError(
@@ -94,7 +99,7 @@ def build_state(spec: StateSpec, cutoff: int | None = None, eps: float = EPS_DEF
     """
     if cutoff is None:
         cutoff = choose_cutoff(spec.alpha, spec.n_heads, eps)
-    heads = nth_roots(spec.alpha, spec.n_heads).roots
+    heads = nth_roots(spec.alpha, spec.n_heads)
     vectors = [build_coherent(g, cutoff, eps) for g in heads]
     tail = max(v.tail_bound for v in vectors)
     if spec.is_coherent:
@@ -112,7 +117,7 @@ def unnormalized_head_sum_norm_sq(spec: StateSpec, cutoff: int | None = None) ->
     """Squared norm of the bare head-vector sum (predicted by the closed form)."""
     if cutoff is None:
         cutoff = choose_cutoff(spec.alpha, spec.n_heads)
-    heads = nth_roots(spec.alpha, spec.n_heads).roots
+    heads = nth_roots(spec.alpha, spec.n_heads)
     summed = np.sum([build_coherent(g, cutoff).amplitudes for g in heads], axis=0)
     return float(np.vdot(summed, summed).real)
 

@@ -67,19 +67,6 @@ class PolarAmplitude:
         return self.r * math.sin(self.theta_p)
 
 
-def from_cartesian(x: float, y: float) -> PolarAmplitude:
-    """Build a PolarAmplitude from real and imaginary parts."""
-    return PolarAmplitude.from_cartesian(x, y)
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """The N-th roots of an amplitude, ordered by root index k ascending."""
-
-    n_heads: int
-    roots: tuple
-
-
 def root_angles(alpha: PolarAmplitude, n_heads: int):
     """Angles (2*k*pi + theta_p)/N for k = 0..N-1."""
     return [(2.0 * k * math.pi + alpha.theta_p) / n_heads for k in range(n_heads)]
@@ -90,18 +77,17 @@ def root_modulus(alpha: PolarAmplitude, n_heads: int) -> float:
     return alpha.r ** (1.0 / n_heads)
 
 
-def nth_roots(alpha: PolarAmplitude, n_heads: int) -> RootSet:
-    """All N-th roots of alpha, in index order.
+def nth_roots(alpha: PolarAmplitude, n_heads: int) -> tuple:
+    """All N-th roots of alpha as a tuple, ordered by root index k ascending.
 
     For n_heads == 1 the single root is alpha itself.
     """
     if not isinstance(n_heads, int) or n_heads < 1:
         raise InvalidInputError(f"head count must be a positive integer, got {n_heads!r}")
     rho = root_modulus(alpha, n_heads)
-    roots = tuple(rho * cmath.exp(1j * phi) for phi in root_angles(alpha, n_heads))
-    return RootSet(n_heads=n_heads, roots=roots)
+    return tuple(rho * cmath.exp(1j * phi) for phi in root_angles(alpha, n_heads))
 
 
-def root_sum(rs: RootSet) -> complex:
+def root_sum(roots: tuple) -> complex:
     """Complex sum of the roots; vanishes for N >= 2 (self-check quantity)."""
-    return sum(rs.roots, complex(0.0))
+    return sum(roots, complex(0.0))

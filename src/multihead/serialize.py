@@ -10,7 +10,7 @@ import re
 
 from .errors import InvalidInputError
 from .roots import PolarAmplitude
-from .states import Family, StateSpec
+from .states import StateSpec
 
 _FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _RE_REAL = re.compile(rf"^(?P<re>{_FLOAT})$")
@@ -92,6 +92,3 @@ def spec_to_jsonable(spec: StateSpec) -> dict:
         "family": spec.family.value,
     }
 
-
-def parse_family(text: str) -> Family:
-    return Family.parse(text)

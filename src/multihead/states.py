@@ -48,7 +48,3 @@ class StateSpec:
     @property
     def is_coherent(self) -> bool:
         return self.family is Family.COHERENT
-
-    def with_modulus(self, r: float) -> "StateSpec":
-        """Same angle, head count and family at a different modulus."""
-        return StateSpec(PolarAmplitude(r, self.alpha.theta_p), self.n_heads, self.family)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_form
-from .errors import InvalidInputError, UndefinedStatisticError
+from .errors import InvalidInputError
 from .roots import PolarAmplitude
 from .states import Family, StateSpec
 
@@ -49,17 +49,23 @@ class SweepTemplate:
         return StateSpec(PolarAmplitude(r, self.theta_p), self.n_heads, self.family)
 
 
-def evaluate(template: SweepTemplate, quantity: Quantity, r: float) -> float:
-    spec = template.spec_at(r)
-    if quantity is Quantity.MEAN_PHOTON:
-        return closed_form.mean_photon(spec)
-    if quantity is Quantity.MANDEL_Q:
-        return closed_form.mandel_q(spec)
-    if quantity is Quantity.VAR_X1:
-        return closed_form.quadrature_variances(spec).var_x1
-    if quantity is Quantity.VAR_X2:
-        return closed_form.quadrature_variances(spec).var_x2
-    return closed_form.parity(spec)
+_FORMULAS = {
+    Quantity.MEAN_PHOTON: closed_form._mean_photon,
+    Quantity.MANDEL_Q: closed_form._mandel_q,
+    Quantity.VAR_X1: lambda spec, r: closed_form._quadrature_variances(spec, r)[0],
+    Quantity.VAR_X2: lambda spec, r: closed_form._quadrature_variances(spec, r)[1],
+    Quantity.PARITY: closed_form._parity,
+}
+
+
+def evaluate(template: SweepTemplate, quantity: Quantity, r):
+    """The quantity at modulus r, a scalar or an array of moduli.
+
+    Mandel Q is NaN where it is undefined, at <n> = 0.
+    """
+    # Any positive modulus gives the template's canonical angle; r supplies the moduli.
+    values = _FORMULAS[quantity](template.spec_at(1.0), r)
+    return float(values) if np.ndim(r) == 0 else values
 
 
 @dataclass
@@ -81,15 +87,12 @@ def sweep(
         raise InvalidInputError("need 0 <= r_min < r_max")
     if step <= 0.0:
         raise InvalidInputError("step must be positive")
-    result = SweepResult(quantity=quantity, template=template)
     n_steps = int(round((r_max - r_min) / step))
-    for i in range(n_steps + 1):
-        r = min(r_min + i * step, r_max)
-        try:
-            result.samples.append((r, evaluate(template, quantity, r)))
-        except UndefinedStatisticError:
-            continue
-    return result
+    r = np.minimum(r_min + np.arange(n_steps + 1) * step, r_max)
+    values = evaluate(template, quantity, r)
+    defined = ~np.isnan(values)
+    samples = list(zip(r[defined].tolist(), values[defined].tolist()))
+    return SweepResult(quantity=quantity, template=template, samples=samples)
 
 
 def _bisect(template, quantity, threshold, lo, hi, f_lo):

@@ -11,8 +11,6 @@ from multihead import (
     mandel_q,
     mean_photon,
     moment,
-    moment_c,
-    moment_ic,
     moment_table,
     normalization,
     parity,
@@ -50,32 +48,35 @@ class TestNormalization:
 
 class TestIncoherentMoments:
     def test_four_heads_n_mean(self):
-        assert moment_ic(ALPHA, 4, 1, 1) == pytest.approx(ALPHA.r ** 0.5, abs=1e-14)
+        assert moment(spec(4, Family.INCOHERENT), 1, 1) == pytest.approx(ALPHA.r ** 0.5, abs=1e-14)
 
     def test_two_heads_a_dag2(self):
-        assert moment_ic(ALPHA, 2, 2, 0) == pytest.approx(ALPHA.to_complex().conjugate(), abs=1e-14)
+        want = ALPHA.to_complex().conjugate()
+        assert moment(spec(2, Family.INCOHERENT), 2, 0) == pytest.approx(want, abs=1e-14)
 
     def test_three_heads_a_dag_vanishes(self):
-        assert moment_ic(ALPHA, 3, 1, 0) == 0
+        assert moment(spec(3, Family.INCOHERENT), 1, 0) == 0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_diagonal_moments_exact(self, n):
         for a in random_amplitudes(n, count=5, r_max=10.0):
-            assert moment_ic(a, n, 1, 1) == pytest.approx(a.r ** (2.0 / n), abs=1e-12)
-            assert moment_ic(a, n, 2, 2) == pytest.approx(a.r ** (4.0 / n), rel=1e-12)
+            s = StateSpec(a, n, Family.INCOHERENT)
+            assert moment(s, 1, 1) == pytest.approx(a.r ** (2.0 / n), abs=1e-12)
+            assert moment(s, 2, 2) == pytest.approx(a.r ** (4.0 / n), rel=1e-12)
 
 
 class TestCoherentMoments:
     def test_two_heads_n_mean(self):
         want = ALPHA.r * math.tanh(ALPHA.r)
-        assert moment_c(ALPHA, 2, 1, 1) == pytest.approx(want, abs=1e-13)
+        assert moment(spec(2, Family.COHERENT), 1, 1) == pytest.approx(want, abs=1e-13)
 
     def test_two_heads_second_factorial(self):
-        assert moment_c(ALPHA, 2, 2, 2) == pytest.approx(ALPHA.r ** 2, rel=1e-13)
+        assert moment(spec(2, Family.COHERENT), 2, 2) == pytest.approx(ALPHA.r ** 2, rel=1e-13)
 
     def test_single_head_reduces_to_powers(self):
         a = ALPHA.to_complex()
-        assert moment_c(ALPHA, 1, 2, 1) == pytest.approx(a.conjugate() ** 2 * a, rel=1e-13)
+        want = a.conjugate() ** 2 * a
+        assert moment(spec(1, Family.COHERENT), 2, 1) == pytest.approx(want, rel=1e-13)
 
 
 class TestMomentTable:
@@ -185,6 +186,13 @@ class TestParity:
     def test_vacuum_parity(self):
         s = StateSpec(PolarAmplitude(0.0), 5, Family.COHERENT)
         assert parity(s) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("family", list(Family))
+    def test_closed_form_equals_wigner_origin_value(self, n, family):
+        for a in random_amplitudes(n + 100, count=5, r_max=30.0):
+            s = StateSpec(a, n, family)
+            assert parity(s) == pytest.approx(math.pi / 2 * wigner(s, 0.0), abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_mixture_matches_gaussian_origin_value(self, n):

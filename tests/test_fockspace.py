@@ -12,13 +12,15 @@ from multihead import (
     build_coherent,
     build_state,
     choose_cutoff,
-    moment_c,
+    mean_photon,
+    moment,
     normalization,
     oracle_moment,
     oracle_parity,
     oracle_wigner,
     wigner,
 )
+from multihead.compare import TOL_DEFAULT
 from multihead.fockspace import FockDensity, FockVector, oracle_wigner_grid, unnormalized_head_sum_norm_sq
 
 ALPHA = PolarAmplitude.from_cartesian(1.0, 1.0)
@@ -95,6 +97,14 @@ class TestBuildState:
         eigs = np.linalg.eigvalsh(state.matrix)
         assert eigs.min() >= -1e-10
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_large_modulus_does_not_underflow(self, family):
+        # exp(-|gamma|^2/2) alone underflows to 0 once |gamma|^2 exceeds ~1490
+        spec = StateSpec(PolarAmplitude(1600.0), 2, family)
+        state = build_state(spec, cutoff=choose_cutoff(spec.alpha, 2, eps=1e-20))
+        want = mean_photon(spec)
+        assert abs(oracle_moment(state, 1, 1) - want) <= TOL_DEFAULT * want
+
     def test_head_sum_norm_matches_normalization(self):
         for n in range(1, 6):
             spec = StateSpec(ALPHA, n, Family.COHERENT)
@@ -121,7 +131,7 @@ class TestOracleMoment:
     def test_matches_closed_form_three_heads(self):
         spec = StateSpec(ALPHA, 3, Family.COHERENT)
         state = build_state(spec)
-        assert oracle_moment(state, 1, 1) == pytest.approx(moment_c(ALPHA, 3, 1, 1), abs=1e-8)
+        assert oracle_moment(state, 1, 1) == pytest.approx(moment(spec, 1, 1), abs=1e-8)
 
     def test_cutoff_doubling_is_stable(self):
         spec = StateSpec(ALPHA, 2, Family.COHERENT)

@@ -4,6 +4,7 @@ import pytest
 
 from multihead import Family, Quantity, SweepTemplate, find_crossings, squeezing_window, sweep
 from multihead.errors import InvalidInputError
+from multihead.sweeps import evaluate
 
 
 def template(n, family, theta=0.0):
@@ -36,6 +37,19 @@ class TestSweep:
                 for n in range(1, 7)
             ]
             assert values == sorted(values, reverse=True)
+
+    @pytest.mark.parametrize("quantity", list(Quantity))
+    @pytest.mark.parametrize("family", list(Family))
+    def test_samples_equal_scalar_evaluation_on_the_stepped_grid(self, quantity, family):
+        r_min, r_max, step = 0.0, 7.0, 0.03
+        for n in (1, 2, 3, 5, 12):
+            tpl = template(n, family, theta=2.1)
+            res = sweep(tpl, quantity, r_min, r_max, step)
+            grid = [min(r_min + i * step, r_max) for i in range(int(round(r_max / step)) + 1)]
+            if quantity is Quantity.MANDEL_Q:
+                grid = grid[1:]  # undefined at r = 0
+            assert [r for r, _ in res.samples] == grid
+            assert [v for _, v in res.samples] == [evaluate(tpl, quantity, r) for r in grid]
 
     def test_mandel_q_gap_at_zero_modulus(self):
         res = sweep(template(2, Family.COHERENT), Quantity.MANDEL_Q, 0.0, 0.1, 0.05)
