@@ -208,28 +208,24 @@ def cmd_fock(args) -> int:
     spec = _spec_from_args(args)
     if args.max_m < 0:
         raise InvalidInputError("max-m must be nonnegative")
-    size = args.max_m + 1
-    magnitudes = [
-        [abs(closed_form.fock_element(spec, m, n)) for n in range(size)]
-        for m in range(size)
-    ]
-    diag = [closed_form.pnd(spec, m) for m in range(size)]
+    if (args.max_m + 1) ** 2 > GRID_POINT_CAP:
+        raise CapacityError(f"Fock block exceeds {GRID_POINT_CAP} elements")
+    index = np.arange(args.max_m + 1)
+    magnitudes = np.abs(closed_form.fock_element(spec, index[:, None], index))
+    diag = closed_form.pnd(spec, index)
     if args.format == "csv":
         lines = ["m,n,abs_p_mn"]
-        for m in range(size):
-            for n in range(size):
-                lines.append(f"{m},{n},{fmt(magnitudes[m][n])}")
+        lines += [f"{m},{n},{fmt(v)}" for (m, n), v in np.ndenumerate(magnitudes)]
         lines.append("m,p_mm")
-        for m in range(size):
-            lines.append(f"{m},{fmt(diag[m])}")
+        lines += [f"{m},{fmt(p)}" for m, p in enumerate(diag)]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         payload = _provenance(
             {
                 "spec": spec_to_jsonable(spec),
                 "max_m": args.max_m,
-                "abs_fock_elements": [[float(v) for v in row] for row in magnitudes],
-                "pnd": [float(v) for v in diag],
+                "abs_fock_elements": magnitudes.tolist(),
+                "pnd": diag.tolist(),
             }
         )
         _emit(render_json(payload) + "\n", args.out)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from .errors import InternalConsistencyError, InvalidInputError, UndefinedStatisticError
 from .roots import PolarAmplitude, root_angles, root_modulus
@@ -31,19 +31,20 @@ TWO_OVER_PI = 2.0 / math.pi
 
 def _require_real(value, what: str):
     imag = np.max(np.abs(np.imag(value)))
-    if imag > RESIDUE_TOL * max(1.0, float(np.max(np.abs(value)))):
+    # Written so that a NaN residue fails the test too.
+    if not imag <= RESIDUE_TOL * max(1.0, float(np.max(np.abs(value)))):
         raise InternalConsistencyError(f"{what}: imaginary residue {imag:.3e} exceeds tolerance")
     return np.real(value)
 
 
-def _overlaps(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
-    """Head overlaps exp(mu*(turn*w^j - 1)) for j = 0..N-1 on a new last axis.
+def _log_overlaps(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
+    """Log head overlaps mu*(turn*w^j - 1) for j = 0..N-1 on a new last axis.
 
-    With ``turn = 1`` these are <g_k2|g_k1> for k1 - k2 = j; ``turn = -1``
-    inserts the parity operator between the two heads.
+    With ``turn = 1`` their exponentials are <g_k2|g_k1> for k1 - k2 = j;
+    ``turn = -1`` inserts the parity operator between the two heads.
     """
     omega = np.exp(2j * np.pi * np.arange(n_heads) / n_heads)
-    return np.exp(np.multiply.outer(mu, turn * omega - 1.0))
+    return np.multiply.outer(mu, turn * omega - 1.0)
 
 
 def _head_sums(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
@@ -53,7 +54,7 @@ def _head_sums(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
     j and N - j are complex conjugates, so every S_l is real; the imaginary
     residue is checked here, where it arises.
     """
-    sums = n_heads * np.fft.ifft(_overlaps(mu, n_heads, turn), axis=-1)
+    sums = n_heads * np.fft.ifft(np.exp(_log_overlaps(mu, n_heads, turn)), axis=-1)
     return _require_real(sums, "head sum")
 
 
@@ -178,49 +179,42 @@ def parity(spec: StateSpec) -> float:
     return float(_parity(spec, spec.alpha.r))
 
 
-def _log_fock_magnitude(alpha: PolarAmplitude, n_heads: int, m: int, n: int) -> float:
-    """log of r^{(m+n)/N} e^{-r^{2/N}} / sqrt(m! n!); requires r > 0."""
-    mu = alpha.r ** (2.0 / n_heads)
-    return (
-        (m + n) / n_heads * math.log(alpha.r)
-        - mu
-        - 0.5 * (gammaln(m + 1) + gammaln(n + 1))
-    )
-
-
-def fock_element(spec: StateSpec, m: int, n: int) -> complex:
+def fock_element(spec: StateSpec, m, n):
     """Density-matrix element p_mn in the photon-number basis.
 
     The head sums reduce to selection rules: the incoherent family needs
     (m - n) divisible by N, the coherent family needs both m and n divisible
     by N and carries the scale N/S_0.  Magnitudes are assembled in log space
-    so large m, n never overflow the factorials.
+    so large m, n never overflow the factorials.  ``m`` and ``n`` broadcast
+    over integer arrays, with S_0 computed once per call; scalar indices
+    give a complex.
     """
-    if m < 0 or n < 0:
+    m, n = np.asarray(m), np.asarray(n)
+    if np.any(m < 0) or np.any(n < 0):
         raise InvalidInputError("Fock indices must be nonnegative")
     alpha, n_heads = spec.alpha, spec.n_heads
-    if alpha.r == 0.0:
-        return complex(1.0 if m == n == 0 else 0.0)
-    phase = cmath.exp(1j * (m - n) * alpha.theta_p / n_heads)
+    mu = alpha.r ** (2.0 / n_heads)
     if spec.is_coherent:
-        if m % n_heads != 0 or n % n_heads != 0:
-            return 0.0 + 0.0j
-        scale = n_heads / _head_sums(alpha.r ** (2.0 / n_heads), n_heads)[0]
+        allowed = (m % n_heads == 0) & (n % n_heads == 0)
+        scale = n_heads / _head_sums(mu, n_heads)[0]
     else:
-        if (m - n) % n_heads != 0:
-            return 0.0 + 0.0j
+        allowed = (m - n) % n_heads == 0
         scale = 1.0
-    return complex(scale * math.exp(_log_fock_magnitude(alpha, n_heads, m, n)) * phase)
+    # xlogy(0, 0) = 0 leaves p_00 = 1 at r = 0, and every other element 0.
+    log_mag = xlogy((m + n) / n_heads, alpha.r) - mu - 0.5 * (gammaln(m + 1) + gammaln(n + 1))
+    phase = np.exp(1j * (m - n) * alpha.theta_p / n_heads)
+    value = np.where(allowed, scale * np.exp(log_mag) * phase, 0.0j)
+    return complex(value) if value.ndim == 0 else value
 
 
-def pnd(spec: StateSpec, m: int) -> float:
-    """Photon number distribution p_mm.
+def pnd(spec: StateSpec, m):
+    """Photon number distribution p_mm; ``m`` broadcasts like in fock_element.
 
     Poissonian with mean r^{2/N} for the incoherent family; supported only
     on multiples of N for the coherent family.
     """
-    value = fock_element(spec, m, m)
-    return float(value.real)
+    value = np.real(fock_element(spec, m, m))
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def wigner(spec: StateSpec, beta):
@@ -243,12 +237,15 @@ def wigner(spec: StateSpec, beta):
             total += np.exp(-2.0 * np.abs(g - beta) ** 2)
         out = TWO_OVER_PI * total / n_heads
     else:
-        overlaps = _overlaps(rho**2, n_heads)
+        # One exp per term: its modulus is exp(-2|beta - (g1 + g2)/2|^2) <= 1,
+        # while the overlap and the pair factor alone under- and overflow.
+        log_overlaps = _log_overlaps(rho**2, n_heads)
         total = np.zeros(beta.shape, dtype=complex)
         for k1, g1 in enumerate(heads):
             for k2, g2 in enumerate(heads):
-                total += overlaps[(k1 - k2) % n_heads] * np.exp(
-                    -2.0 * (np.conj(g2) - np.conj(beta)) * (g1 - beta)
+                total += np.exp(
+                    log_overlaps[(k1 - k2) % n_heads]
+                    - 2.0 * (np.conj(g2) - np.conj(beta)) * (g1 - beta)
                 )
         n_c = normalization(alpha, n_heads)
         out = TWO_OVER_PI * _require_real(total, "Wigner value") / n_c

@@ -52,7 +52,6 @@ def validate_spec(
     pnd_max: int = 40,
     wigner_extent: float = 3.0,
     wigner_points: int = 21,
-    kernel_cache: dict | None = None,
 ) -> ValidationReport:
     """Run every oracle-vs-closed-form comparison for one state."""
     cutoff = fockspace.choose_cutoff(spec.alpha, spec.n_heads, eps=_CUTOFF_EPS)
@@ -64,40 +63,20 @@ def validate_spec(
         diff = abs(closed_form.moment(spec, h, l) - fockspace.oracle_moment(state, h, l))
         report.diffs[f"moment({h},{l})"] = diff
 
-    if isinstance(state, fockspace.FockVector):
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    else:
-        rho = state.matrix
-    block = np.array(
-        [
-            [closed_form.fock_element(spec, m, n) for n in range(fock_max + 1)]
-            for m in range(fock_max + 1)
-        ]
-    )
+    rho = fockspace.density_matrix(state)
+    index = np.arange(fock_max + 1)
+    block = closed_form.fock_element(spec, index[:, None], index)
     report.diffs["fock_block"] = float(
         np.max(np.abs(block - rho[: fock_max + 1, : fock_max + 1]))
     )
 
     diag = np.real(np.diag(rho))[: pnd_max + 1]
-    analytic_pnd = np.array([closed_form.pnd(spec, m) for m in range(pnd_max + 1)])
+    analytic_pnd = closed_form.pnd(spec, np.arange(pnd_max + 1))
     report.diffs["pnd"] = float(np.max(np.abs(analytic_pnd - diag)))
 
     betas = _wigner_grid_points(wigner_extent, wigner_points)
     analytic_w = np.asarray(closed_form.wigner(spec, betas), dtype=float)
-    if kernel_cache is None:
-        oracle_w = fockspace.oracle_wigner_grid(state, betas)
-    else:
-        key = (cutoff, wigner_extent, wigner_points)
-        if key not in kernel_cache:
-            kernel_cache[key] = [
-                fockspace.displaced_parity_kernel(b, cutoff) for b in betas.ravel()
-            ]
-        oracle_w = np.array(
-            [
-                fockspace.oracle_wigner(state, b, kernel=k)
-                for b, k in zip(betas.ravel(), kernel_cache[key])
-            ]
-        ).reshape(betas.shape)
+    oracle_w = fockspace.oracle_wigner_grid(state, betas)
     report.diffs["wigner"] = float(np.max(np.abs(analytic_w - oracle_w)))
 
     report.diffs["parity"] = abs(closed_form.parity(spec) - fockspace.oracle_parity(state))

@@ -1,9 +1,9 @@
 """Independent truncated Fock-space computation path.
 
-Everything here is built from ladder-operator matrices and closed-form
-displacement matrix elements in the photon-number basis, deliberately
-avoiding the head-sum formulas of :mod:`multihead.closed_form` so the two
-paths can cross-validate each other.
+Everything here is built from ladder-operator matrices and displacement
+matrix elements in the photon-number basis, deliberately avoiding the
+head-sum formulas of :mod:`multihead.closed_form` so the two paths can
+cross-validate each other.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import gammaln, xlogy
 from scipy.stats import poisson
 
 from .errors import CapacityError, CutoffInsufficientError, TruncationError
@@ -23,6 +23,8 @@ from .states import StateSpec
 EPS_DEFAULT = 1e-12
 CUTOFF_MIN = 32
 CUTOFF_MAX = 4096
+# Largest |beta|^2 the Wigner oracle accepts: exp(-2|beta|^2) stays a normal float.
+WIGNER_BETA_SQ_MAX = -0.5 * math.log(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,9 @@ def build_coherent(gamma: complex, cutoff: int, eps: float = EPS_DEFAULT) -> Foc
     """Coherent state amplitudes c_m = exp(-|gamma|^2/2) gamma^m / sqrt(m!).
 
     Each amplitude is exponentiated from its logarithm, so exp(-|gamma|^2/2)
-    never underflows on its own at large |gamma|.
+    never underflows on its own at large |gamma|.  The tail bound is the
+    Poisson mass at m >= cutoff, which 1 - ||c||^2 cannot resolve below
+    rounding.
     """
     m = np.arange(cutoff)
     if gamma == 0:
@@ -83,7 +87,7 @@ def build_coherent(gamma: complex, cutoff: int, eps: float = EPS_DEFAULT) -> Foc
         x = abs(gamma)
         log_c = m * math.log(x) - x * x / 2.0 - 0.5 * gammaln(m + 1)
         c = np.exp(log_c + 1j * m * cmath.phase(gamma))
-    tail = max(0.0, 1.0 - float(np.vdot(c, c).real))
+    tail = float(poisson.sf(cutoff - 1, abs(gamma) ** 2))
     if tail >= eps:
         raise TruncationError(
             f"cutoff {cutoff} leaves tail mass {tail:.3e} for |gamma|^2 = {abs(gamma)**2:.3g}"
@@ -120,6 +124,13 @@ def unnormalized_head_sum_norm_sq(spec: StateSpec, cutoff: int | None = None) ->
     heads = nth_roots(spec.alpha, spec.n_heads)
     summed = np.sum([build_coherent(g, cutoff).amplitudes for g in heads], axis=0)
     return float(np.vdot(summed, summed).real)
+
+
+def density_matrix(state) -> np.ndarray:
+    """rho of either state type; a pure state gives |c><c|."""
+    if isinstance(state, FockVector):
+        return np.outer(state.amplitudes, state.amplitudes.conj())
+    return state.matrix
 
 
 def annihilation(cutoff: int) -> np.ndarray:
@@ -167,56 +178,81 @@ def apply_annihilation_power(state: FockVector, n_heads: int) -> FockVector:
     return FockVector(cutoff=state.cutoff, amplitudes=amp, tail_bound=state.tail_bound)
 
 
+def _displacement_points(betas) -> np.ndarray:
+    """2*beta for every phase-space point, flattened; rejects points past the domain.
+
+    The recurrence starts from e^(-2|beta|^2), which underflows to zero once
+    2|beta|^2 exceeds -ln(tiny) ~ 708; the test is written so NaN fails it too.
+    """
+    beta = np.asarray(betas, dtype=complex).ravel()
+    beta_sq = np.abs(beta) ** 2
+    if not np.all(beta_sq <= WIGNER_BETA_SQ_MAX):
+        raise CapacityError(
+            f"phase-space point |beta|^2 = {np.max(beta_sq):.4g} exceeds "
+            f"{WIGNER_BETA_SQ_MAX:.4g}, where exp(-2|beta|^2) underflows"
+        )
+    return 2.0 * beta
+
+
+def _displacement_diagonals(alpha: np.ndarray, cutoff: int):
+    """Yield f_p^(d) for p = 0..cutoff-1, shaped (points, cutoff - p) over d.
+
+    f_p^(d) = sqrt(p!/(p+d)!) x^(d/2) e^(-x/2) L_p^(d)(x) with x = |alpha|^2,
+    so <p+d|D(alpha)|p> = f e^(i d arg alpha) and <p|D(alpha)|p+d> =
+    f (-e^(-i arg alpha))^d.  It is advanced in p by the normalised
+    associated-Laguerre three-term recurrence (Johansson, Nation & Nori,
+    Comput. Phys. Commun. 184, 1234 (2013)), for every point at once.
+    """
+    x = np.abs(alpha)[:, None] ** 2
+    d = np.arange(cutoff)
+    f = np.exp(xlogy(d / 2.0, x) - x / 2.0 - 0.5 * gammaln(d + 1))
+    prev = np.zeros_like(f)
+    for p in range(cutoff):
+        yield f
+        d = d[:-1]
+        f, prev = (
+            (2 * p + 1 + d - x) * f[:, :-1] - np.sqrt(p * (p + d)) * prev[:, :-1]
+        ) / np.sqrt((p + 1) * (p + 1 + d)), f[:, :-1]
+
+
 def displaced_parity_kernel(beta: complex, cutoff: int) -> np.ndarray:
     """Matrix of D(2*beta)*Pi in the photon-number basis.
 
-    Uses the closed-form associated-Laguerre matrix elements of the
-    displacement operator; magnitudes are combined in log space.
+    Column p holds (-1)^p <p+d|D(2*beta)|p> below the diagonal and row p its
+    conjugate, both from the Laguerre recurrence of the Wigner oracle.
     """
-    a2 = 2.0 * complex(beta)
-    x = abs(a2) ** 2
-    m = np.arange(cutoff)
-    mm, nn = np.meshgrid(m, m, indexing="ij")
-    p = np.minimum(mm, nn)
-    d = np.abs(mm - nn)
-    lag = eval_genlaguerre(p, d, x)
-    if x == 0.0:
-        mag = np.where(d == 0, 1.0, 0.0)
-        phase = np.ones_like(mag, dtype=complex)
-    else:
-        logmag = 0.5 * (gammaln(p + 1) - gammaln(p + d + 1)) + d * 0.5 * math.log(x) - x / 2.0
-        mag = np.exp(logmag)
-        unit = a2 / abs(a2)
-        phase = np.where(mm >= nn, unit, -np.conj(unit)) ** d
-    kernel = mag * lag * phase
-    kernel *= np.where(nn % 2 == 0, 1.0, -1.0)  # parity on the right
+    alpha = _displacement_points(beta)
+    phases = np.exp(1j * np.angle(alpha[0]) * np.arange(cutoff))
+    kernel = np.empty((cutoff, cutoff), dtype=complex)
+    for p, f in enumerate(_displacement_diagonals(alpha, cutoff)):
+        column = (-1) ** p * f[0] * phases[: cutoff - p]
+        kernel[p:, p] = column
+        kernel[p, p:] = column.conj()
     return kernel
 
 
-def oracle_wigner(state, beta: complex, kernel: np.ndarray | None = None) -> float:
+def oracle_wigner(state, beta: complex) -> float:
     """Wigner value via the displaced-parity trace (2/pi) Tr[rho D(2b) Pi]."""
-    if kernel is None:
-        mean = oracle_moment(state, 1, 1).real
-        if abs(beta) ** 2 + mean > 0.5 * state.cutoff:
-            raise CutoffInsufficientError(
-                f"phase-space point |beta|={abs(beta):.3g} outside cutoff validity"
-            )
-        kernel = displaced_parity_kernel(beta, state.cutoff)
-    if isinstance(state, FockVector):
-        value = np.vdot(state.amplitudes, kernel @ state.amplitudes)
-    else:
-        value = np.trace(state.matrix @ kernel)
-    return float(2.0 / math.pi * value.real)
+    return float(oracle_wigner_grid(state, beta))
 
 
 def oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
-    """Wigner values on an array of phase-space points (flattened order kept)."""
-    flat = np.asarray(betas, dtype=complex).ravel()
-    out = np.empty(flat.shape, dtype=float)
-    for i, b in enumerate(flat):
-        kernel = displaced_parity_kernel(b, state.cutoff)
-        out[i] = oracle_wigner(state, b, kernel=kernel)
-    return out.reshape(np.shape(betas))
+    """Wigner values (2/pi) Tr[rho D(2b) Pi] on an array of phase-space points.
+
+    One pass over photon number p serves every point:
+    W = (2/pi) sum_p (-1)^p Re sum_d w_d f_p^(d) e^(i d arg 2b) rho_(p,p+d),
+    with w_0 = 1 and w_d = 2, since the d < 0 half of the trace is the
+    complex conjugate of the d > 0 half.
+    """
+    alpha = _displacement_points(betas)
+    cutoff, rho = state.cutoff, density_matrix(state)
+    acc = np.zeros((alpha.size, cutoff), dtype=complex)
+    for p, f in enumerate(_displacement_diagonals(alpha, cutoff)):
+        acc[:, : cutoff - p] += f * ((-1) ** p * rho[p, p:])
+    d = np.arange(cutoff)
+    acc *= np.exp(1j * np.multiply.outer(np.angle(alpha), d))
+    values = np.sum(np.real(acc) * np.where(d == 0, 1.0, 2.0), axis=1)
+    return (2.0 / math.pi * values).reshape(np.shape(betas))
 
 
 def oracle_parity(state) -> float:

@@ -104,12 +104,11 @@ def test_criterion_2_oracle_equivalence():
         PolarAmplitude(2.0, math.pi / 3),
         PolarAmplitude(3.0),
     ]
-    cache = {}
     failures = []
     for n in range(1, 7):
         for family in Family:
             for a in amplitudes:
-                rep = validate_spec(StateSpec(a, n, family), kernel_cache=cache)
+                rep = validate_spec(StateSpec(a, n, family))
                 if not rep.passed:
                     failures.append((n, family.value, a, rep.worst()))
     elapsed = time.perf_counter() - start

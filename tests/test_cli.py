@@ -199,3 +199,9 @@ class TestFockCommand:
             capsys, "fock", "--alpha", "1+1i", "--heads", "3", "--family", "coherent", "--max-m", "-1",
         )
         assert code == 2
+
+    def test_oversized_block_is_capacity_error(self, capsys):
+        code, _ = run(
+            capsys, "fock", "--alpha", "1+1i", "--heads", "3", "--family", "coherent", "--max-m", "2000",
+        )
+        assert code == 3

@@ -17,6 +17,7 @@ from multihead import (
     quadrature_variances,
     wigner,
 )
+from test_acceptance import wigner_two_head_coherent
 
 ALPHA = PolarAmplitude.from_cartesian(1.0, 1.0)
 
@@ -213,6 +214,17 @@ class TestWignerScalar:
             s = StateSpec(a, n, Family.INCOHERENT)
             want = 2 / math.pi * math.exp(-2 * a.r ** (2 / n))
             assert wigner(s, 0.0) == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("r", [355.0, 400.0, 1600.0])
+    def test_two_head_cat_is_finite_at_large_modulus(self, r):
+        # The head overlap exp(-2r) underflows here while the pair factor overflows.
+        a = PolarAmplitude(r, 0.4)
+        g = math.sqrt(r) * np.exp(0.2j)
+        axis = np.linspace(-3.0, 3.0, 7)
+        pts = np.concatenate([[g, -g, 0.99 * g, 0.0], axis + 1j * axis[::-1]])
+        values = np.asarray(wigner(spec(2, Family.COHERENT, a), pts))
+        assert np.all(np.isfinite(values))
+        assert np.max(np.abs(values - wigner_two_head_coherent(a, pts))) <= 1e-12
 
     def test_two_head_cat_has_negative_region(self):
         s = spec(2, Family.COHERENT)

@@ -1,9 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from multihead import Family, PolarAmplitude, StateSpec, build_state, fock_element, pnd
+from multihead import (
+    Family,
+    InvalidInputError,
+    PolarAmplitude,
+    StateSpec,
+    build_state,
+    fock_element,
+    pnd,
+)
 
 ALPHA = PolarAmplitude.from_cartesian(1.0, 1.0)
 
@@ -83,3 +92,26 @@ class TestPnd:
         s = StateSpec(ALPHA, 3, Family.COHERENT)
         total = sum(pnd(s, 3 * k) for k in range(40))
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+class TestIndexArrays:
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 2.0, 40.0])
+    def test_arrays_equal_scalar_calls(self, family, n, r):
+        s = StateSpec(PolarAmplitude(r, 0.9), n, family)
+        index = np.arange(16)
+        block = fock_element(s, index[:, None], index)
+        assert block.shape == (16, 16)
+        assert block.tolist() == [[fock_element(s, m, k) for k in index] for m in index]
+        assert pnd(s, index).tolist() == [pnd(s, m) for m in index]
+
+    def test_scalar_types_are_kept(self):
+        s = StateSpec(ALPHA, 2, Family.COHERENT)
+        assert type(fock_element(s, 2, 0)) is complex
+        assert type(pnd(s, 2)) is float
+
+    def test_negative_index_in_array_raises(self):
+        s = StateSpec(ALPHA, 2, Family.COHERENT)
+        with pytest.raises(InvalidInputError):
+            fock_element(s, np.array([0, -1]), 0)

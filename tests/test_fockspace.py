@@ -8,6 +8,7 @@ from multihead import (
     Family,
     PolarAmplitude,
     StateSpec,
+    TruncationError,
     apply_annihilation_power,
     build_coherent,
     build_state,
@@ -66,6 +67,16 @@ class TestBuildCoherent:
     def test_tail_bound_is_tight(self):
         v = build_coherent(1.5, 48)
         assert 0.0 <= v.tail_bound < 1e-10
+
+    def test_tail_bound_is_the_poisson_tail(self):
+        # 1 - ||c||^2 would read rounding noise (~1e-13) here.
+        spec = StateSpec(PolarAmplitude(1600.0), 2, Family.COHERENT)
+        state = build_state(spec, cutoff=1994, eps=1e-20)
+        assert 0.0 < state.tail_bound < 1e-20
+
+    def test_too_small_cutoff_raises(self):
+        with pytest.raises(TruncationError):
+            build_coherent(5.0, 40)
 
 
 class TestBuildState:
