@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .roots import nth_roots, root_sum
-from .serialize import fmt, parse_amplitude, render_json, spec_to_jsonable
+from .serialize import parse_amplitude, render_csv, render_json, spec_to_jsonable
 from .states import Family, StateSpec
 from .sweeps import Quantity, SweepTemplate
 
@@ -91,14 +92,7 @@ def cmd_stats(args) -> int:
     payload = _provenance(
         {
             "spec": spec_to_jsonable(spec),
-            "moments": {
-                "a_dag": table.a_dag,
-                "a": table.a,
-                "n_mean": table.n_mean,
-                "a_dag2": table.a_dag2,
-                "a2": table.a2,
-                "a_dag2_a2": table.a_dag2_a2,
-            },
+            "moments": asdict(table),
             "mean_photon": closed_form.mean_photon(spec),
             "mandel_q": mq,
             "var_x1": variances.var_x1,
@@ -123,29 +117,17 @@ def cmd_wigner(args) -> int:
     xx, yy = np.meshgrid(xs, ys, indexing="xy")  # y-major rows
     betas = (xx + 1j * yy) / math.sqrt(2.0)
     values = np.asarray(closed_form.wigner(spec, betas), dtype=float)
+    columns = (xx.ravel(), yy.ravel(), values.ravel())
     if args.format == "csv":
-        lines = ["x,y,w"]
-        for iy in range(args.ny):
-            for ix in range(args.nx):
-                lines.append(f"{fmt(xx[iy, ix])},{fmt(yy[iy, ix])},{fmt(values[iy, ix])}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(render_csv("x,y,w", *columns), args.out)
     else:
         payload = _provenance(
             {
                 "spec": spec_to_jsonable(spec),
                 "grid": {
-                    "x_min": args.x_min,
-                    "x_max": args.x_max,
-                    "y_min": args.y_min,
-                    "y_max": args.y_max,
-                    "nx": args.nx,
-                    "ny": args.ny,
+                    k: getattr(args, k) for k in ("x_min", "x_max", "y_min", "y_max", "nx", "ny")
                 },
-                "rows": [
-                    [float(xx[iy, ix]), float(yy[iy, ix]), float(values[iy, ix])]
-                    for iy in range(args.ny)
-                    for ix in range(args.nx)
-                ],
+                "rows": np.stack(columns, axis=1),
             }
         )
         _emit(render_json(payload) + "\n", args.out)
@@ -171,10 +153,9 @@ def cmd_sweep(args) -> int:
     crossings = (
         sweeps.find_crossings(result, threshold) if threshold is not None else []
     )
+    samples = np.array(result.samples, dtype=float).reshape(-1, 2)
     if args.format == "csv":
-        lines = ["r,value"]
-        lines += [f"{fmt(r)},{fmt(v)}" for r, v in result.samples]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(render_csv("r,value", *samples.T), args.out)
     else:
         payload = _provenance(
             {
@@ -188,7 +169,7 @@ def cmd_sweep(args) -> int:
                 "r_max": args.r_max,
                 "step": args.step,
                 "threshold": threshold,
-                "samples": [[float(r), float(v)] for r, v in result.samples],
+                "samples": samples,
                 "crossings": [float(c) for c in crossings],
             }
         )
@@ -214,18 +195,16 @@ def cmd_fock(args) -> int:
     magnitudes = np.abs(closed_form.fock_element(spec, index[:, None], index))
     diag = closed_form.pnd(spec, index)
     if args.format == "csv":
-        lines = ["m,n,abs_p_mn"]
-        lines += [f"{m},{n},{fmt(v)}" for (m, n), v in np.ndenumerate(magnitudes)]
-        lines.append("m,p_mm")
-        lines += [f"{m},{fmt(p)}" for m, p in enumerate(diag)]
-        _emit("\n".join(lines) + "\n", args.out)
+        m, n = np.indices(magnitudes.shape)
+        block = render_csv("m,n,abs_p_mn", m.ravel(), n.ravel(), magnitudes.ravel())
+        _emit(block + render_csv("m,p_mm", index, diag), args.out)
     else:
         payload = _provenance(
             {
                 "spec": spec_to_jsonable(spec),
                 "max_m": args.max_m,
-                "abs_fock_elements": magnitudes.tolist(),
-                "pnd": diag.tolist(),
+                "abs_fock_elements": magnitudes,
+                "pnd": diag,
             }
         )
         _emit(render_json(payload) + "\n", args.out)

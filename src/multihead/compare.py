@@ -3,8 +3,8 @@
 For one state this compares the six low-order moments, a block of Fock
 matrix elements, the photon number distribution, Wigner values on a
 phase-space subgrid, and the parity; the coherent family additionally
-checks the a^N eigenstate residual and the head-sum norm against the
-closed-form normalization factor.
+checks the a^N eigenstate residual, scaled by max(1, |alpha|), and the
+head-sum norm against the closed-form normalization factor.
 """
 
 from __future__ import annotations
@@ -82,14 +82,19 @@ def validate_spec(
     report.diffs["parity"] = abs(closed_form.parity(spec) - fockspace.oracle_parity(state))
 
     if spec.is_coherent:
-        image = fockspace.apply_annihilation_power(state, spec.n_heads)
-        residual = image.amplitudes - spec.alpha.to_complex() * state.amplitudes
-        report.diffs["eigenstate_residual"] = float(np.linalg.norm(residual))
+        report.diffs["eigenstate_residual"] = eigenstate_residual(spec, state)
         norm_sq = fockspace.unnormalized_head_sum_norm_sq(spec, cutoff=cutoff)
         n_c = closed_form.normalization(spec.alpha, spec.n_heads)
         report.diffs["head_sum_norm"] = abs(norm_sq - n_c) / max(1.0, n_c)
 
     return report
+
+
+def eigenstate_residual(spec: StateSpec, state) -> float:
+    """||a^N psi - alpha psi|| / max(1, |alpha|), relative to the eigenvalue's scale."""
+    image = fockspace.apply_annihilation_power(state, spec.n_heads).amplitudes
+    alpha = spec.alpha.to_complex()
+    return float(np.linalg.norm(image - alpha * state.amplitudes)) / max(1.0, abs(alpha))
 
 
 def validation_table(report: ValidationReport) -> str:

@@ -1,6 +1,6 @@
 """Independent truncated Fock-space computation path.
 
-Everything here is built from ladder-operator matrices and displacement
+Everything here is built from ladder-operator actions and displacement
 matrix elements in the photon-number basis, deliberately avoiding the
 head-sum formulas of :mod:`multihead.closed_form` so the two paths can
 cross-validate each other.
@@ -133,9 +133,9 @@ def density_matrix(state) -> np.ndarray:
     return state.matrix
 
 
-def annihilation(cutoff: int) -> np.ndarray:
-    """Annihilation operator matrix in the truncated photon-number basis."""
-    return np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
+def _lowering_factors(k: np.ndarray, power: int) -> np.ndarray:
+    """sqrt((k+power)!/k!): a^power takes |k+power> to this factor times |k>."""
+    return np.sqrt(np.prod([k + j for j in range(1, power + 1)], axis=0, dtype=float))
 
 
 def _check_top_occupation(amplitudes: np.ndarray, levels: int, tol: float = 1e-16):
@@ -149,21 +149,17 @@ def _check_top_occupation(amplitudes: np.ndarray, levels: int, tol: float = 1e-1
 
 
 def oracle_moment(state, h: int, l: int) -> complex:
-    """<a^dag^h a^l> by ladder-operator action in the truncated basis."""
-    a = annihilation(state.cutoff)
+    """<a^dag^h a^l> in the truncated basis, as the offset-diagonal sum
+    sum_k sqrt((k+h)!/k!) sqrt((k+l)!/k!) rho_(k+l,k+h); no operator matrix is formed.
+    """
+    k = np.arange(state.cutoff - max(h, l))
     if isinstance(state, FockVector):
         _check_top_occupation(state.amplitudes, h + l)
-        left = state.amplitudes.copy()
-        for _ in range(h):
-            left = a @ left
-        right = state.amplitudes.copy()
-        for _ in range(l):
-            right = a @ right
-        return complex(np.vdot(left, right))
-    diag = np.abs(np.diag(state.matrix))
-    _check_top_occupation(np.sqrt(diag), h + l)
-    op = np.linalg.matrix_power(a, h).conj().T @ np.linalg.matrix_power(a, l)
-    return complex(np.trace(state.matrix @ op))
+        entries = state.amplitudes[k + l] * state.amplitudes[k + h].conj()
+    else:
+        _check_top_occupation(np.sqrt(np.abs(np.diag(state.matrix))), h + l)
+        entries = state.matrix[k + l, k + h]
+    return complex(np.sum(_lowering_factors(k, h) * _lowering_factors(k, l) * entries))
 
 
 def apply_annihilation_power(state: FockVector, n_heads: int) -> FockVector:
@@ -171,10 +167,9 @@ def apply_annihilation_power(state: FockVector, n_heads: int) -> FockVector:
     if n_heads >= state.cutoff:
         raise CutoffInsufficientError("cutoff smaller than the operator power")
     _check_top_occupation(state.amplitudes, n_heads)
-    a = annihilation(state.cutoff)
-    amp = state.amplitudes.copy()
-    for _ in range(n_heads):
-        amp = a @ amp
+    k = np.arange(state.cutoff - n_heads)
+    amp = np.zeros_like(state.amplitudes)
+    amp[k] = _lowering_factors(k, n_heads) * state.amplitudes[k + n_heads]
     return FockVector(cutoff=state.cutoff, amplitudes=amp, tail_bound=state.tail_bound)
 
 

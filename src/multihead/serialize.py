@@ -2,11 +2,15 @@
 
 Floats are rendered with 17 significant digits so every emitted value parses
 back to the identical IEEE-754 double, which makes re-emission byte-stable.
+A numpy array is emitted in one `%` pass, with the same text as per value.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
+
+import numpy as np
 
 from .errors import InvalidInputError
 from .roots import PolarAmplitude
@@ -48,18 +52,43 @@ def _imag_coeff(token: str) -> float:
     return float(token)
 
 
+# fmt() and the array emitters fill this one slot, so an array formatted in
+# one `%` pass reads exactly as fmt() of each value.
+_FLOAT_SLOT = "%.17g"
+
+
 def fmt(value: float) -> str:
     """17-significant-digit rendering; idempotent under parse/format round trips."""
-    return format(float(value), ".17g")
+    return _FLOAT_SLOT % float(value)
+
+
+def _array_template(shape: tuple, indent: int) -> str:
+    """render_json's text for a nonempty float array of this shape, with a slot per value."""
+    if not shape:
+        return _FLOAT_SLOT
+    item = "  " * (indent + 1) + _array_template(shape[1:], indent + 1)
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + "  " * indent + "]"
+
+
+def render_csv(header: str, *columns: np.ndarray) -> str:
+    """Header line, then a line per row of the 1-D columns: floats as fmt(), ints as ints."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else _FLOAT_SLOT for c in columns)
+    template = "\n".join([header] + [row] * len(columns[0])) + "\n"
+    return template % tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
 
 
 def render_json(obj, indent: int = 0) -> str:
     """Minimal deterministic JSON renderer with fmt()-formatted floats.
 
-    Complex values are emitted as {"re": ..., "im": ...} objects.
+    Complex values are emitted as {"re": ..., "im": ...} objects.  A numpy
+    array reads exactly as its .tolist() would.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind != "f" or obj.size == 0 or obj.ndim == 0:
+            return render_json(obj.tolist(), indent)
+        return _array_template(obj.shape, indent) % tuple(obj.ravel().tolist())
     if obj is None:
         return "null"
     if isinstance(obj, bool):

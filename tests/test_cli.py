@@ -1,8 +1,10 @@
 import json
 import math
+import sys
 
 import pytest
 
+from multihead import serialize
 from multihead.cli import main
 
 
@@ -205,3 +207,31 @@ class TestFockCommand:
             capsys, "fock", "--alpha", "1+1i", "--heads", "3", "--family", "coherent", "--max-m", "2000",
         )
         assert code == 3
+
+
+class TestEmissionIsOnePassPerArray:
+    """Arrays are formatted in one pass, not by one fmt() call per value."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("wigner", "--alpha", "1+1i", "--heads", "2", "--family", "coherent", "--format", "csv"),
+            ("wigner", "--alpha", "1+1i", "--heads", "2", "--family", "coherent", "--format", "json"),
+            ("sweep", "--heads", "3", "--family", "coherent", "--quantity", "mandel-q", "--r-max", "25"),
+        ],
+    )
+    def test_fmt_is_not_called_per_value(self, capsys, monkeypatch, argv):
+        original = serialize.fmt
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return original(value)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "multihead" and getattr(module, "fmt", None) is original:
+                monkeypatch.setattr(module, "fmt", counting)
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert len(out.splitlines()) > 2500
+        assert len(calls) <= 16

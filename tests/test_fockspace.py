@@ -21,7 +21,7 @@ from multihead import (
     oracle_wigner,
     wigner,
 )
-from multihead.compare import TOL_DEFAULT
+from multihead.compare import TOL_DEFAULT, eigenstate_residual
 from multihead.fockspace import FockDensity, FockVector, oracle_wigner_grid, unnormalized_head_sum_norm_sq
 
 ALPHA = PolarAmplitude.from_cartesian(1.0, 1.0)
@@ -155,6 +155,40 @@ class TestOracleMoment:
             )
 
 
+def matrix_annihilation(cutoff):
+    """The dense truncated a that the ladder operators used to be built from."""
+    return np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
+
+
+def matrix_moment(state, h, l):
+    a = matrix_annihilation(state.cutoff)
+    if isinstance(state, FockVector):
+        left = state.amplitudes.copy()
+        for _ in range(h):
+            left = a @ left
+        right = state.amplitudes.copy()
+        for _ in range(l):
+            right = a @ right
+        return complex(np.vdot(left, right))
+    op = np.linalg.matrix_power(a, h).conj().T @ np.linalg.matrix_power(a, l)
+    return complex(np.trace(state.matrix @ op))
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("cutoff,heads,r", [(64, 2, 10.0), (154, 2, 60.0), (154, 12, 60.0)])
+def test_ladder_actions_equal_the_matrix_form(family, cutoff, heads, r):
+    spec = StateSpec(PolarAmplitude(r, 0.4), heads, family)
+    state = build_state(spec, cutoff=cutoff)
+    for h, l in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 2), (2, 1)):
+        want = matrix_moment(state, h, l)
+        assert abs(oracle_moment(state, h, l) - want) <= 1e-13 * max(1.0, abs(want))
+    if family is Family.COHERENT:
+        # (k + 12)!/k! passes 2**63 here, so the factors must not be integer products.
+        want = np.linalg.matrix_power(matrix_annihilation(cutoff), heads) @ state.amplitudes
+        got = apply_annihilation_power(state, heads).amplitudes
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
 class TestAnnihilationPower:
     def test_cat_is_eigenstate(self):
         spec = StateSpec(ALPHA, 3, Family.COHERENT)
@@ -162,6 +196,14 @@ class TestAnnihilationPower:
         image = apply_annihilation_power(state, 3)
         residual = image.amplitudes - ALPHA.to_complex() * state.amplitudes
         assert np.linalg.norm(residual) < 1e-8
+
+    def test_residual_is_relative_to_the_eigenvalue(self):
+        # The absolute residual of the exact state is ~5e-8 at |alpha| = 1600.
+        spec = StateSpec(PolarAmplitude(1600.0), 2, Family.COHERENT)
+        cutoff = choose_cutoff(spec.alpha, 2, eps=1e-20)
+        assert eigenstate_residual(spec, build_state(spec, cutoff=cutoff)) <= TOL_DEFAULT
+        off = StateSpec(PolarAmplitude(1600.0 * (1 + 1e-6)), 2, Family.COHERENT)
+        assert eigenstate_residual(spec, build_state(off, cutoff=cutoff)) > TOL_DEFAULT
 
     def test_vacuum_annihilates(self):
         v = build_coherent(0.0, 32)

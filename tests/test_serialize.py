@@ -1,9 +1,25 @@
+"""Amplitude parsing and the deterministic emitters.
+
+The ``reference_*`` functions are the per-value emitters the package used
+before arrays were formatted in one pass: ``reference_render_json`` is the
+list path of ``render_json`` and the three ``reference_*`` CLI emitters are
+the row loops of ``multihead wigner``, ``sweep`` and ``fock``.  The CLI's
+output must equal theirs byte for byte.
+"""
+
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from multihead import __version__, closed_form, sweeps
+from multihead.cli import main
 from multihead.errors import InvalidInputError
-from multihead.serialize import fmt, parse_amplitude, render_json
+from multihead.serialize import fmt, parse_amplitude, render_json, spec_to_jsonable
+from multihead.states import Family, StateSpec
 
 
 class TestParseAmplitude:
@@ -61,3 +77,170 @@ class TestFormatting:
     def test_render_json_deterministic(self):
         payload = {"a": [0.1, 0.2], "b": {"c": 3 + 0.5j}}
         assert render_json(payload) == render_json(payload)
+
+
+def reference_fmt(value):
+    return format(float(value), ".17g")
+
+
+def reference_render_json(obj, indent=0):
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return reference_fmt(obj)
+    if isinstance(obj, complex):
+        return reference_render_json({"re": float(obj.real), "im": float(obj.imag)}, indent)
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{inner}"{k}": {reference_render_json(v, indent + 1)}' for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{reference_render_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    raise TypeError(f"cannot render {type(obj).__name__}")
+
+
+def reference_json(payload):
+    return reference_render_json({"tool": "multihead", "version": __version__, **payload}) + "\n"
+
+
+def reference_wigner(alpha, heads, family, fmt_name, nx, ny, extent=4.0):
+    spec = StateSpec(parse_amplitude(alpha), heads, Family.parse(family))
+    xx, yy = np.meshgrid(np.linspace(-extent, extent, nx), np.linspace(-extent, extent, ny))
+    values = np.asarray(closed_form.wigner(spec, (xx + 1j * yy) / math.sqrt(2.0)), dtype=float)
+    if fmt_name == "csv":
+        lines = ["x,y,w"]
+        for iy in range(ny):
+            for ix in range(nx):
+                lines.append(
+                    f"{reference_fmt(xx[iy, ix])},{reference_fmt(yy[iy, ix])},"
+                    f"{reference_fmt(values[iy, ix])}"
+                )
+        return "\n".join(lines) + "\n"
+    grid = {"x_min": -extent, "x_max": extent, "y_min": -extent, "y_max": extent,
+            "nx": nx, "ny": ny}
+    rows = [
+        [float(xx[iy, ix]), float(yy[iy, ix]), float(values[iy, ix])]
+        for iy in range(ny)
+        for ix in range(nx)
+    ]
+    return reference_json({"spec": spec_to_jsonable(spec), "grid": grid, "rows": rows})
+
+
+def reference_sweep(heads, family, quantity, r_max, step, fmt_name):
+    template = sweeps.SweepTemplate(theta_p=0.0, n_heads=heads, family=Family.parse(family))
+    quantity = sweeps.Quantity.parse(quantity)
+    result = sweeps.sweep(template, quantity, 0.0, r_max, step)
+    threshold = {"mandel-q": 0.0, "var-x1": 0.5, "var-x2": 0.5}.get(quantity.value)
+    crossings = sweeps.find_crossings(result, threshold) if threshold is not None else []
+    if fmt_name == "csv":
+        lines = ["r,value"]
+        lines += [f"{reference_fmt(r)},{reference_fmt(v)}" for r, v in result.samples]
+        return "\n".join(lines) + "\n"
+    return reference_json(
+        {
+            "quantity": quantity.value,
+            "template": {"theta_p": 0.0, "n_heads": heads, "family": family},
+            "r_min": 0.0,
+            "r_max": r_max,
+            "step": step,
+            "threshold": threshold,
+            "samples": [[float(r), float(v)] for r, v in result.samples],
+            "crossings": [float(c) for c in crossings],
+        }
+    )
+
+
+def reference_fock(alpha, heads, family, max_m, fmt_name):
+    spec = StateSpec(parse_amplitude(alpha), heads, Family.parse(family))
+    index = np.arange(max_m + 1)
+    magnitudes = np.abs(closed_form.fock_element(spec, index[:, None], index))
+    diag = closed_form.pnd(spec, index)
+    if fmt_name == "csv":
+        lines = ["m,n,abs_p_mn"]
+        lines += [f"{m},{n},{reference_fmt(v)}" for (m, n), v in np.ndenumerate(magnitudes)]
+        lines.append("m,p_mm")
+        lines += [f"{m},{reference_fmt(p)}" for m, p in enumerate(diag)]
+        return "\n".join(lines) + "\n"
+    return reference_json(
+        {
+            "spec": spec_to_jsonable(spec),
+            "max_m": max_m,
+            "abs_fock_elements": magnitudes.tolist(),
+            "pnd": diag.tolist(),
+        }
+    )
+
+
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e300, 0.1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    arr=st.sampled_from([(0,), (0, 3), (3, 0), (1,), (5, 3), (2, 2, 2)]).flatmap(
+        lambda shape: arrays(
+            np.float64,
+            shape,
+            elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+            | st.sampled_from(SPECIAL),
+        )
+    ),
+    indent=st.integers(0, 3),
+)
+def test_array_renders_as_its_list(arr, indent):
+    want = reference_render_json(arr.tolist(), indent)
+    assert render_json(arr, indent) == want
+    assert render_json(arr.tolist(), indent) == want
+
+
+def test_array_special_values_and_non_float_arrays():
+    arr = np.array(SPECIAL).reshape(3, 3)
+    assert render_json(arr) == reference_render_json(arr.tolist())
+    for other in (np.arange(4).reshape(2, 2), np.array([1 + 2j, -0.5j]), np.array(2.5)):
+        assert render_json(other, 1) == reference_render_json(other.tolist(), 1)
+
+
+def cli_output(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize(
+    "alpha,heads,family",
+    [("2@0.7", 12, "coherent"), ("0", 3, "coherent"), ("1e-300@0.3", 2, "incoherent")],
+)
+def test_wigner_output_equals_the_row_loop(capsys, alpha, heads, family, fmt_name):
+    out = cli_output(capsys, "wigner", "--alpha", alpha, "--heads", str(heads), "--family", family,
+                     "--format", fmt_name, "--nx", "13", "--ny", "9")
+    assert out == reference_wigner(alpha, heads, family, fmt_name, 13, 9)
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("quantity", ["mandel-q", "var-x1", "parity"])
+def test_sweep_output_equals_the_row_loop(capsys, quantity, fmt_name):
+    # The two-head cat's Mandel Q is undefined at r = 0, so that sample is a gap.
+    out = cli_output(capsys, "sweep", "--heads", "2", "--family", "coherent", "--quantity", quantity,
+                     "--r-max", "3", "--step", "0.1", "--format", fmt_name)
+    assert out == reference_sweep(2, "coherent", quantity, 3.0, 0.1, fmt_name)
+    if quantity == "mandel-q" and fmt_name == "csv":
+        assert out.splitlines()[1].startswith("0.10000000000000001,")
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("family", ["incoherent", "coherent"])
+def test_fock_output_equals_the_row_loop(capsys, family, fmt_name):
+    out = cli_output(capsys, "fock", "--alpha", "3@0.4", "--heads", "3", "--family", family,
+                     "--max-m", "12", "--format", fmt_name)
+    assert out == reference_fock("3@0.4", 3, family, 12, fmt_name)
