@@ -7,6 +7,7 @@ capacity limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict
@@ -224,12 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p, with_family=False)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("stats", help="moments and derived statistics")
     _add_spec_args(p)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("wigner", help="Wigner function on a phase-space grid")
     _add_spec_args(p)
@@ -241,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, default=201)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_wigner)
 
     p = sub.add_parser("sweep", help="scan a statistic over the modulus")
     p.add_argument("--theta", type=float, default=0.0, help="principal argument (radians)")
@@ -254,29 +252,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="closed-form vs Fock-oracle agreement")
     _add_spec_args(p)
     p.add_argument("--tol", type=float, default=compare.TOL_DEFAULT)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("fock", help="Fock matrix element magnitudes and PND")
     _add_spec_args(p)
     p.add_argument("--max-m", type=int, default=20)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_fock)
 
     return parser
 
 
+# One parser per process: parse_args keeps no state between calls.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, so a cmd_* rebound after the parser was built still runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -1,6 +1,7 @@
 """Full agreement check between the closed-form and Fock-space paths.
 
-For one state this compares the six low-order moments, a block of Fock
+For one state this compares the six low-order moments, scaled by
+max(1, |moment|) since they grow like r^((h+l)/N), a block of Fock
 matrix elements, the photon number distribution, Wigner values on a
 phase-space subgrid, and the parity; the coherent family additionally
 checks the a^N eigenstate residual, scaled by max(1, |alpha|), and the
@@ -60,8 +61,7 @@ def validate_spec(
     report = ValidationReport(spec=spec, tol=tol)
 
     for h, l in _MOMENT_ORDERS:
-        diff = abs(closed_form.moment(spec, h, l) - fockspace.oracle_moment(state, h, l))
-        report.diffs[f"moment({h},{l})"] = diff
+        report.diffs[f"moment({h},{l})"] = moment_error(spec, state, h, l)
 
     rho = fockspace.density_matrix(state)
     index = np.arange(fock_max + 1)
@@ -88,6 +88,12 @@ def validate_spec(
         report.diffs["head_sum_norm"] = abs(norm_sq - n_c) / max(1.0, n_c)
 
     return report
+
+
+def moment_error(spec: StateSpec, state, h: int, l: int) -> float:
+    """|closed-form - oracle <a^dag^h a^l>| / max(1, |closed-form moment|)."""
+    analytic = closed_form.moment(spec, h, l)
+    return abs(analytic - fockspace.oracle_moment(state, h, l)) / max(1.0, abs(analytic))
 
 
 def eigenstate_residual(spec: StateSpec, state) -> float:

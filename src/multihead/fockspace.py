@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .errors import CapacityError, CutoffInsufficientError, TruncationError
 from .roots import PolarAmplitude, nth_roots
@@ -59,7 +58,7 @@ def choose_cutoff(alpha: PolarAmplitude, n_heads: int, eps: float = EPS_DEFAULT)
         raise TruncationError(f"eps must lie in (0, 1), got {eps}")
     mean = alpha.r ** (2.0 / n_heads) if alpha.r > 0.0 else 0.0
     d = max(1, int(math.ceil(mean)))
-    while poisson.sf(d - 1, mean) >= eps:
+    while pdtrc(d - 1, mean) >= eps:
         d += 1
         if d > CUTOFF_MAX:
             raise CapacityError(
@@ -87,8 +86,9 @@ def build_coherent(gamma: complex, cutoff: int, eps: float = EPS_DEFAULT) -> Foc
         x = abs(gamma)
         log_c = m * math.log(x) - x * x / 2.0 - 0.5 * gammaln(m + 1)
         c = np.exp(log_c + 1j * m * cmath.phase(gamma))
-    tail = float(poisson.sf(cutoff - 1, abs(gamma) ** 2))
-    if tail >= eps:
+    # pdtrc(k, mu) is the Poisson(mu) mass above k; cutoff 0 keeps no level at all.
+    tail = float(pdtrc(cutoff - 1, abs(gamma) ** 2)) if cutoff > 0 else 1.0
+    if not tail < eps:
         raise TruncationError(
             f"cutoff {cutoff} leaves tail mass {tail:.3e} for |gamma|^2 = {abs(gamma)**2:.3g}"
         )

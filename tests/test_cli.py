@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from multihead import serialize
+import multihead
+from multihead import cli, serialize
 from multihead.cli import main
 
 
@@ -177,6 +181,12 @@ class TestValidateCommand:
         code, _ = run(capsys, "validate", "--alpha", "3+3i", "--heads", "6", "--family", "coherent")
         assert code == 0
 
+    def test_large_moments_are_checked_relative_to_their_size(self, capsys):
+        # moment(2,2) = r^4 = 8.1e5 here; its absolute diff (~1e-7) is rounding.
+        code, out = run(capsys, "validate", "--alpha", "30", "--heads", "1", "--family", "incoherent")
+        assert code == 0
+        assert "MISMATCH" not in out
+
 
 class TestFockCommand:
     def test_three_head_cat_composition(self, capsys):
@@ -235,3 +245,73 @@ class TestEmissionIsOnePassPerArray:
         assert code == 0
         assert len(out.splitlines()) > 2500
         assert len(calls) <= 16
+
+
+class TestStartup:
+    def test_scipy_stats_is_never_imported(self):
+        # A fresh interpreter: nothing that pytest or other tests loaded counts.
+        code = (
+            "import sys, multihead.cli\n"
+            "code = multihead.cli.main(['validate', '--alpha', '2@0.5', '--heads', '3',"
+            " '--family', 'coherent'])\n"
+            "print('scipy.stats' in sys.modules, code)\n"
+        )
+        src = str(Path(multihead.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.splitlines()[-1] == "False 0"
+
+
+REUSE_SEQUENCE = (
+    ("sweep", "--heads", "3", "--family", "coherent", "--quantity", "mandel-q", "--r-max", "2"),
+    ("wigner", "--alpha", "1+1i", "--heads", "2", "--family", "coherent", "--nx", "5", "--ny", "4"),
+    ("fock", "--alpha", "1+1i", "--heads", "3", "--family", "incoherent", "--max-m", "4"),
+    ("stats", "--alpha", "2@0.7", "--heads", "4", "--family", "coherent"),
+)
+
+
+class TestParserReuse:
+    """main() builds its parser once; nothing may carry over between calls."""
+
+    def outputs(self, capsys, argvs):
+        return [run(capsys, *argv) for argv in argvs]
+
+    def test_repeated_calls_print_what_a_fresh_parser_prints(self, capsys, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)  # a new parser on every call
+            fresh = self.outputs(capsys, REUSE_SEQUENCE)
+        assert cli._parser() is cli._parser()
+        assert self.outputs(capsys, REUSE_SEQUENCE + REUSE_SEQUENCE) == fresh + fresh
+        assert fresh[1][1].startswith("x,y,w\n")  # wigner's csv default, not sweep's json
+        assert json.loads(fresh[2][1])["max_m"] == 4
+
+    def test_a_rejected_call_leaves_the_parser_usable(self, capsys, monkeypatch):
+        valid = REUSE_SEQUENCE[0]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            want = run(capsys, *valid)
+        for bad in (
+            ("sweep", "--heads", "3", "--family", "coherent", "--quantity", "mandel-q"),
+            ("wigner", "--alpha", "1", "--heads", "2", "--family", "coherent", "--format", "xml"),
+            ("nope",),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(list(bad))
+            assert exc.value.code == 2
+            capsys.readouterr()
+            assert run(capsys, *valid) == want
+
+    def test_commands_are_looked_up_when_called(self, capsys, monkeypatch):
+        # Wrapping a command after the parser exists (as a tracer does) takes effect.
+        run(capsys, *REUSE_SEQUENCE[0])
+        original, calls = cli.cmd_sweep, []
+
+        def counting(args):
+            calls.append(args.command)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_sweep", counting)
+        code, _ = run(capsys, *REUSE_SEQUENCE[0])
+        assert (code, calls) == (0, ["sweep"])

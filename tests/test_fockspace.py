@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from multihead import (
     CapacityError,
@@ -14,6 +15,7 @@ from multihead import (
     build_state,
     choose_cutoff,
     mean_photon,
+    nth_roots,
     moment,
     normalization,
     oracle_moment,
@@ -21,10 +23,49 @@ from multihead import (
     oracle_wigner,
     wigner,
 )
-from multihead.compare import TOL_DEFAULT, eigenstate_residual
-from multihead.fockspace import FockDensity, FockVector, oracle_wigner_grid, unnormalized_head_sum_norm_sq
+from multihead.compare import TOL_DEFAULT, eigenstate_residual, moment_error
+from multihead.fockspace import (
+    CUTOFF_MAX,
+    CUTOFF_MIN,
+    FockDensity,
+    FockVector,
+    oracle_wigner_grid,
+    unnormalized_head_sum_norm_sq,
+)
 
 ALPHA = PolarAmplitude.from_cartesian(1.0, 1.0)
+
+
+def reference_choose_cutoff(alpha, n_heads, eps):
+    """choose_cutoff as it was written with scipy.stats.poisson.sf."""
+    if not (0.0 < eps < 1.0):
+        raise TruncationError(f"eps must lie in (0, 1), got {eps}")
+    mean = alpha.r ** (2.0 / n_heads) if alpha.r > 0.0 else 0.0
+    d = max(1, int(math.ceil(mean)))
+    while poisson.sf(d - 1, mean) >= eps:
+        d += 1
+        if d > CUTOFF_MAX:
+            raise CapacityError(f"cutoff for mean occupation {mean:.3g} exceeds {CUTOFF_MAX}")
+    d = ((d + n_heads - 1) // n_heads) * n_heads + 4 * n_heads
+    d = max(d, CUTOFF_MIN)
+    if d > CUTOFF_MAX:
+        raise CapacityError(f"required cutoff {d} exceeds {CUTOFF_MAX}")
+    return d
+
+
+def cutoff_or_error(choose, alpha, n_heads, eps):
+    try:
+        return choose(alpha, n_heads, eps)
+    except CapacityError as exc:
+        return str(exc)
+
+
+POISSON_GRID = [
+    (n, r, eps)
+    for n in (1, 2, 3, 4, 6, 12)
+    for r in (0.0, 1e-3, math.sqrt(2), 10.0, 60.0, 1600.0)
+    for eps in (1e-12, 1e-20)
+]
 
 
 class TestChooseCutoff:
@@ -41,6 +82,17 @@ class TestChooseCutoff:
     def test_multiple_of_heads_plus_margin(self):
         d = choose_cutoff(PolarAmplitude(3.0), 5, 1e-12)
         assert (d - 20) % 5 == 0 or d % 5 == 0
+
+    def test_equals_the_poisson_sf_scan(self):
+        # The capacity cases (N = 1 at r = 1600, and at r = 60 with eps 1e-20)
+        # must raise the same error.
+        errors = 0
+        for n, r, eps in POISSON_GRID:
+            alpha = PolarAmplitude(r, 0.3)
+            got = cutoff_or_error(choose_cutoff, alpha, n, eps)
+            assert got == cutoff_or_error(reference_choose_cutoff, alpha, n, eps), (n, r, eps)
+            errors += isinstance(got, str)
+        assert errors >= 3
 
 
 class TestBuildCoherent:
@@ -77,6 +129,30 @@ class TestBuildCoherent:
     def test_too_small_cutoff_raises(self):
         with pytest.raises(TruncationError):
             build_coherent(5.0, 40)
+
+    def test_tail_bound_equals_poisson_sf_bits(self):
+        checked = 0
+        for n, r, eps in POISSON_GRID:
+            alpha = PolarAmplitude(r, 0.3)
+            try:
+                cutoff = choose_cutoff(alpha, n, eps)
+            except CapacityError:
+                continue
+            for g in nth_roots(alpha, n):
+                tail = build_coherent(g, cutoff, eps).tail_bound
+                assert tail == float(poisson.sf(cutoff - 1, abs(g) ** 2)), (n, r, eps, g)
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_cutoff_zero_has_the_whole_mass_in_its_tail(self, gamma):
+        with pytest.raises(TruncationError, match="tail mass 1.000e\\+00"):
+            build_coherent(gamma, 0)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_state_at_cutoff_zero_raises(self, family):
+        with pytest.raises(TruncationError):
+            build_state(StateSpec(ALPHA, 2, family), cutoff=0)
 
 
 class TestBuildState:
@@ -153,6 +229,18 @@ class TestOracleMoment:
             assert oracle_moment(small, h, l) == pytest.approx(
                 oracle_moment(large, h, l), abs=1e-10
             )
+
+    def test_moment_error_is_relative_to_the_moment(self):
+        # At r = 30 the exact state's moment(2,2) = r^4 = 8.1e5 is off by ~1e-7
+        # absolute, 1.7e-13 relative.
+        spec = StateSpec(PolarAmplitude(30.0), 1, Family.INCOHERENT)
+        cutoff = choose_cutoff(spec.alpha, 1, eps=1e-20)
+        exact = build_state(spec, cutoff=cutoff)
+        off_spec = StateSpec(PolarAmplitude(30.0 * (1 + 1e-6)), 1, Family.INCOHERENT)
+        off = build_state(off_spec, cutoff=cutoff)
+        for h, l in ((1, 0), (1, 1), (2, 2)):
+            assert moment_error(spec, exact, h, l) <= TOL_DEFAULT
+            assert moment_error(spec, off, h, l) > TOL_DEFAULT
 
 
 def matrix_annihilation(cutoff):
