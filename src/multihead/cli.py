@@ -7,6 +7,7 @@ capacity limit.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import math
 import sys
@@ -27,6 +28,16 @@ from .states import Family, StateSpec
 from .sweeps import Quantity, SweepTemplate
 
 GRID_POINT_CAP = 4_000_000
+
+# glibc maps each block above its mmap threshold afresh and returns freed heap
+# tops above its trim threshold.  Left adaptive, both start low and rise only
+# as large blocks are freed, so they depend on what was imported and run
+# before.  Fixed at glibc's own ceilings, large grids, kernels and temporaries
+# reuse retained heap pages instead of faulting in new ones.
+if sys.platform.startswith("linux"):
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
