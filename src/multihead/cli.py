@@ -158,6 +158,8 @@ def cmd_sweep(args) -> int:
     template = SweepTemplate(
         theta_p=args.theta, n_heads=args.heads, family=Family.parse(args.family)
     )
+    if sweeps._sample_count(args.r_min, args.r_max, args.step) > GRID_POINT_CAP:
+        raise CapacityError(f"sweep exceeds {GRID_POINT_CAP} samples")
     result = sweeps.sweep(template, quantity, args.r_min, args.r_max, args.step)
     threshold = args.threshold
     if threshold is None:

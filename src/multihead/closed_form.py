@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .errors import InternalConsistencyError, InvalidInputError, UndefinedStatisticError
-from .roots import PolarAmplitude, root_angles, root_modulus
+from .roots import PolarAmplitude, nth_roots, root_modulus
 from .states import StateSpec
 
 RESIDUE_TOL = 1e-10
@@ -229,8 +229,7 @@ def wigner(spec: StateSpec, beta):
         raise InvalidInputError("phase-space points must be finite")
     alpha, n_heads = spec.alpha, spec.n_heads
     rho = root_modulus(alpha, n_heads)
-    phases = root_angles(alpha, n_heads)
-    heads = [rho * cmath.exp(1j * phi) for phi in phases]
+    heads = nth_roots(alpha, n_heads)
     if not spec.is_coherent:
         total = np.zeros(beta.shape, dtype=float)
         for g in heads:

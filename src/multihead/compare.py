@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_form, fockspace
+from .errors import InvalidInputError
 from .states import StateSpec
 
 TOL_DEFAULT = 1e-8
@@ -23,6 +24,12 @@ TOL_DEFAULT = 1e-8
 _CUTOFF_EPS = 1e-20
 
 _MOMENT_ORDERS = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 2))
+
+# Fock block 0..20, PND 0..40, and Wigner values on a 21 x 21 grid over [-3, 3]^2.
+_FOCK_MAX = 20
+_PND_MAX = 40
+_WIGNER_AXIS = np.linspace(-3.0, 3.0, 21)
+_WIGNER_POINTS = _WIGNER_AXIS + 1j * _WIGNER_AXIS[:, None]
 
 
 @dataclass
@@ -40,23 +47,12 @@ class ValidationReport:
         return name, self.diffs[name]
 
 
-def _wigner_grid_points(extent: float, points: int) -> np.ndarray:
-    axis = np.linspace(-extent, extent, points)
-    xx, yy = np.meshgrid(axis, axis, indexing="xy")
-    return xx + 1j * yy
-
-
-def validate_spec(
-    spec: StateSpec,
-    tol: float = TOL_DEFAULT,
-    fock_max: int = 20,
-    pnd_max: int = 40,
-    wigner_extent: float = 3.0,
-    wigner_points: int = 21,
-) -> ValidationReport:
+def validate_spec(spec: StateSpec, tol: float = TOL_DEFAULT) -> ValidationReport:
     """Run every oracle-vs-closed-form comparison for one state."""
+    if not 0.0 < tol < np.inf:
+        raise InvalidInputError(f"tolerance must be finite and positive, got {tol}")
     cutoff = fockspace.choose_cutoff(spec.alpha, spec.n_heads, eps=_CUTOFF_EPS)
-    cutoff = max(cutoff, pnd_max + 8)
+    cutoff = max(cutoff, _PND_MAX + 8)
     state = fockspace.build_state(spec, cutoff=cutoff)
     report = ValidationReport(spec=spec, tol=tol)
 
@@ -64,28 +60,26 @@ def validate_spec(
         report.diffs[f"moment({h},{l})"] = moment_error(spec, state, h, l)
 
     rho = fockspace.density_matrix(state)
-    index = np.arange(fock_max + 1)
+    index = np.arange(_FOCK_MAX + 1)
     block = closed_form.fock_element(spec, index[:, None], index)
     report.diffs["fock_block"] = float(
-        np.max(np.abs(block - rho[: fock_max + 1, : fock_max + 1]))
+        np.max(np.abs(block - rho[: _FOCK_MAX + 1, : _FOCK_MAX + 1]))
     )
 
-    diag = np.real(np.diag(rho))[: pnd_max + 1]
-    analytic_pnd = closed_form.pnd(spec, np.arange(pnd_max + 1))
+    diag = np.real(np.diag(rho))[: _PND_MAX + 1]
+    analytic_pnd = closed_form.pnd(spec, np.arange(_PND_MAX + 1))
     report.diffs["pnd"] = float(np.max(np.abs(analytic_pnd - diag)))
 
-    betas = _wigner_grid_points(wigner_extent, wigner_points)
-    analytic_w = np.asarray(closed_form.wigner(spec, betas), dtype=float)
-    oracle_w = fockspace.oracle_wigner_grid(state, betas)
+    analytic_w = np.asarray(closed_form.wigner(spec, _WIGNER_POINTS), dtype=float)
+    oracle_w = fockspace.oracle_wigner_grid(state, _WIGNER_POINTS)
     report.diffs["wigner"] = float(np.max(np.abs(analytic_w - oracle_w)))
 
     report.diffs["parity"] = abs(closed_form.parity(spec) - fockspace.oracle_parity(state))
 
     if spec.is_coherent:
         report.diffs["eigenstate_residual"] = eigenstate_residual(spec, state)
-        norm_sq = fockspace.unnormalized_head_sum_norm_sq(spec, cutoff=cutoff)
         n_c = closed_form.normalization(spec.alpha, spec.n_heads)
-        report.diffs["head_sum_norm"] = abs(norm_sq - n_c) / max(1.0, n_c)
+        report.diffs["head_sum_norm"] = abs(state.norm_sq - n_c) / max(1.0, n_c)
 
     return report
 

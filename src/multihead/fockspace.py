@@ -33,6 +33,7 @@ class FockVector:
     cutoff: int
     amplitudes: np.ndarray
     tail_bound: float
+    norm_sq: float = 1.0  # squared norm the amplitudes were divided by, if any
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,8 @@ def build_coherent(gamma: complex, cutoff: int, eps: float = EPS_DEFAULT) -> Foc
 def build_state(spec: StateSpec, cutoff: int | None = None, eps: float = EPS_DEFAULT):
     """Truncated state for a spec: FockVector (coherent) or FockDensity (incoherent).
 
-    The coherent family sums the head vectors and normalizes numerically, so
-    no closed-form normalization factor enters this path.
+    The coherent family sums the head vectors and divides by their norm, kept
+    squared as ``norm_sq``, so no closed-form normalization factor enters this path.
     """
     if cutoff is None:
         cutoff = choose_cutoff(spec.alpha, spec.n_heads, eps)
@@ -109,21 +110,12 @@ def build_state(spec: StateSpec, cutoff: int | None = None, eps: float = EPS_DEF
     if spec.is_coherent:
         summed = np.sum([v.amplitudes for v in vectors], axis=0)
         norm = np.linalg.norm(summed)
-        return FockVector(cutoff=cutoff, amplitudes=summed / norm, tail_bound=tail)
+        return FockVector(cutoff, summed / norm, tail, norm_sq=float(norm**2))
     rho = np.zeros((cutoff, cutoff), dtype=complex)
     for v in vectors:
         rho += np.outer(v.amplitudes, v.amplitudes.conj())
     rho /= spec.n_heads
     return FockDensity(cutoff=cutoff, matrix=rho, tail_bound=tail)
-
-
-def unnormalized_head_sum_norm_sq(spec: StateSpec, cutoff: int | None = None) -> float:
-    """Squared norm of the bare head-vector sum (predicted by the closed form)."""
-    if cutoff is None:
-        cutoff = choose_cutoff(spec.alpha, spec.n_heads)
-    heads = nth_roots(spec.alpha, spec.n_heads)
-    summed = np.sum([build_coherent(g, cutoff).amplitudes for g in heads], axis=0)
-    return float(np.vdot(summed, summed).real)
 
 
 def density_matrix(state) -> np.ndarray:
@@ -133,15 +125,20 @@ def density_matrix(state) -> np.ndarray:
     return state.matrix
 
 
+def _populations(state) -> np.ndarray:
+    """Level occupations: |c_k|^2 of a pure state, Re rho_kk of a mixed one."""
+    if isinstance(state, FockVector):
+        return np.abs(state.amplitudes) ** 2
+    return np.real(np.diag(state.matrix))
+
+
 def _lowering_factors(k: np.ndarray, power: int) -> np.ndarray:
     """sqrt((k+power)!/k!): a^power takes |k+power> to this factor times |k>."""
     return np.sqrt(np.prod([k + j for j in range(1, power + 1)], axis=0, dtype=float))
 
 
-def _check_top_occupation(amplitudes: np.ndarray, levels: int, tol: float = 1e-16):
-    if levels <= 0:
-        return
-    top = float(np.sum(np.abs(amplitudes[-levels:]) ** 2))
+def _check_top_occupation(populations: np.ndarray, levels: int, tol: float = 1e-16):
+    top = float(np.sum(populations[::-1][:levels]))  # the top `levels` levels, or none
     if top > tol:
         raise CutoffInsufficientError(
             f"top {levels} levels carry probability {top:.3e}; raise the cutoff"
@@ -152,12 +149,11 @@ def oracle_moment(state, h: int, l: int) -> complex:
     """<a^dag^h a^l> in the truncated basis, as the offset-diagonal sum
     sum_k sqrt((k+h)!/k!) sqrt((k+l)!/k!) rho_(k+l,k+h); no operator matrix is formed.
     """
+    _check_top_occupation(_populations(state), h + l)
     k = np.arange(state.cutoff - max(h, l))
     if isinstance(state, FockVector):
-        _check_top_occupation(state.amplitudes, h + l)
         entries = state.amplitudes[k + l] * state.amplitudes[k + h].conj()
     else:
-        _check_top_occupation(np.sqrt(np.abs(np.diag(state.matrix))), h + l)
         entries = state.matrix[k + l, k + h]
     return complex(np.sum(_lowering_factors(k, h) * _lowering_factors(k, l) * entries))
 
@@ -166,7 +162,7 @@ def apply_annihilation_power(state: FockVector, n_heads: int) -> FockVector:
     """a^N applied to a pure state; result is unnormalized."""
     if n_heads >= state.cutoff:
         raise CutoffInsufficientError("cutoff smaller than the operator power")
-    _check_top_occupation(state.amplitudes, n_heads)
+    _check_top_occupation(_populations(state), n_heads)
     k = np.arange(state.cutoff - n_heads)
     amp = np.zeros_like(state.amplitudes)
     amp[k] = _lowering_factors(k, n_heads) * state.amplitudes[k + n_heads]
@@ -251,4 +247,6 @@ def oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
 
 
 def oracle_parity(state) -> float:
-    return float(math.pi / 2.0 * oracle_wigner(state, 0.0))
+    """Photon-number parity sum_p (-1)^p rho_pp, read off the diagonal."""
+    populations = _populations(state)
+    return float(np.sum(populations[::2]) - np.sum(populations[1::2]))

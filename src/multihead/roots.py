@@ -51,10 +51,6 @@ class PolarAmplitude:
             raise InvalidInputError("cartesian components must be finite")
         return cls(math.hypot(x, y), math.atan2(y, x))
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "PolarAmplitude":
-        return cls.from_cartesian(z.real, z.imag)
-
     def to_complex(self) -> complex:
         return complex(self.r * math.cos(self.theta_p), self.r * math.sin(self.theta_p))
 

@@ -8,6 +8,7 @@ on the underlying closed-form quantity.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,17 @@ class SweepResult:
     samples: list = field(default_factory=list)  # (r, value), r strictly increasing
 
 
+def _sample_count(r_min: float, r_max: float, step: float):
+    """Size of the grid min(r_min + i*step, r_max); inf where the step count overflows."""
+    # Written so that NaN fails both checks.
+    if not (0.0 <= r_min < r_max < math.inf):
+        raise InvalidInputError("need 0 <= r_min < r_max, both finite")
+    if not 0.0 < step < math.inf:
+        raise InvalidInputError("step must be positive and finite")
+    steps = (r_max - r_min) / step
+    return round(steps) + 1 if math.isfinite(steps) else math.inf
+
+
 def sweep(
     template: SweepTemplate,
     quantity: Quantity,
@@ -83,12 +95,7 @@ def sweep(
     step: float = DEFAULT_STEP,
 ) -> SweepResult:
     """Evaluate the quantity on a modulus grid; undefined samples become gaps."""
-    if not (0.0 <= r_min < r_max):
-        raise InvalidInputError("need 0 <= r_min < r_max")
-    if step <= 0.0:
-        raise InvalidInputError("step must be positive")
-    n_steps = int(round((r_max - r_min) / step))
-    r = np.minimum(r_min + np.arange(n_steps + 1) * step, r_max)
+    r = np.minimum(r_min + np.arange(_sample_count(r_min, r_max, step)) * step, r_max)
     values = evaluate(template, quantity, r)
     defined = ~np.isnan(values)
     samples = list(zip(r[defined].tolist(), values[defined].tolist()))
@@ -116,6 +123,8 @@ def find_crossings(
     Samples within ``atol`` of the threshold count as sitting on it, so a
     quantity that is zero up to rounding noise yields no crossings.
     """
+    if not math.isfinite(threshold):
+        raise InvalidInputError("threshold must be finite")
     crossings = []
     for (r0, v0), (r1, v1) in zip(result.samples, result.samples[1:]):
         f0, f1 = v0 - threshold, v1 - threshold
@@ -142,23 +151,18 @@ def squeezing_window(
     for j, quantity in ((1, Quantity.VAR_X1), (2, Quantity.VAR_X2)):
         result = sweep(template, quantity, step, r_max, step)
         edges = find_crossings(result, 0.5)
-        inside = None
+        lo = None
         for idx, (r, v) in enumerate(result.samples):
-            if v < 0.5 and inside is None:
-                lo = r
-                for e in edges:
-                    if idx > 0 and result.samples[idx - 1][0] <= e <= r:
-                        lo = e
-                        break
-                inside = lo
-            elif v >= 0.5 and inside is not None:
-                hi = r
-                for e in edges:
-                    if result.samples[idx - 1][0] <= e <= r:
-                        hi = e
-                        break
-                windows.append((j, (inside, hi)))
-                inside = None
-        if inside is not None:
-            windows.append((j, (inside, result.samples[-1][0])))
+            if (lo is None and v < 0.5) or (lo is not None and v >= 0.5):
+                # A window opens or closes at the first crossing in the preceding
+                # sample interval, else at this sample; the first sample has none.
+                r_prev = result.samples[idx - 1][0] if idx else math.inf
+                edge = next((e for e in edges if r_prev <= e <= r), r)
+                if lo is None:
+                    lo = edge
+                else:
+                    windows.append((j, (lo, edge)))
+                    lo = None
+        if lo is not None:
+            windows.append((j, (lo, result.samples[-1][0])))
     return windows

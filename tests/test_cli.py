@@ -166,6 +166,34 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--step", "nan"),
+            ("--step", "inf"),
+            ("--r-min", "nan"),
+            ("--r-max", "inf"),
+            ("--r-max", "nan"),
+            ("--threshold", "nan"),
+            ("--threshold", "inf"),
+            ("--threshold=-inf",),
+        ],
+    )
+    def test_non_finite_flag_is_usage_error(self, capsys, flags):
+        argv = ["sweep", "--heads", "2", "--family", "coherent", "--quantity", "mandel-q"]
+        if "--r-max" not in flags:
+            argv += ["--r-max", "0.3"]
+        code, out = run(capsys, *argv, *flags)
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("r_max,step", [("1e300", "1e-300"), ("1e12", "1e-3")])
+    def test_oversized_sweep_is_capacity_error(self, capsys, r_max, step):
+        code, out = run(
+            capsys, "sweep", "--heads", "2", "--family", "coherent",
+            "--quantity", "mandel-q", "--r-max", r_max, "--step", step,
+        )
+        assert (code, out) == (3, "")
+
 
 class TestValidateCommand:
     def test_three_head_cat_passes(self, capsys):
@@ -180,6 +208,14 @@ class TestValidateCommand:
     def test_six_heads_within_capacity(self, capsys):
         code, _ = run(capsys, "validate", "--alpha", "3+3i", "--heads", "6", "--family", "coherent")
         assert code == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        code, out = run(
+            capsys, "validate", "--alpha", "1+1i", "--heads", "2", "--family", "coherent",
+            "--tol", tol,
+        )
+        assert (code, out) == (2, "")
 
     def test_large_moments_are_checked_relative_to_their_size(self, capsys):
         # moment(2,2) = r^4 = 8.1e5 here; its absolute diff (~1e-7) is rounding.

@@ -1,11 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
+import multihead
 from multihead import (
     CapacityError,
+    CutoffInsufficientError,
     Family,
     PolarAmplitude,
     StateSpec,
@@ -30,7 +34,6 @@ from multihead.fockspace import (
     FockDensity,
     FockVector,
     oracle_wigner_grid,
-    unnormalized_head_sum_norm_sq,
 )
 
 ALPHA = PolarAmplitude.from_cartesian(1.0, 1.0)
@@ -195,7 +198,7 @@ class TestBuildState:
     def test_head_sum_norm_matches_normalization(self):
         for n in range(1, 6):
             spec = StateSpec(ALPHA, n, Family.COHERENT)
-            norm_sq = unnormalized_head_sum_norm_sq(spec)
+            norm_sq = build_state(spec).norm_sq
             assert norm_sq == pytest.approx(normalization(ALPHA, n), rel=1e-10)
 
 
@@ -334,3 +337,58 @@ class TestOracleWigner:
     def test_parity_from_origin(self):
         state = build_state(StateSpec(PolarAmplitude(1.0), 3, Family.INCOHERENT))
         assert oracle_parity(state) == pytest.approx(math.exp(-2.0), abs=1e-8)
+
+
+PARITY_CASES = [
+    (n, r, family)
+    for n in (1, 2, 3, 12)
+    # One head at r = 60 needs a cutoff past CUTOFF_MAX, so it stops at r = 30.
+    for r in (0.0, 0.5, math.sqrt(2), 10.0, 30.0 if n == 1 else 60.0)
+    for family in Family
+]
+
+
+@pytest.mark.parametrize("n,r,family", PARITY_CASES)
+def test_parity_diagonal_equals_the_wigner_origin(n, r, family):
+    # pi/2 W(0) = Tr[rho Pi] is how the parity was computed before it was read
+    # off the diagonal.
+    state = build_state(StateSpec(PolarAmplitude(r, 0.7), n, family))
+    assert abs(oracle_parity(state) - math.pi / 2.0 * oracle_wigner(state, 0.0)) <= 1e-13
+
+
+class TestTopLevelsHoldingMass:
+    """States cut at 32 levels around a mean occupation of 9 keep ~1e-8 in the top levels."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_oracle_moment_raises(self, family):
+        state = build_state(StateSpec(PolarAmplitude(9.0), 2, family), cutoff=32, eps=1e-6)
+        assert isinstance(state, FockVector if family is Family.COHERENT else FockDensity)
+        with pytest.raises(CutoffInsufficientError):
+            oracle_moment(state, 1, 1)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_apply_annihilation_power_raises(self, heads):
+        spec = StateSpec(PolarAmplitude(3.0**heads), heads, Family.COHERENT)
+        state = build_state(spec, cutoff=32, eps=1e-6)
+        with pytest.raises(CutoffInsufficientError):
+            apply_annihilation_power(state, heads)
+
+
+SRC = Path(multihead.__file__).resolve().parent
+
+
+def test_oracle_imports_nothing_from_closed_form():
+    tree = ast.parse((SRC / "fockspace.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("closed_form" in name for name in imported), imported
+
+
+def test_every_public_name_resolves():
+    for name in multihead.__all__:
+        assert hasattr(multihead, name), name

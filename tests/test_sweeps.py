@@ -7,6 +7,37 @@ from multihead.errors import InvalidInputError
 from multihead.sweeps import evaluate
 
 
+def reference_squeezing_window(theta_p, r_max, step=0.01):
+    """squeezing_window as it was written with one edge scan for entry and one for exit."""
+    if r_max <= 0.0:
+        raise InvalidInputError("r_max must be positive")
+    tpl = SweepTemplate(theta_p=theta_p, n_heads=2, family=Family.COHERENT)
+    windows = []
+    for j, quantity in ((1, Quantity.VAR_X1), (2, Quantity.VAR_X2)):
+        result = sweep(tpl, quantity, step, r_max, step)
+        edges = find_crossings(result, 0.5)
+        inside = None
+        for idx, (r, v) in enumerate(result.samples):
+            if v < 0.5 and inside is None:
+                lo = r
+                for e in edges:
+                    if idx > 0 and result.samples[idx - 1][0] <= e <= r:
+                        lo = e
+                        break
+                inside = lo
+            elif v >= 0.5 and inside is not None:
+                hi = r
+                for e in edges:
+                    if result.samples[idx - 1][0] <= e <= r:
+                        hi = e
+                        break
+                windows.append((j, (inside, hi)))
+                inside = None
+        if inside is not None:
+            windows.append((j, (inside, result.samples[-1][0])))
+    return windows
+
+
 def template(n, family, theta=0.0):
     return SweepTemplate(theta_p=theta, n_heads=n, family=family)
 
@@ -59,6 +90,14 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             sweep(template(2, Family.COHERENT), Quantity.MEAN_PHOTON, 2.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "r_min,r_max,step",
+        [(math.nan, 1.0, 0.1), (0.0, math.inf, 0.1), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf)],
+    )
+    def test_non_finite_grid_rejected(self, r_min, r_max, step):
+        with pytest.raises(InvalidInputError):
+            sweep(template(2, Family.COHERENT), Quantity.MEAN_PHOTON, r_min, r_max, step)
+
 
 class TestFindCrossings:
     def test_three_head_cat_mandel_crossings(self):
@@ -79,6 +118,12 @@ class TestFindCrossings:
         assert len(coarse) == len(fine)
         for a, b in zip(coarse, fine):
             assert abs(a - b) < 1e-6
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        res = sweep(template(3, Family.COHERENT), Quantity.MANDEL_Q, 0.01, 0.3, 0.01)
+        with pytest.raises(InvalidInputError):
+            find_crossings(res, threshold)
 
     def test_parity_sweep_passes_through_common_point(self):
         for n in range(1, 7):
@@ -101,6 +146,12 @@ class TestSqueezingWindow:
     def test_half_turn_squeezes_first_quadrature(self):
         windows = squeezing_window(math.pi, 4.0)
         assert [j for j, _ in windows] == [1]
+
+    @pytest.mark.parametrize("r_max", [0.5, 2.0, 5.0])
+    def test_equals_the_two_scan_reference(self, r_max):
+        for k in range(16):
+            theta = k * math.pi / 8
+            assert squeezing_window(theta, r_max) == reference_squeezing_window(theta, r_max), k
 
     def test_right_angle_has_no_window(self):
         assert squeezing_window(math.pi / 2, 4.0) == []
