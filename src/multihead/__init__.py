@@ -34,7 +34,6 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .fockspace import (
-    FockDensity,
     FockVector,
     apply_annihilation_power,
     build_coherent,
@@ -68,7 +67,6 @@ __all__ = [
     "wigner",
     "parity",
     "FockVector",
-    "FockDensity",
     "choose_cutoff",
     "build_coherent",
     "build_state",

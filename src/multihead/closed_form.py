@@ -21,8 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .errors import InternalConsistencyError, InvalidInputError, UndefinedStatisticError
-from .roots import PolarAmplitude, nth_roots, root_modulus
+from .errors import (
+    CapacityError,
+    InternalConsistencyError,
+    InvalidInputError,
+    UndefinedStatisticError,
+)
+from .roots import PolarAmplitude, check_head_count, head_occupation, nth_roots, root_modulus
 from .states import StateSpec
 
 RESIDUE_TOL = 1e-10
@@ -41,10 +46,14 @@ def _log_overlaps(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
     """Log head overlaps mu*(turn*w^j - 1) for j = 0..N-1 on a new last axis.
 
     With ``turn = 1`` their exponentials are <g_k2|g_k1> for k1 - k2 = j;
-    ``turn = -1`` inserts the parity operator between the two heads.
+    ``turn = -1`` inserts the parity operator between the two heads.  Where
+    turn*w^j is 1 (j = 0, and j = N/2 under the parity) the exponent is set to
+    exactly 0: the rounded root would leave a phase of mu*1e-16, which a large
+    mu turns into an O(1) imaginary residue.
     """
     omega = np.exp(2j * np.pi * np.arange(n_heads) / n_heads)
-    return np.multiply.outer(mu, turn * omega - 1.0)
+    shift = np.where(turn * omega.real == 1.0, 0.0, turn * omega - 1.0)
+    return np.multiply.outer(mu, shift)
 
 
 def _head_sums(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
@@ -63,9 +72,8 @@ def normalization(alpha: PolarAmplitude, n_heads: int) -> float:
 
     Equals 1 for a single head and 2 + 2*exp(-2r) for two heads.
     """
-    if n_heads < 1:
-        raise InvalidInputError("head count must be >= 1")
-    value = float(n_heads * _head_sums(alpha.r ** (2.0 / n_heads), n_heads)[0])
+    check_head_count(n_heads)
+    value = float(n_heads * _head_sums(head_occupation(alpha.r, n_heads), n_heads)[0])
     if value <= 0.0:
         raise InternalConsistencyError(f"normalization must be positive, got {value}")
     return value
@@ -75,16 +83,20 @@ def _moment(spec: StateSpec, r, h: int, l: int) -> np.ndarray:
     """<a^dag^h a^l> at the moduli r, with angle, head count and family from spec.
 
     The head sums leave r^((h+l)/N) e^(i(l-h)theta/N), nonzero only when N
-    divides l - h, times S_l/S_0 for the coherent family.
+    divides l - h, times S_l/S_0 for the coherent family.  A moment that
+    overflows a double raises CapacityError.
     """
     n = spec.n_heads
     r = np.asarray(r, dtype=float)
     if (l - h) % n != 0:
         return np.zeros(r.shape, dtype=complex)
-    value = r ** ((h + l) / n) * cmath.exp(1j * (l - h) * spec.alpha.theta_p / n)
-    if spec.is_coherent:
-        sums = _head_sums(r ** (2.0 / n), n)
-        value = value * sums[..., l % n] / sums[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = r ** ((h + l) / n) * cmath.exp(1j * (l - h) * spec.alpha.theta_p / n)
+        if spec.is_coherent:
+            sums = _head_sums(head_occupation(r, n), n)
+            value = value * sums[..., l % n] / sums[..., 0]
+    if not np.all(np.isfinite(value)):
+        raise CapacityError(f"moment <a^dag^{h} a^{l}> overflows at r = {np.max(r):.4g}")
     return value
 
 
@@ -144,7 +156,7 @@ def _quadrature_variances(spec: StateSpec, r) -> tuple[np.ndarray, np.ndarray]:
 def _parity(spec: StateSpec, r) -> np.ndarray:
     """<(-1)^n>: exp(-2 mu) for the mixture, sum_j e^(-mu(1 + w^j)) / S_0 for the cat."""
     n = spec.n_heads
-    mu = np.asarray(r, dtype=float) ** (2.0 / n)
+    mu = head_occupation(np.asarray(r, dtype=float), n)
     if not spec.is_coherent:
         return np.exp(-2.0 * mu)
     return _head_sums(mu, n, turn=-1.0)[..., 0] / _head_sums(mu, n)[..., 0]
@@ -193,7 +205,7 @@ def fock_element(spec: StateSpec, m, n):
     if np.any(m < 0) or np.any(n < 0):
         raise InvalidInputError("Fock indices must be nonnegative")
     alpha, n_heads = spec.alpha, spec.n_heads
-    mu = alpha.r ** (2.0 / n_heads)
+    mu = head_occupation(alpha.r, n_heads)
     if spec.is_coherent:
         allowed = (m % n_heads == 0) & (n % n_heads == 0)
         scale = n_heads / _head_sums(mu, n_heads)[0]
@@ -228,7 +240,7 @@ def wigner(spec: StateSpec, beta):
     if not np.all(np.isfinite(beta)):
         raise InvalidInputError("phase-space points must be finite")
     alpha, n_heads = spec.alpha, spec.n_heads
-    rho = root_modulus(alpha, n_heads)
+    head_occupation(alpha.r, n_heads)  # CapacityError where |g|^2 overflows
     heads = nth_roots(alpha, n_heads)
     if not spec.is_coherent:
         total = np.zeros(beta.shape, dtype=float)
@@ -238,7 +250,8 @@ def wigner(spec: StateSpec, beta):
     else:
         # One exp per term: its modulus is exp(-2|beta - (g1 + g2)/2|^2) <= 1,
         # while the overlap and the pair factor alone under- and overflow.
-        log_overlaps = _log_overlaps(rho**2, n_heads)
+        # |g|^2 as the heads carry it; r^(2/N) differs from it in the last bit.
+        log_overlaps = _log_overlaps(root_modulus(alpha, n_heads) ** 2, n_heads)
         total = np.zeros(beta.shape, dtype=complex)
         for k1, g1 in enumerate(heads):
             for k2, g2 in enumerate(heads):

@@ -59,14 +59,14 @@ def validate_spec(spec: StateSpec, tol: float = TOL_DEFAULT) -> ValidationReport
     for h, l in _MOMENT_ORDERS:
         report.diffs[f"moment({h},{l})"] = moment_error(spec, state, h, l)
 
-    rho = fockspace.density_matrix(state)
+    rho = fockspace.density_matrix(state, _PND_MAX + 1)
     index = np.arange(_FOCK_MAX + 1)
     block = closed_form.fock_element(spec, index[:, None], index)
     report.diffs["fock_block"] = float(
         np.max(np.abs(block - rho[: _FOCK_MAX + 1, : _FOCK_MAX + 1]))
     )
 
-    diag = np.real(np.diag(rho))[: _PND_MAX + 1]
+    diag = np.real(np.diag(rho))
     analytic_pnd = closed_form.pnd(spec, np.arange(_PND_MAX + 1))
     report.diffs["pnd"] = float(np.max(np.abs(analytic_pnd - diag)))
 

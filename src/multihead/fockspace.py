@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
 from .errors import CapacityError, CutoffInsufficientError, TruncationError
-from .roots import PolarAmplitude, nth_roots
+from .roots import PolarAmplitude, head_occupation, nth_roots
 from .states import StateSpec
 
 EPS_DEFAULT = 1e-12
@@ -28,24 +28,16 @@ WIGNER_BETA_SQ_MAX = -0.5 * math.log(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class FockVector:
-    """Pure state truncated at ``cutoff`` photon-number levels."""
+    """State truncated at ``cutoff`` photon-number levels.
+
+    A 1-D ``amplitudes`` is a pure state; an ``(M, cutoff)`` stack is the
+    equal-weight mixture of its M rows.
+    """
 
     cutoff: int
     amplitudes: np.ndarray
     tail_bound: float
     norm_sq: float = 1.0  # squared norm the amplitudes were divided by, if any
-
-
-@dataclass(frozen=True)
-class FockDensity:
-    """Density matrix truncated at ``cutoff`` photon-number levels."""
-
-    cutoff: int
-    matrix: np.ndarray
-    tail_bound: float
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
 
 
 def choose_cutoff(alpha: PolarAmplitude, n_heads: int, eps: float = EPS_DEFAULT) -> int:
@@ -57,7 +49,7 @@ def choose_cutoff(alpha: PolarAmplitude, n_heads: int, eps: float = EPS_DEFAULT)
     """
     if not (0.0 < eps < 1.0):
         raise TruncationError(f"eps must lie in (0, 1), got {eps}")
-    mean = alpha.r ** (2.0 / n_heads) if alpha.r > 0.0 else 0.0
+    mean = head_occupation(alpha.r, n_heads)
     d = max(1, int(math.ceil(mean)))
     while pdtrc(d - 1, mean) >= eps:
         d += 1
@@ -97,39 +89,46 @@ def build_coherent(gamma: complex, cutoff: int, eps: float = EPS_DEFAULT) -> Foc
 
 
 def build_state(spec: StateSpec, cutoff: int | None = None, eps: float = EPS_DEFAULT):
-    """Truncated state for a spec: FockVector (coherent) or FockDensity (incoherent).
+    """Truncated state for a spec: the N head vectors stacked as rows (incoherent)
+    or their normalised sum (coherent).
 
-    The coherent family sums the head vectors and divides by their norm, kept
-    squared as ``norm_sq``, so no closed-form normalization factor enters this path.
+    The coherent family divides the head sum by its norm, kept squared as
+    ``norm_sq``, so no closed-form normalization factor enters this path.
     """
     if cutoff is None:
         cutoff = choose_cutoff(spec.alpha, spec.n_heads, eps)
     heads = nth_roots(spec.alpha, spec.n_heads)
     vectors = [build_coherent(g, cutoff, eps) for g in heads]
     tail = max(v.tail_bound for v in vectors)
-    if spec.is_coherent:
-        summed = np.sum([v.amplitudes for v in vectors], axis=0)
-        norm = np.linalg.norm(summed)
-        return FockVector(cutoff, summed / norm, tail, norm_sq=float(norm**2))
-    rho = np.zeros((cutoff, cutoff), dtype=complex)
-    for v in vectors:
-        rho += np.outer(v.amplitudes, v.amplitudes.conj())
-    rho /= spec.n_heads
-    return FockDensity(cutoff=cutoff, matrix=rho, tail_bound=tail)
+    rows = np.array([v.amplitudes for v in vectors])
+    if not spec.is_coherent:
+        return FockVector(cutoff, rows, tail)
+    summed = np.sum(rows, axis=0)
+    norm = np.linalg.norm(summed)
+    return FockVector(cutoff, summed / norm, tail, norm_sq=float(norm**2))
 
 
-def density_matrix(state) -> np.ndarray:
-    """rho of either state type; a pure state gives |c><c|."""
-    if isinstance(state, FockVector):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    return state.matrix
+def _rows(state: FockVector) -> np.ndarray:
+    """The state's pure components, one per row; a pure state is one row."""
+    return np.atleast_2d(state.amplitudes)
 
 
-def _populations(state) -> np.ndarray:
-    """Level occupations: |c_k|^2 of a pure state, Re rho_kk of a mixed one."""
-    if isinstance(state, FockVector):
-        return np.abs(state.amplitudes) ** 2
-    return np.real(np.diag(state.matrix))
+def density_matrix(state: FockVector, levels: int) -> np.ndarray:
+    """rho over the first ``levels`` levels: the mean of the rows' |c><c|.
+
+    The outer products are added one row at a time, with no matrix product.
+    """
+    rows = _rows(state)[:, :levels]
+    rho = np.zeros((rows.shape[1],) * 2, dtype=complex)
+    for c in rows:
+        rho += np.outer(c, c.conj())
+    rho /= len(rows)
+    return rho
+
+
+def _populations(state: FockVector) -> np.ndarray:
+    """Level occupations rho_kk, the mean of the rows' |c_k|^2."""
+    return np.mean(np.abs(_rows(state)) ** 2, axis=0)
 
 
 def _lowering_factors(k: np.ndarray, power: int) -> np.ndarray:
@@ -150,11 +149,8 @@ def oracle_moment(state, h: int, l: int) -> complex:
     sum_k sqrt((k+h)!/k!) sqrt((k+l)!/k!) rho_(k+l,k+h); no operator matrix is formed.
     """
     _check_top_occupation(_populations(state), h + l)
-    k = np.arange(state.cutoff - max(h, l))
-    if isinstance(state, FockVector):
-        entries = state.amplitudes[k + l] * state.amplitudes[k + h].conj()
-    else:
-        entries = state.matrix[k + l, k + h]
+    rows, k = _rows(state), np.arange(state.cutoff - max(h, l))
+    entries = np.mean(rows[:, k + l] * rows[:, k + h].conj(), axis=0)
     return complex(np.sum(_lowering_factors(k, h) * _lowering_factors(k, l) * entries))
 
 
@@ -236,7 +232,7 @@ def oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
     complex conjugate of the d > 0 half.
     """
     alpha = _displacement_points(betas)
-    cutoff, rho = state.cutoff, density_matrix(state)
+    cutoff, rho = state.cutoff, density_matrix(state, state.cutoff)
     acc = np.zeros((alpha.size, cutoff), dtype=complex)
     for p, f in enumerate(_displacement_diagonals(alpha, cutoff)):
         acc[:, : cutoff - p] += f * ((-1) ** p * rho[p, p:])

@@ -12,9 +12,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError
+import numpy as np
+
+from .errors import CapacityError, InvalidInputError
 
 TWO_PI = 2.0 * math.pi
+# Largest head count accepted; every head-indexed array has N entries.
+HEADS_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,32 @@ class PolarAmplitude:
         return self.r * math.sin(self.theta_p)
 
 
+def check_head_count(n_heads) -> None:
+    """Refuse a head count that is not an integer in 1..HEADS_MAX, before any allocation."""
+    if not isinstance(n_heads, int) or n_heads < 1:
+        raise InvalidInputError(f"head count must be a positive integer, got {n_heads!r}")
+    if n_heads > HEADS_MAX:
+        raise CapacityError(f"head count {n_heads} exceeds {HEADS_MAX}")
+
+
+def head_occupation(r, n_heads: int):
+    """Mean photon number mu = r^(2/N) of every head, at a modulus or an array of moduli.
+
+    A float r is raised with Python's power and an array with numpy's, as the
+    callers always did; either way a mu that overflows raises CapacityError.
+    """
+    try:
+        with np.errstate(over="ignore"):
+            mu = r ** (2.0 / n_heads)
+    except OverflowError:
+        mu = math.inf
+    if not np.all(mu < math.inf):
+        raise CapacityError(
+            f"head occupation r^(2/N) overflows at r = {np.max(r):.4g}, N = {n_heads}"
+        )
+    return mu
+
+
 def root_angles(alpha: PolarAmplitude, n_heads: int):
     """Angles (2*k*pi + theta_p)/N for k = 0..N-1."""
     return [(2.0 * k * math.pi + alpha.theta_p) / n_heads for k in range(n_heads)]
@@ -78,8 +108,7 @@ def nth_roots(alpha: PolarAmplitude, n_heads: int) -> tuple:
 
     For n_heads == 1 the single root is alpha itself.
     """
-    if not isinstance(n_heads, int) or n_heads < 1:
-        raise InvalidInputError(f"head count must be a positive integer, got {n_heads!r}")
+    check_head_count(n_heads)
     rho = root_modulus(alpha, n_heads)
     return tuple(rho * cmath.exp(1j * phi) for phi in root_angles(alpha, n_heads))
 

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .roots import PolarAmplitude
+from .roots import PolarAmplitude, check_head_count
 
 
 class Family(enum.Enum):
@@ -38,10 +38,7 @@ class StateSpec:
     family: Family
 
     def __post_init__(self):
-        if not isinstance(self.n_heads, int) or self.n_heads < 1:
-            raise InvalidInputError(
-                f"head count must be a positive integer, got {self.n_heads!r}"
-            )
+        check_head_count(self.n_heads)
         if not isinstance(self.family, Family):
             raise InvalidInputError(f"unknown family {self.family!r}")
 

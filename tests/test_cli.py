@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import multihead
 from multihead import cli, serialize
 from multihead.cli import main
+from multihead.roots import HEADS_MAX
 
 
 def run(capsys, *argv):
@@ -253,6 +255,107 @@ class TestFockCommand:
             capsys, "fock", "--alpha", "1+1i", "--heads", "3", "--family", "coherent", "--max-m", "2000",
         )
         assert code == 3
+
+
+SPEC_COMMANDS = ("stats", "wigner", "fock", "validate")
+SMALLEST = {"wigner": ("--nx", "2", "--ny", "2"), "fock": ("--max-m", "2")}
+
+
+def spec_argv(command, alpha, heads, family):
+    argv = (command, "--alpha", alpha, "--heads", str(heads), "--family", family)
+    return argv + SMALLEST.get(command, ())
+
+
+def sweep_argv(quantity, r, heads, family):
+    # From 0 to r in two steps; r = 0 sweeps up to 1e-300 instead.
+    r_max = float(r) or 1e-300
+    return (
+        "sweep", "--heads", str(heads), "--family", family, "--quantity", quantity,
+        "--r-max", repr(r_max), "--step", repr(r_max / 2),
+    )
+
+
+class TestCapacityLimits:
+    """Moduli and head counts past what a double or the head arrays can hold exit 3."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stats", "--alpha", "1e100", "--heads", "1", "--family", "incoherent"),
+            ("stats", "--alpha", "1e100", "--heads", "1", "--family", "coherent"),
+            ("stats", "--alpha", "1e160", "--heads", "2", "--family", "coherent"),
+        ]
+        + [
+            spec_argv(command, "1e200", 1, family)
+            for command in ("fock", "wigner", "validate")
+            for family in ("incoherent", "coherent")
+        ]
+        + [
+            ("roots", "--alpha", "1", "--heads", "1099511627776"),
+            ("stats", "--alpha", "1", "--heads", "1099511627776", "--family", "coherent"),
+            ("fock", "--alpha", "1", "--heads", "1099511627776", "--family", "coherent"),
+            sweep_argv("mean-photon", "1", 1099511627776, "coherent"),
+        ],
+    )
+    def test_is_capacity_error(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("family", ["incoherent", "coherent"])
+    @pytest.mark.parametrize("command", ("roots",) + SPEC_COMMANDS + ("sweep",))
+    def test_one_head_past_the_limit(self, capsys, command, family):
+        if command == "roots":
+            argv = ("roots", "--alpha", "1+1i", "--heads", str(HEADS_MAX + 1))
+        elif command == "sweep":
+            argv = sweep_argv("parity", "1", HEADS_MAX + 1, family)
+        else:
+            argv = spec_argv(command, "1+1i", HEADS_MAX + 1, family)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == f"error: head count {HEADS_MAX + 1} exceeds {HEADS_MAX}\n"
+
+
+EDGE_HEADS = (1, 2, 12, HEADS_MAX + 1)
+EDGE_MODULI = ("0", "1e-300", "1e100", "1e200")
+FRINGE_GAP = pytest.mark.xfail(
+    strict=True,
+    reason="known gap: the coherent Wigner's fringe phase outruns double precision at "
+    "large r (InternalConsistencyError, or an overflowing exp)",
+)
+
+
+def edge_cases():
+    for n in EDGE_HEADS:
+        for r in EDGE_MODULI:
+            yield pytest.param(("roots", "--alpha", r, "--heads", str(n)), id=f"roots-{n}-{r}")
+            for family in ("incoherent", "coherent"):
+                for command in SPEC_COMMANDS:
+                    gap = (command, family, n, r) in {
+                        ("wigner", "coherent", 2, "1e100"),
+                        ("wigner", "coherent", 2, "1e200"),
+                        ("wigner", "coherent", 12, "1e200"),
+                    }
+                    yield pytest.param(
+                        spec_argv(command, r, n, family),
+                        id=f"{command}-{family}-{n}-{r}",
+                        marks=[FRINGE_GAP] if gap else [],
+                    )
+                for quantity in ("mean-photon", "mandel-q", "var-x1", "var-x2", "parity"):
+                    yield pytest.param(
+                        sweep_argv(quantity, r, n, family), id=f"sweep-{quantity}-{family}-{n}-{r}"
+                    )
+
+
+@pytest.mark.parametrize("argv", list(edge_cases()))
+def test_edge_inputs_exit_cleanly(capsys, argv):
+    # Tier-1 turns RuntimeWarning into an error, so a silent overflow fails here too.
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3)
+    assert not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE)
 
 
 class TestEmissionIsOnePassPerArray:

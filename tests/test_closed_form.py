@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multihead import (
+    CapacityError,
     Family,
     PolarAmplitude,
     StateSpec,
@@ -17,6 +18,7 @@ from multihead import (
     quadrature_variances,
     wigner,
 )
+from multihead.closed_form import _head_sums
 from test_acceptance import wigner_two_head_coherent
 
 ALPHA = PolarAmplitude.from_cartesian(1.0, 1.0)
@@ -200,6 +202,58 @@ class TestParity:
         for a in random_amplitudes(n + 60, count=5):
             s = StateSpec(a, n, Family.INCOHERENT)
             assert parity(s) == pytest.approx(math.exp(-2 * a.r ** (2 / n)), abs=1e-12)
+
+
+def reference_parity_sums(mu, n):
+    """The parity's head sum S_0 as it was formed before the exact-cancel exponent:
+    sum_j exp(mu*(-w^j - 1)) with every w^j rounded."""
+    omega = np.exp(2j * np.pi * np.arange(n) / n)
+    return n * np.fft.ifft(np.exp(np.multiply.outer(mu, -omega - 1.0)), axis=-1)
+
+
+class TestParityAtLargeModulus:
+    """-w^(N/2) = 1 exactly; its rounded phase mu*1e-16 used to swamp the parity sum."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 12])
+    @pytest.mark.parametrize("r", [1e6, 1e20, 1e100, 1e200])
+    def test_even_cat_parity_is_one(self, n, r):
+        s = StateSpec(PolarAmplitude(r, 0.7), n, Family.COHERENT)
+        assert parity(s) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12])
+    def test_sum_is_unchanged_where_the_rounded_phase_passed(self, n):
+        # Up to mu = 1e5 the rounded phase was below RESIDUE_TOL; there the real
+        # sum must be the same to the last bit.
+        mu = np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-6, 1e5, 400)])
+        want = reference_parity_sums(mu, n)
+        assert np.max(np.abs(want.imag)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+        assert np.array_equal(_head_sums(mu, n, turn=-1.0), want.real)
+
+
+class TestOverflow:
+    """Moduli whose moments or head occupation overflow a double raise CapacityError."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("r,n", [(1e100, 1), (1e200, 1), (1e160, 2), (1e200, 2)])
+    def test_overflowing_moment_is_capacity_error(self, family, r, n):
+        s = StateSpec(PolarAmplitude(r), n, family)
+        with pytest.raises(CapacityError, match="overflows"):
+            moment(s, 2, 2)
+        with pytest.raises(CapacityError, match="overflows"):
+            mandel_q(s)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_overflowing_occupation_is_capacity_error(self, family):
+        s = StateSpec(PolarAmplitude(1e200), 1, family)
+        for f in (lambda: normalization(s.alpha, 1), lambda: parity(s), lambda: wigner(s, 0.0)):
+            with pytest.raises(CapacityError, match="overflows"):
+                f()
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_finite_moments_are_returned(self, family):
+        s = StateSpec(PolarAmplitude(1e100), 2, family)
+        assert moment(s, 2, 2) == pytest.approx(1e200, rel=1e-15)
+        assert mean_photon(s) == pytest.approx(1e100, rel=1e-15)
 
 
 class TestWignerScalar:

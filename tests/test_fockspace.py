@@ -31,8 +31,8 @@ from multihead.compare import TOL_DEFAULT, eigenstate_residual, moment_error
 from multihead.fockspace import (
     CUTOFF_MAX,
     CUTOFF_MIN,
-    FockDensity,
     FockVector,
+    density_matrix,
     oracle_wigner_grid,
 )
 
@@ -174,17 +174,19 @@ class TestBuildState:
     def test_mixture_diagonal_is_poissonian(self):
         spec = StateSpec(ALPHA, 3, Family.INCOHERENT)
         state = build_state(spec)
+        rho = density_matrix(state, state.cutoff)
         mu = ALPHA.r ** (2.0 / 3)
         for m in range(15):
             want = mu**m * math.exp(-mu) / math.factorial(m)
-            assert state.matrix[m, m].real == pytest.approx(want, abs=1e-12)
+            assert rho[m, m].real == pytest.approx(want, abs=1e-12)
 
     def test_mixture_density_properties(self):
         state = build_state(StateSpec(ALPHA, 4, Family.INCOHERENT))
-        assert isinstance(state, FockDensity)
-        assert np.max(np.abs(state.matrix - state.matrix.conj().T)) < 1e-12
-        assert state.trace() == pytest.approx(1.0, abs=1e-10)
-        eigs = np.linalg.eigvalsh(state.matrix)
+        assert state.amplitudes.shape == (4, state.cutoff)
+        rho = density_matrix(state, state.cutoff)
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+        eigs = np.linalg.eigvalsh(rho)
         assert eigs.min() >= -1e-10
 
     @pytest.mark.parametrize("family", list(Family))
@@ -200,6 +202,61 @@ class TestBuildState:
             spec = StateSpec(ALPHA, n, Family.COHERENT)
             norm_sq = build_state(spec).norm_sq
             assert norm_sq == pytest.approx(normalization(ALPHA, n), rel=1e-10)
+
+
+def reference_mixture(spec, cutoff):
+    """The mixture's density matrix as it was built before states became row stacks."""
+    rho = np.zeros((cutoff, cutoff), dtype=complex)
+    for g in nth_roots(spec.alpha, spec.n_heads):
+        v = build_coherent(g, cutoff).amplitudes
+        rho += np.outer(v, v.conj())
+    rho /= spec.n_heads
+    return rho
+
+
+ONE_FORMAT_CASES = [(n, r) for n in (1, 2, 3, 12) for r in (0.0, 0.5, math.sqrt(2), 10.0)]
+
+
+class TestOneStateFormat:
+    """A 1-D FockVector is a pure state; an (M, cutoff) stack is the mixture of its rows."""
+
+    @pytest.mark.parametrize("n,r", ONE_FORMAT_CASES)
+    def test_mixture_is_the_head_rows(self, n, r):
+        spec = StateSpec(PolarAmplitude(r, 0.7), n, Family.INCOHERENT)
+        state = build_state(spec)
+        assert state.amplitudes.shape == (n, state.cutoff)
+        heads = [build_coherent(g, state.cutoff).amplitudes for g in nth_roots(spec.alpha, n)]
+        assert np.array_equal(state.amplitudes, heads)
+
+    @pytest.mark.parametrize("n,r", ONE_FORMAT_CASES)
+    def test_density_matrix_equals_the_summed_outer_products(self, n, r):
+        spec = StateSpec(PolarAmplitude(r, 0.7), n, Family.INCOHERENT)
+        state = build_state(spec)
+        rho = density_matrix(state, state.cutoff)
+        assert np.array_equal(rho, reference_mixture(spec, state.cutoff))
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("levels", [1, 21, 41])
+    def test_levels_give_the_leading_block(self, family, levels):
+        state = build_state(StateSpec(PolarAmplitude(3.0, 0.7), 3, family))
+        full = density_matrix(state, state.cutoff)
+        assert np.array_equal(density_matrix(state, levels), full[:levels, :levels])
+
+    def test_pure_density_matrix_is_the_outer_product(self):
+        state = build_state(StateSpec(PolarAmplitude(3.0, 0.7), 3, Family.COHERENT))
+        c = state.amplitudes
+        assert np.array_equal(density_matrix(state, state.cutoff), np.outer(c, c.conj()))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12])
+    def test_pure_state_equals_its_one_row_stack(self, n):
+        spec = StateSpec(PolarAmplitude(2.0, 0.7), n, Family.COHERENT)
+        pure = build_state(spec, cutoff=choose_cutoff(spec.alpha, n, eps=1e-20))
+        stack = FockVector(pure.cutoff, pure.amplitudes[None, :], pure.tail_bound)
+        for h, l in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 2), (2, 1)):
+            assert oracle_moment(stack, h, l) == oracle_moment(pure, h, l)
+        assert oracle_parity(stack) == oracle_parity(pure)
+        betas = np.array([0.0, 0.7 - 0.2j, -1.5 + 1.1j, 2.0j])
+        assert np.array_equal(oracle_wigner_grid(stack, betas), oracle_wigner_grid(pure, betas))
 
 
 class TestOracleMoment:
@@ -253,7 +310,7 @@ def matrix_annihilation(cutoff):
 
 def matrix_moment(state, h, l):
     a = matrix_annihilation(state.cutoff)
-    if isinstance(state, FockVector):
+    if state.amplitudes.ndim == 1:
         left = state.amplitudes.copy()
         for _ in range(h):
             left = a @ left
@@ -262,7 +319,7 @@ def matrix_moment(state, h, l):
             right = a @ right
         return complex(np.vdot(left, right))
     op = np.linalg.matrix_power(a, h).conj().T @ np.linalg.matrix_power(a, l)
-    return complex(np.trace(state.matrix @ op))
+    return complex(np.trace(density_matrix(state, state.cutoff) @ op))
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -362,7 +419,7 @@ class TestTopLevelsHoldingMass:
     @pytest.mark.parametrize("family", list(Family))
     def test_oracle_moment_raises(self, family):
         state = build_state(StateSpec(PolarAmplitude(9.0), 2, family), cutoff=32, eps=1e-6)
-        assert isinstance(state, FockVector if family is Family.COHERENT else FockDensity)
+        assert state.amplitudes.ndim == (1 if family is Family.COHERENT else 2)
         with pytest.raises(CutoffInsufficientError):
             oracle_moment(state, 1, 1)
 

@@ -28,6 +28,7 @@ from multihead import (
 )
 from multihead.fockspace import (
     WIGNER_BETA_SQ_MAX,
+    density_matrix,
     displaced_parity_kernel,
     oracle_wigner_grid,
 )
@@ -83,7 +84,8 @@ def test_scalar_is_the_grid_view():
 def test_kernel_trace_equals_grid_value():
     state = oracle_state(StateSpec(PolarAmplitude(10.0, 1.1), 2, Family.INCOHERENT))
     beta = 1.3 - 0.4j
-    want = 2.0 / math.pi * np.trace(state.matrix @ displaced_parity_kernel(beta, state.cutoff)).real
+    rho = density_matrix(state, state.cutoff)
+    want = 2.0 / math.pi * np.trace(rho @ displaced_parity_kernel(beta, state.cutoff)).real
     assert oracle_wigner(state, beta) == pytest.approx(want, abs=1e-13)
 
 

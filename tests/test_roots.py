@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from multihead import InvalidInputError, PolarAmplitude, nth_roots, root_sum
+from multihead import (
+    CapacityError,
+    Family,
+    InvalidInputError,
+    PolarAmplitude,
+    StateSpec,
+    nth_roots,
+    root_sum,
+)
+from multihead.roots import HEADS_MAX, check_head_count, head_occupation
 
 
 class TestFromCartesian:
@@ -100,3 +109,52 @@ class TestRootSum:
     def test_single_head_sum_is_alpha(self):
         a = PolarAmplitude.from_cartesian(1.0, 1.0)
         assert root_sum(nth_roots(a, 1)) == pytest.approx(1 + 1j, abs=1e-14)
+
+
+class TestHeadCount:
+    """One check, shared by StateSpec and nth_roots, runs before anything is allocated."""
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, "3", None])
+    def test_not_a_positive_integer_is_invalid(self, n):
+        with pytest.raises(InvalidInputError):
+            check_head_count(n)
+        with pytest.raises(InvalidInputError):
+            nth_roots(PolarAmplitude(1.0), n)
+        with pytest.raises(InvalidInputError):
+            StateSpec(PolarAmplitude(1.0), n, Family.COHERENT)
+
+    @pytest.mark.parametrize("n", [HEADS_MAX + 1, 1 << 40])
+    def test_above_the_limit_is_capacity_error(self, n):
+        with pytest.raises(CapacityError, match=f"head count {n} exceeds {HEADS_MAX}"):
+            check_head_count(n)
+        with pytest.raises(CapacityError):
+            nth_roots(PolarAmplitude(1.0), n)
+        for family in Family:
+            with pytest.raises(CapacityError):
+                StateSpec(PolarAmplitude(1.0), n, family)
+
+    def test_the_limit_itself_is_accepted(self):
+        check_head_count(HEADS_MAX)
+        assert StateSpec(PolarAmplitude(2.0), HEADS_MAX, Family.COHERENT).n_heads == HEADS_MAX
+        assert len(nth_roots(PolarAmplitude(2.0, 0.3), HEADS_MAX)) == HEADS_MAX
+
+
+class TestHeadOccupation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12])
+    def test_scalar_and_array_powers_are_kept(self, n):
+        # A float goes through Python's power and an array through numpy's, which
+        # can round differently; each caller keeps the bits it had.
+        r = np.random.default_rng(n).uniform(0.0, 100.0, 200)
+        assert [head_occupation(float(x), n) for x in r] == [float(x) ** (2.0 / n) for x in r]
+        assert np.array_equal(head_occupation(r, n), r ** (2.0 / n))
+        assert head_occupation(0.0, n) == 0.0
+
+    @pytest.mark.parametrize("r,n", [(1e200, 1), (1e155, 1), (1.0e308, 1)])
+    def test_overflow_is_capacity_error(self, r, n):
+        with pytest.raises(CapacityError, match="overflows"):
+            head_occupation(r, n)
+        with pytest.raises(CapacityError, match="overflows"):
+            head_occupation(np.array([1.0, r]), n)
+
+    def test_largest_double_is_finite_for_two_heads(self):
+        assert head_occupation(1.0e308, 2) == 1.0e308
