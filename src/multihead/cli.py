@@ -23,7 +23,14 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .roots import nth_roots, root_sum
-from .serialize import parse_amplitude, render_csv, render_json, spec_to_jsonable
+from .serialize import (
+    GridRows,
+    parse_amplitude,
+    render_csv,
+    render_grid_csv,
+    render_json,
+    spec_to_jsonable,
+)
 from .states import Family, StateSpec
 from .sweeps import Quantity, SweepTemplate
 
@@ -126,12 +133,11 @@ def cmd_wigner(args) -> int:
         raise CapacityError(f"grid exceeds {GRID_POINT_CAP} points")
     xs = np.linspace(args.x_min, args.x_max, args.nx)
     ys = np.linspace(args.y_min, args.y_max, args.ny)
-    xx, yy = np.meshgrid(xs, ys, indexing="xy")  # y-major rows
-    betas = (xx + 1j * yy) / math.sqrt(2.0)
-    values = np.asarray(closed_form.wigner(spec, betas), dtype=float)
-    columns = (xx.ravel(), yy.ravel(), values.ravel())
+    # y-major rows; the complex grid is freed before emission.
+    values = closed_form.wigner(spec, (xs + 1j * ys[:, None]) / math.sqrt(2.0))
+    rows = GridRows(xs, ys, np.asarray(values, dtype=float))
     if args.format == "csv":
-        _emit(render_csv("x,y,w", *columns), args.out)
+        _emit(render_grid_csv("x,y,w", rows), args.out)
     else:
         payload = _provenance(
             {
@@ -139,7 +145,7 @@ def cmd_wigner(args) -> int:
                 "grid": {
                     k: getattr(args, k) for k in ("x_min", "x_max", "y_min", "y_max", "nx", "ny")
                 },
-                "rows": np.stack(columns, axis=1),
+                "rows": rows,
             }
         )
         _emit(render_json(payload) + "\n", args.out)

@@ -33,6 +33,12 @@ from .states import StateSpec
 RESIDUE_TOL = 1e-10
 TWO_OVER_PI = 2.0 / math.pi
 
+# Up to this mu = |g|^2 the factored cat Wigner's factors are normal doubles:
+# |U| <= e^mu, and |C| >= e^(-2 mu) stays above the smallest normal, e^(-708).
+WIGNER_FACTOR_MU_MAX = 350.0
+# Complex values in one block's U (2 MiB); a block holds this many over N points.
+_WIGNER_BLOCK = 1 << 17
+
 
 def _require_real(value, what: str):
     imag = np.max(np.abs(np.imag(value)))
@@ -146,11 +152,20 @@ def _mandel_q(spec: StateSpec, r) -> np.ndarray:
 
 
 def _quadrature_variances(spec: StateSpec, r) -> tuple[np.ndarray, np.ndarray]:
-    # Real arithmetic only, so an array of moduli rounds exactly like a scalar.
-    a, a_dag = _moment(spec, r, 0, 1), _moment(spec, r, 1, 0)
-    base = _mean_photon(spec, r) - (a.real * a.real + a.imag * a.imag) + 0.5
-    cross = _moment(spec, r, 2, 0).real - (a_dag.real * a_dag.real - a_dag.imag * a_dag.imag)
-    return base + cross, base - cross
+    """Var X1,2 = 1/2 + (<n> - |<a>|^2) +- (Re<a^2> - Re<a>^2), with the 1/2 added last.
+
+    <a> = r e^(i theta) is nonzero for one head only.  Its |<a>|^2 = r^2 and
+    Re<a>^2 = r^2 cos(2 theta) are formed from that modulus and angle exactly
+    as <n> and Re<a^2> are, so a coherent state's brackets cancel to 0.
+    Real arithmetic only, so an array of moduli rounds exactly like a scalar.
+    """
+    spread = _mean_photon(spec, r)
+    cross = _moment(spec, r, 0, 2).real
+    if spec.n_heads == 1:
+        a_sq = np.asarray(r, dtype=float) ** 2.0
+        spread = spread - a_sq
+        cross = cross - a_sq * math.cos(2.0 * spec.alpha.theta_p)
+    return (spread + cross) + 0.5, (spread - cross) + 0.5
 
 
 def _parity(spec: StateSpec, r) -> np.ndarray:
@@ -229,12 +244,45 @@ def pnd(spec: StateSpec, m):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _cat_wigner_sum(beta: np.ndarray, heads: np.ndarray, log_overlaps: np.ndarray) -> np.ndarray:
+    """sum_kj U_kp C_kj conj(U_jp) at the 1-D points beta, one block of points at a time.
+
+    U_kp = exp(2 conj(beta_p) g_k - |beta_p|^2) and C_kj = exp(L_(k-j) - 2 conj(g_j) g_k)
+    factor the pair term exp(L_(k-j) - 2 (conj(g_j) - conj(beta_p)) (g_k - beta_p)), so
+    N exps per point replace N^2.  A point's value depends on that point alone, so
+    blocking does not change its bits.
+    """
+    n = len(heads)
+    # Built in place, row by row: C is the one N x N array (268 MB at N = 4096).
+    c = np.multiply.outer(heads, -2.0 * heads.conj())
+    for k in range(n):
+        c[k] += log_overlaps[(k - np.arange(n)) % n]
+    np.exp(c, out=c)
+    total = np.empty(beta.shape, dtype=complex)
+    step = max(1, _WIGNER_BLOCK // n)
+    for start in range(0, beta.size, step):
+        b = beta[start : start + step]
+        with np.errstate(over="ignore"):
+            sq = b.real * b.real + b.imag * b.imag
+        b = b.conj()
+        b[np.isinf(sq)] = 0.0  # U is 0 there; this keeps 2 g conj(beta) finite
+        u = np.multiply.outer(2.0 * heads, b)
+        u -= sq
+        np.exp(u, out=u)
+        # einsum, not @: at N <= 12 a BLAS call costs more than it saves.
+        v = np.einsum("kj,kp->jp", c, u)
+        total[start : start + step] = np.einsum("jp,jp->p", v, u.conj())
+    return total
+
+
 def wigner(spec: StateSpec, beta):
     """Wigner function at phase-space point(s) beta (complex scalar or array).
 
     Sum of N displaced Gaussians for the incoherent family; for the
     coherent family the N^2 head-pair sum adds interference terms whose
-    imaginary parts must cancel below tolerance.
+    imaginary parts must cancel below tolerance.  Up to mu = |g|^2 =
+    ``WIGNER_FACTOR_MU_MAX`` the pair sum is one (points x N)(N x N)
+    contraction; past it every pair term takes its own exp.
     """
     beta = np.asarray(beta, dtype=complex)
     if not np.all(np.isfinite(beta)):
@@ -245,20 +293,25 @@ def wigner(spec: StateSpec, beta):
     if not spec.is_coherent:
         total = np.zeros(beta.shape, dtype=float)
         for g in heads:
-            total += np.exp(-2.0 * np.abs(g - beta) ** 2)
+            with np.errstate(over="ignore"):  # far out the square is inf and the term 0
+                total += np.exp(-2.0 * np.abs(g - beta) ** 2)
         out = TWO_OVER_PI * total / n_heads
     else:
-        # One exp per term: its modulus is exp(-2|beta - (g1 + g2)/2|^2) <= 1,
-        # while the overlap and the pair factor alone under- and overflow.
         # |g|^2 as the heads carry it; r^(2/N) differs from it in the last bit.
-        log_overlaps = _log_overlaps(root_modulus(alpha, n_heads) ** 2, n_heads)
-        total = np.zeros(beta.shape, dtype=complex)
-        for k1, g1 in enumerate(heads):
-            for k2, g2 in enumerate(heads):
-                total += np.exp(
-                    log_overlaps[(k1 - k2) % n_heads]
-                    - 2.0 * (np.conj(g2) - np.conj(beta)) * (g1 - beta)
-                )
+        mu = root_modulus(alpha, n_heads) ** 2
+        log_overlaps = _log_overlaps(mu, n_heads)
+        if mu <= WIGNER_FACTOR_MU_MAX:
+            total = _cat_wigner_sum(beta.ravel(), np.array(heads), log_overlaps).reshape(beta.shape)
+        else:
+            # One exp per term: its modulus is exp(-2|beta - (g1 + g2)/2|^2) <= 1,
+            # while the overlap and the pair factor alone under- and overflow.
+            total = np.zeros(beta.shape, dtype=complex)
+            for k1, g1 in enumerate(heads):
+                for k2, g2 in enumerate(heads):
+                    total += np.exp(
+                        log_overlaps[(k1 - k2) % n_heads]
+                        - 2.0 * (np.conj(g2) - np.conj(beta)) * (g1 - beta)
+                    )
         n_c = normalization(alpha, n_heads)
         out = TWO_OVER_PI * _require_real(total, "Wigner value") / n_c
     if out.ndim == 0:

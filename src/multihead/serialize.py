@@ -2,12 +2,14 @@
 
 Floats are rendered with 17 significant digits so every emitted value parses
 back to the identical IEEE-754 double, which makes re-emission byte-stable.
-A numpy array is emitted in one `%` pass, with the same text as per value.
+A numpy array is emitted in one `%` pass, with the same text as per value;
+a grid's rows are emitted with each axis value formatted once.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -77,14 +79,57 @@ def render_csv(header: str, *columns: np.ndarray) -> str:
     return template % tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
 
 
+@dataclass(frozen=True)
+class GridRows:
+    """The (x, y, value) rows of a grid in y-major order: x runs fastest.
+
+    ``values[iy, ix]`` belongs to ``(xs[ix], ys[iy])``; both axes are nonempty.
+    Emitted, the rows read exactly as the P x 3 float array of them would.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    values: np.ndarray
+
+
+def _render_grid(grid: GridRows, head: str, row: str, sep: str, tail: str) -> str:
+    """head, then the rows joined by sep, then tail.
+
+    ``row`` holds two "%s" for the x and y text, then the value's slot.  Each
+    axis value is formatted once, into one template of all rows with their x
+    and y text in place, and the values fill it in one `%` pass.
+    """
+    before_x, before_y, after_y = row.split("%s")
+    xs = [_FLOAT_SLOT % x for x in grid.xs.tolist()]
+    lines = []
+    for y in grid.ys.tolist():
+        y_part = before_y + _FLOAT_SLOT % y + after_y
+        lines.append(before_x + (y_part + sep + before_x).join(xs) + y_part)
+    lines[0] = head + lines[0]
+    lines[-1] += tail
+    template = sep.join(lines)
+    del lines  # freed before the `%` pass, which lowers a large grid's peak RSS
+    return template % tuple(grid.values.ravel().tolist())
+
+
+def render_grid_csv(header: str, grid: GridRows) -> str:
+    """render_csv(header, x, y, value) of the grid's rows, each axis value formatted once."""
+    return _render_grid(grid, header + "\n", "%s,%s," + _FLOAT_SLOT, "\n", "\n")
+
+
 def render_json(obj, indent: int = 0) -> str:
     """Minimal deterministic JSON renderer with fmt()-formatted floats.
 
     Complex values are emitted as {"re": ..., "im": ...} objects.  A numpy
-    array reads exactly as its .tolist() would.
+    array reads exactly as its .tolist() would, and GridRows as the list of
+    its [x, y, value] rows.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(obj, GridRows):
+        item = "  " * (indent + 2)
+        row = f"[\n{item}%s,\n{item}%s,\n{item}{_FLOAT_SLOT}\n{inner}]"
+        return _render_grid(obj, f"[\n{inner}", row, f",\n{inner}", f"\n{pad}]")
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind != "f" or obj.size == 0 or obj.ndim == 0:
             return render_json(obj.tolist(), indent)
@@ -104,8 +149,12 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{inner}"{k}": {render_json(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        # One join over every piece, so a large member is copied once.
+        pieces = ["{\n"]
+        for k, v in obj.items():
+            pieces += [f'{inner}"{k}": ', render_json(v, indent + 1), ",\n"]
+        pieces[-1] = "\n" + pad + "}"
+        return "".join(pieces)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

@@ -349,7 +349,16 @@ def edge_cases():
                     )
 
 
-@pytest.mark.parametrize("argv", list(edge_cases()))
+def far_out_grids():
+    # |beta|^2 overflows on these grids; W is 0 there and no overflow escapes.
+    for family in ("incoherent", "coherent"):
+        for span in (("--x-min=1e160", "--x-max=2e160"), ("--y-min=-1e200", "--y-max=1e200")):
+            argv = ("wigner", "--alpha", "1+1i", "--heads", "3", "--family", family,
+                    "--nx", "3", "--ny", "2", *span)
+            yield pytest.param(argv, id=f"wigner-{family}-3-{span[0][2:]}")
+
+
+@pytest.mark.parametrize("argv", list(edge_cases()) + list(far_out_grids()))
 def test_edge_inputs_exit_cleanly(capsys, argv):
     # Tier-1 turns RuntimeWarning into an error, so a silent overflow fails here too.
     code = main(list(argv))

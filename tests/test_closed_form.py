@@ -18,7 +18,14 @@ from multihead import (
     quadrature_variances,
     wigner,
 )
-from multihead.closed_form import _head_sums
+from multihead.closed_form import (
+    TWO_OVER_PI,
+    WIGNER_FACTOR_MU_MAX,
+    _head_sums,
+    _log_overlaps,
+    _require_real,
+)
+from multihead.roots import nth_roots, root_modulus
 from test_acceptance import wigner_two_head_coherent
 
 ALPHA = PolarAmplitude.from_cartesian(1.0, 1.0)
@@ -167,10 +174,29 @@ class TestQuadratureVariances:
         assert v.var_x1 == pytest.approx(base + re_conj + 0.5, abs=1e-12)
         assert v.var_x2 == pytest.approx(base - re_conj + 0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("r", [1e8, 1e10, 1e16, 1e100])
+    def test_coherent_state_is_exactly_vacuum_limited(self, family, r):
+        # <n> - |<a>|^2 and Re<a^2> - Re<a>^2 cancel exactly; the 1/2 used to be
+        # swamped by r^2 (3.5 at r = 1e8, -16383.5 at r = 1e10).
+        v = quadrature_variances(StateSpec(PolarAmplitude(r, 0.3), 1, family))
+        assert (v.var_x1, v.var_x2) == (0.5, 0.5)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("r", [1e16, 1e100])
+    def test_two_heads_keep_the_half_at_large_modulus(self, family, r):
+        # var_x2 - 1/2 is 0 for the mixture and r(tanh r - 1) for the cat: both
+        # far below an ulp of <n> = r, which the 1/2 used to be added to first.
+        v = quadrature_variances(StateSpec(PolarAmplitude(r), 2, family))
+        assert v.var_x2 == 0.5
+        assert v.var_x1 == pytest.approx(2.0 * r, rel=1e-15)
+
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("family", list(Family))
     def test_uncertainty_product(self, n, family):
-        for a in random_amplitudes(n + 40, count=5):
+        large = [PolarAmplitude(1e8, 0.3), PolarAmplitude(1e10, 0.3), PolarAmplitude(1e16),
+                 PolarAmplitude(1e100)]
+        for a in random_amplitudes(n + 40, count=5) + large:
             v = quadrature_variances(StateSpec(a, n, family))
             assert v.var_x1 > 0 and v.var_x2 > 0
             assert v.var_x1 * v.var_x2 >= 0.25 - 1e-10
@@ -295,3 +321,58 @@ class TestWignerScalar:
         assert np.max(np.abs(values)) <= 2 / math.pi + 1e-12
         if family is Family.INCOHERENT:
             assert np.min(values) >= -1e-14
+
+
+def reference_cat_wigner(s, beta):
+    """The coherent Wigner as the N^2 pair loop: one exp per head pair and point."""
+    beta = np.asarray(beta, dtype=complex)
+    n = s.n_heads
+    heads = nth_roots(s.alpha, n)
+    log_overlaps = _log_overlaps(root_modulus(s.alpha, n) ** 2, n)
+    total = np.zeros(beta.shape, dtype=complex)
+    for k1, g1 in enumerate(heads):
+        for k2, g2 in enumerate(heads):
+            total += np.exp(
+                log_overlaps[(k1 - k2) % n] - 2.0 * (np.conj(g2) - np.conj(beta)) * (g1 - beta)
+            )
+    return TWO_OVER_PI * _require_real(total, "Wigner value") / normalization(s.alpha, n)
+
+
+# mu = r^(2/N) on both sides of the bound; None stands for r = 1e-3.
+CAT_MU = [None, 1e-3, 0.5, 3.5, 30.0, 120.0, 340.0, 360.0, 1000.0]
+
+
+class TestFactoredCatWigner:
+    """Up to WIGNER_FACTOR_MU_MAX the cat's pair sum is a (P x N)(N x N) contraction."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12])
+    @pytest.mark.parametrize("mu", CAT_MU)
+    def test_equals_the_pair_loop(self, n, mu):
+        mu = 1e-3 ** (2.0 / n) if mu is None else mu
+        s = StateSpec(PolarAmplitude(mu ** (n / 2.0), 0.37), n, Family.COHERENT)
+        heads = np.array(nth_roots(s.alpha, n))
+        axis = np.linspace(-4.0, 4.0, 21) / math.sqrt(2.0)
+        grid = (axis + 1j * axis[:, None]).ravel()
+        midpoints = ((heads + heads[:, None]) / 2.0).ravel()
+        points = np.concatenate([grid, heads, midpoints])
+        diff = np.max(np.abs(wigner(s, points) - reference_cat_wigner(s, points)))
+        assert diff <= 64 * np.finfo(float).eps * (1.0 + mu)
+        if mu > WIGNER_FACTOR_MU_MAX:
+            assert diff == 0.0  # past the bound the pair loop is the only path
+
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_blocking_leaves_every_bit(self, n):
+        s = StateSpec(PolarAmplitude(2.0, 0.7), n, Family.COHERENT)
+        axis = np.linspace(-4.0, 4.0, 601) / math.sqrt(2.0)
+        grid = axis + 1j * axis[:, None]
+        values = wigner(s, grid)
+        for iy, ix in [(0, 0), (300, 300), (123, 457), (599, 1), (17, 599), (600, 600)]:
+            assert wigner(s, grid[iy, ix]) == values[iy, ix]
+        assert np.array_equal(wigner(s, grid[450:]), values[450:])
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("beta", [1e160, 1e200j, 1.7e308, -1e307 + 1e154j])
+    def test_far_out_points_are_zero(self, family, beta):
+        # |beta|^2 overflows there; no warning escapes and no NaN comes back.
+        s = StateSpec(PolarAmplitude.from_cartesian(1.0, 1.0), 3, family)
+        assert wigner(s, np.array([beta, 0.0]))[0] == 0.0

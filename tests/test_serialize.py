@@ -115,9 +115,10 @@ def reference_json(payload):
     return reference_render_json({"tool": "multihead", "version": __version__, **payload}) + "\n"
 
 
-def reference_wigner(alpha, heads, family, fmt_name, nx, ny, extent=4.0):
+def reference_wigner(alpha, heads, family, fmt_name, nx, ny, x_range=(-4.0, 4.0),
+                     y_range=(-4.0, 4.0)):
     spec = StateSpec(parse_amplitude(alpha), heads, Family.parse(family))
-    xx, yy = np.meshgrid(np.linspace(-extent, extent, nx), np.linspace(-extent, extent, ny))
+    xx, yy = np.meshgrid(np.linspace(*x_range, nx), np.linspace(*y_range, ny))
     values = np.asarray(closed_form.wigner(spec, (xx + 1j * yy) / math.sqrt(2.0)), dtype=float)
     if fmt_name == "csv":
         lines = ["x,y,w"]
@@ -128,7 +129,7 @@ def reference_wigner(alpha, heads, family, fmt_name, nx, ny, extent=4.0):
                     f"{reference_fmt(values[iy, ix])}"
                 )
         return "\n".join(lines) + "\n"
-    grid = {"x_min": -extent, "x_max": extent, "y_min": -extent, "y_max": extent,
+    grid = {"x_min": x_range[0], "x_max": x_range[1], "y_min": y_range[0], "y_max": y_range[1],
             "nx": nx, "ny": ny}
     rows = [
         [float(xx[iy, ix]), float(yy[iy, ix]), float(values[iy, ix])]
@@ -216,15 +217,44 @@ def cli_output(capsys, *argv):
     return capsys.readouterr().out
 
 
+def grid_argv(nx, ny, x_range, y_range):
+    return ("--nx", str(nx), "--ny", str(ny), f"--x-min={x_range[0]!r}", f"--x-max={x_range[1]!r}",
+            f"--y-min={y_range[0]!r}", f"--y-max={y_range[1]!r}")
+
+
+SQUARE = (-4.0, 4.0)
+
+
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
 @pytest.mark.parametrize(
-    "alpha,heads,family",
-    [("2@0.7", 12, "coherent"), ("0", 3, "coherent"), ("1e-300@0.3", 2, "incoherent")],
+    "alpha,heads,family,nx,ny,x_range,y_range",
+    [
+        pytest.param("2@0.7", 12, "coherent", 13, 9, SQUARE, SQUARE, id="2@0.7-12-coherent"),
+        pytest.param("0", 3, "coherent", 13, 9, SQUARE, SQUARE, id="0-3-coherent"),
+        pytest.param("1e-300@0.3", 2, "incoherent", 13, 9, SQUARE, SQUARE,
+                     id="1e-300@0.3-2-incoherent"),
+        pytest.param("1+1i", 3, "coherent", 7, 3, SQUARE, SQUARE, id="7x3"),
+        pytest.param("1+1i", 2, "incoherent", 2, 2, SQUARE, SQUARE, id="2x2"),
+        pytest.param("2@0.7", 6, "coherent", 11, 5, (-1.0, 5.0), (-3.0, 0.25), id="asymmetric"),
+        pytest.param("3@0.4", 2, "coherent", 201, 201, SQUARE, SQUARE, id="default-201x201"),
+    ],
 )
-def test_wigner_output_equals_the_row_loop(capsys, alpha, heads, family, fmt_name):
+def test_wigner_output_equals_the_row_loop(capsys, alpha, heads, family, nx, ny, x_range, y_range,
+                                           fmt_name):
+    grid = () if (nx, ny) == (201, 201) else grid_argv(nx, ny, x_range, y_range)
     out = cli_output(capsys, "wigner", "--alpha", alpha, "--heads", str(heads), "--family", family,
-                     "--format", fmt_name, "--nx", "13", "--ny", "9")
-    assert out == reference_wigner(alpha, heads, family, fmt_name, 13, 9)
+                     "--format", fmt_name, *grid)
+    assert out == reference_wigner(alpha, heads, family, fmt_name, nx, ny, x_range, y_range)
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+def test_wigner_out_file_holds_the_stdout_bytes(capsys, tmp_path, fmt_name):
+    argv = ("wigner", "--alpha", "2@0.7", "--heads", "3", "--family", "coherent",
+            "--format", fmt_name, *grid_argv(7, 5, (-1.0, 5.0), (-3.0, 0.25)))
+    out = cli_output(capsys, *argv)
+    path = tmp_path / f"w.{fmt_name}"
+    assert cli_output(capsys, *argv, "--out", str(path)) == ""
+    assert path.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
