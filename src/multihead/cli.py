@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, closed_form, compare, fockspace, sweeps
+from . import __version__, closed_form, compare, sweeps
 from .errors import (
     CapacityError,
     InvalidInputError,
@@ -125,8 +125,11 @@ def cmd_stats(args) -> int:
 
 def cmd_wigner(args) -> int:
     spec = _spec_from_args(args)
-    if not (args.x_min < args.x_max and args.y_min < args.y_max):
-        raise InvalidInputError("grid ranges must satisfy min < max")
+    # A width is finite only if both bounds are, and NaN fails every comparison,
+    # so this refuses what np.linspace would overflow on before it runs.
+    widths = (args.x_max - args.x_min, args.y_max - args.y_min)
+    if not all(0.0 < width < math.inf for width in widths):
+        raise InvalidInputError("grid ranges need min < max, both finite, with a finite width")
     if args.nx < 2 or args.ny < 2:
         raise InvalidInputError("grid needs at least 2 points per axis")
     if args.nx * args.ny > GRID_POINT_CAP:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import (
     CapacityError,
@@ -216,6 +215,10 @@ def fock_element(spec: StateSpec, m, n):
     over integer arrays, with S_0 computed once per call; scalar indices
     give a complex.
     """
+    # Imported here, not at module level: no other closed form needs scipy,
+    # and loading scipy.special would be most of every CLI command's start-up.
+    from scipy.special import gammaln, xlogy
+
     m, n = np.asarray(m), np.asarray(n)
     if np.any(m < 0) or np.any(n < 0):
         raise InvalidInputError("Fock indices must be nonnegative")

@@ -4,6 +4,9 @@ Everything here is built from ladder-operator actions and displacement
 matrix elements in the photon-number basis, deliberately avoiding the
 head-sum formulas of :mod:`multihead.closed_form` so the two paths can
 cross-validate each other.
+
+scipy.special is imported inside the functions that call it, so importing
+this module, and the CLI with it, loads no scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
 from .errors import CapacityError, CutoffInsufficientError, TruncationError
 from .roots import PolarAmplitude, head_occupation, nth_roots
@@ -47,6 +49,8 @@ def choose_cutoff(alpha: PolarAmplitude, n_heads: int, eps: float = EPS_DEFAULT)
     is supported there) and padded with a 4N safety margin for operator
     applications; the result never drops below CUTOFF_MIN.
     """
+    from scipy.special import pdtrc
+
     if not (0.0 < eps < 1.0):
         raise TruncationError(f"eps must lie in (0, 1), got {eps}")
     mean = head_occupation(alpha.r, n_heads)
@@ -72,6 +76,8 @@ def build_coherent(gamma: complex, cutoff: int, eps: float = EPS_DEFAULT) -> Foc
     Poisson mass at m >= cutoff, which 1 - ||c||^2 cannot resolve below
     rounding.
     """
+    from scipy.special import gammaln, pdtrc
+
     m = np.arange(cutoff)
     if gamma == 0:
         c = (m == 0).astype(complex)
@@ -190,6 +196,8 @@ def _displacement_diagonals(alpha: np.ndarray, cutoff: int):
     associated-Laguerre three-term recurrence (Johansson, Nation & Nori,
     Comput. Phys. Commun. 184, 1234 (2013)), for every point at once.
     """
+    from scipy.special import gammaln, xlogy
+
     x = np.abs(alpha)[:, None] ** 2
     d = np.arange(cutoff)
     f = np.exp(xlogy(d / 2.0, x) - x / 2.0 - 0.5 * gammaln(d + 1))

@@ -129,6 +129,14 @@ class TestWigner:
             "--x-min", "2", "--x-max", "-2",
         )
         assert code == 2
+        # Refused before np.linspace, whose overflow warnings tier-1 turns into errors.
+        for argv in (
+            ("--heads", "3", "--nx", "3", "--ny", "2", "--y-min=-1.7e308", "--y-max=1.7e308"),
+            ("--heads", "2", "--nx", "2", "--ny", "2", "--x-min=-inf"),
+            ("--heads", "2", "--nx", "2", "--ny", "2", "--y-max=nan"),
+        ):
+            code, out = run(capsys, "wigner", "--alpha", "1+1i", "--family", "coherent", *argv)
+            assert (code, out) == (2, "")
 
 
 class TestSweepCommand:
@@ -410,6 +418,27 @@ class TestStartup:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert done.stdout.splitlines()[-1] == "False 0"
+
+    def test_only_validate_and_fock_load_scipy(self):
+        # roots, stats, wigner and sweep use no scipy; validate and fock import
+        # scipy.special on their first call, in the same process.
+        code = (
+            "import sys, multihead.cli\n"
+            "main = multihead.cli.main\n"
+            "spec = ['--alpha', '1+1i', '--heads', '3', '--family', 'coherent']\n"
+            "codes = [main(['roots', *spec[:4]]), main(['stats', *spec]),\n"
+            "         main(['wigner', *spec, '--nx', '3', '--ny', '2']),\n"
+            "         main(['sweep', *spec[2:], '--quantity', 'mandel-q', '--r-max', '1'])]\n"
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "codes += [main(['validate', *spec]), main(['fock', *spec, '--max-m', '4'])]\n"
+            "print(scipy, codes)\n"
+        )
+        src = str(Path(multihead.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.splitlines()[-1] == "[] [0, 0, 0, 0, 0, 0]"
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator only")
     def test_freed_large_arrays_are_reused_without_page_faults(self):
