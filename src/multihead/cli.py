@@ -167,8 +167,6 @@ def cmd_sweep(args) -> int:
     template = SweepTemplate(
         theta_p=args.theta, n_heads=args.heads, family=Family.parse(args.family)
     )
-    if sweeps._sample_count(args.r_min, args.r_max, args.step) > GRID_POINT_CAP:
-        raise CapacityError(f"sweep exceeds {GRID_POINT_CAP} samples")
     result = sweeps.sweep(template, quantity, args.r_min, args.r_max, args.step)
     threshold = args.threshold
     if threshold is None:
@@ -176,9 +174,8 @@ def cmd_sweep(args) -> int:
     crossings = (
         sweeps.find_crossings(result, threshold) if threshold is not None else []
     )
-    samples = np.array(result.samples, dtype=float).reshape(-1, 2)
     if args.format == "csv":
-        _emit(render_csv("r,value", *samples.T), args.out)
+        _emit(render_csv("r,value", *result.samples.T), args.out)
     else:
         payload = _provenance(
             {
@@ -192,8 +189,8 @@ def cmd_sweep(args) -> int:
                 "r_max": args.r_max,
                 "step": args.step,
                 "threshold": threshold,
-                "samples": samples,
-                "crossings": [float(c) for c in crossings],
+                "samples": result.samples,
+                "crossings": crossings,
             }
         )
         _emit(render_json(payload) + "\n", args.out)
@@ -216,7 +213,7 @@ def cmd_fock(args) -> int:
         raise CapacityError(f"Fock block exceeds {GRID_POINT_CAP} elements")
     index = np.arange(args.max_m + 1)
     magnitudes = np.abs(closed_form.fock_element(spec, index[:, None], index))
-    diag = closed_form.pnd(spec, index)
+    diag = magnitudes.diagonal()
     if args.format == "csv":
         m, n = np.indices(magnitudes.shape)
         block = render_csv("m,n,abs_p_mn", m.ravel(), n.ravel(), magnitudes.ravel())

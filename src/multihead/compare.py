@@ -42,10 +42,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(d <= self.tol for d in self.diffs.values())
 
-    def worst(self) -> tuple[str, float]:
-        name = max(self.diffs, key=self.diffs.get)
-        return name, self.diffs[name]
-
 
 def validate_spec(spec: StateSpec, tol: float = TOL_DEFAULT) -> ValidationReport:
     """Run every oracle-vs-closed-form comparison for one state."""

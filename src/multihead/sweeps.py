@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import closed_form
-from .errors import InvalidInputError
+from .errors import CapacityError, InvalidInputError
 from .roots import PolarAmplitude
 from .states import Family, StateSpec
 
 DEFAULT_STEP = 0.01
 BISECT_TOL = 1e-6
+SAMPLES_MAX = 4_000_000
+# Samples this close to a threshold count as sitting on it.
+CROSSING_ATOL = 1e-12
 
 
 class Quantity(enum.Enum):
@@ -73,18 +76,20 @@ def evaluate(template: SweepTemplate, quantity: Quantity, r):
 class SweepResult:
     quantity: Quantity
     template: SweepTemplate
-    samples: list = field(default_factory=list)  # (r, value), r strictly increasing
+    samples: np.ndarray  # (k, 2) rows of (r, value), r strictly increasing
 
 
-def _sample_count(r_min: float, r_max: float, step: float):
-    """Size of the grid min(r_min + i*step, r_max); inf where the step count overflows."""
+def _sample_count(r_min: float, r_max: float, step: float) -> int:
+    """Size of the grid min(r_min + i*step, r_max), refused above SAMPLES_MAX."""
     # Written so that NaN fails both checks.
     if not (0.0 <= r_min < r_max < math.inf):
         raise InvalidInputError("need 0 <= r_min < r_max, both finite")
     if not 0.0 < step < math.inf:
         raise InvalidInputError("step must be positive and finite")
     steps = (r_max - r_min) / step
-    return round(steps) + 1 if math.isfinite(steps) else math.inf
+    if not math.isfinite(steps) or round(steps) + 1 > SAMPLES_MAX:
+        raise CapacityError(f"sweep exceeds {SAMPLES_MAX} samples")
+    return round(steps) + 1
 
 
 def sweep(
@@ -97,15 +102,16 @@ def sweep(
     """Evaluate the quantity on a modulus grid; undefined samples become gaps."""
     r = np.minimum(r_min + np.arange(_sample_count(r_min, r_max, step)) * step, r_max)
     values = evaluate(template, quantity, r)
-    defined = ~np.isnan(values)
-    samples = list(zip(r[defined].tolist(), values[defined].tolist()))
+    samples = np.column_stack((r, values))[~np.isnan(values)]
     return SweepResult(quantity=quantity, template=template, samples=samples)
 
 
-def _bisect(template, quantity, threshold, lo, hi, f_lo):
+def _bisect(result, threshold, lo, hi, f_lo):
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        f_mid = evaluate(template, quantity, mid) - threshold
+        if mid == lo or mid == hi:  # lo and hi are adjacent doubles, past r ~ 5e9
+            break
+        f_mid = evaluate(result.template, result.quantity, mid) - threshold
         if f_mid == 0.0:
             return mid
         if (f_lo < 0.0) == (f_mid < 0.0):
@@ -115,23 +121,25 @@ def _bisect(template, quantity, threshold, lo, hi, f_lo):
     return 0.5 * (lo + hi)
 
 
-def find_crossings(
-    result: SweepResult, threshold: float, atol: float = 1e-12
-) -> list[float]:
+def find_crossings(result: SweepResult, threshold: float) -> list[float]:
     """Moduli where the swept quantity crosses the threshold, refined by bisection.
 
-    Samples within ``atol`` of the threshold count as sitting on it, so a
-    quantity that is zero up to rounding noise yields no crossings.
+    Samples within ``CROSSING_ATOL`` of the threshold count as sitting on it,
+    so a quantity that is zero up to rounding noise yields no crossings.
     """
     if not math.isfinite(threshold):
         raise InvalidInputError("threshold must be finite")
-    crossings = []
-    for (r0, v0), (r1, v1) in zip(result.samples, result.samples[1:]):
-        f0, f1 = v0 - threshold, v1 - threshold
-        if abs(f0) <= atol or abs(f1) <= atol or f0 * f1 >= 0.0:
-            continue
-        crossings.append(_bisect(result.template, result.quantity, threshold, r0, r1, f0))
-    return sorted(crossings)
+    r = result.samples[:, 0]
+    with np.errstate(over="ignore"):  # inf, as the scalar difference gives
+        f = result.samples[:, 1] - threshold
+    # With both ends off the threshold, differing signs are f0 * f1 < 0
+    # without forming a product that can overflow.
+    off, neg = np.abs(f) > CROSSING_ATOL, f < 0.0
+    flagged = np.flatnonzero(off[:-1] & off[1:] & (neg[:-1] != neg[1:]))
+    return [
+        _bisect(result, threshold, float(r[i]), float(r[i + 1]), float(f[i]))
+        for i in flagged.tolist()
+    ]
 
 
 def squeezing_window(
@@ -150,19 +158,16 @@ def squeezing_window(
     windows = []
     for j, quantity in ((1, Quantity.VAR_X1), (2, Quantity.VAR_X2)):
         result = sweep(template, quantity, step, r_max, step)
+        r = result.samples[:, 0]
         edges = find_crossings(result, 0.5)
-        lo = None
-        for idx, (r, v) in enumerate(result.samples):
-            if (lo is None and v < 0.5) or (lo is not None and v >= 0.5):
-                # A window opens or closes at the first crossing in the preceding
-                # sample interval, else at this sample; the first sample has none.
-                r_prev = result.samples[idx - 1][0] if idx else math.inf
-                edge = next((e for e in edges if r_prev <= e <= r), r)
-                if lo is None:
-                    lo = edge
-                else:
-                    windows.append((j, (lo, edge)))
-                    lo = None
-        if lo is not None:
-            windows.append((j, (lo, result.samples[-1][0])))
+        flips = np.flatnonzero(np.diff(result.samples[:, 1] < 0.5, prepend=False))
+        bounds = []
+        for i in flips.tolist():
+            # A window opens or closes at the first crossing in the preceding
+            # sample interval, else at this sample; the first sample has none.
+            r_prev, r_i = (float(r[i - 1]) if i else math.inf), float(r[i])
+            bounds.append(next((e for e in edges if r_prev <= e <= r_i), r_i))
+        if len(bounds) % 2:
+            bounds.append(float(r[-1]))
+        windows += [(j, window) for window in zip(bounds[::2], bounds[1::2])]
     return windows

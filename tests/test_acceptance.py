@@ -110,7 +110,8 @@ def test_criterion_2_oracle_equivalence():
             for a in amplitudes:
                 rep = validate_spec(StateSpec(a, n, family))
                 if not rep.passed:
-                    failures.append((n, family.value, a, rep.worst()))
+                    worst = max(rep.diffs.items(), key=lambda item: item[1])
+                    failures.append((n, family.value, a, worst))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 60.0
     assert report(2, "oracle equivalence", ok), f"failures {failures}, {elapsed:.1f}s"

@@ -3,8 +3,23 @@ import math
 import pytest
 
 from multihead import Family, Quantity, SweepTemplate, find_crossings, squeezing_window, sweep
-from multihead.errors import InvalidInputError
+from multihead import sweeps
+from multihead.errors import CapacityError, InvalidInputError
 from multihead.sweeps import evaluate
+
+
+def reference_find_crossings(result, threshold, atol=1e-12):
+    """find_crossings as it was written: a pairwise loop over a list of (r, value) floats."""
+    if not math.isfinite(threshold):
+        raise InvalidInputError("threshold must be finite")
+    samples = result.samples.tolist()
+    crossings = []
+    for (r0, v0), (r1, v1) in zip(samples, samples[1:]):
+        f0, f1 = v0 - threshold, v1 - threshold
+        if abs(f0) <= atol or abs(f1) <= atol or f0 * f1 >= 0.0:
+            continue
+        crossings.append(sweeps._bisect(result, threshold, r0, r1, f0))
+    return sorted(crossings)
 
 
 def reference_squeezing_window(theta_p, r_max, step=0.01):
@@ -98,6 +113,20 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             sweep(template(2, Family.COHERENT), Quantity.MEAN_PHOTON, r_min, r_max, step)
 
+    @pytest.mark.parametrize("r_min,r_max,step", [(0.0, 1e300, 1e-300), (0.0, 1.0, 1e-13)])
+    def test_oversized_grid_is_capacity_error(self, r_min, r_max, step):
+        with pytest.raises(CapacityError, match="sweep exceeds 4000000 samples"):
+            sweep(template(2, Family.COHERENT), Quantity.MEAN_PHOTON, r_min, r_max, step)
+
+    def test_oversized_squeezing_window_is_capacity_error(self):
+        with pytest.raises(CapacityError):
+            squeezing_window(0.0, 1.0, 1e-13)
+
+    def test_sample_cap_boundary(self):
+        assert sweeps._sample_count(0.0, 3_999_999.0, 1.0) == sweeps.SAMPLES_MAX == 4_000_000
+        with pytest.raises(CapacityError):
+            sweeps._sample_count(0.0, 4_000_000.0, 1.0)
+
 
 class TestFindCrossings:
     def test_three_head_cat_mandel_crossings(self):
@@ -124,6 +153,35 @@ class TestFindCrossings:
         res = sweep(template(3, Family.COHERENT), Quantity.MANDEL_Q, 0.01, 0.3, 0.01)
         with pytest.raises(InvalidInputError):
             find_crossings(res, threshold)
+
+    @pytest.mark.parametrize("quantity", list(Quantity))
+    @pytest.mark.parametrize("family", list(Family))
+    def test_equals_the_pairwise_reference(self, quantity, family):
+        for n in (1, 2, 3, 12):
+            res = sweep(template(n, family), quantity, 0.0, 25.0, 0.05)
+            for threshold in (0.0, 0.5, 1.0, math.exp(-2.0)):
+                got = find_crossings(res, threshold)
+                assert got == reference_find_crossings(res, threshold), (n, threshold)
+
+    def test_sample_on_the_threshold_equals_the_pairwise_reference(self):
+        for n in range(1, 7):
+            res = sweep(template(n, Family.INCOHERENT), Quantity.MEAN_PHOTON, 0.0, 1.0, 0.25)
+            assert abs(dict(res.samples)[1.0] - 1.0) <= 1e-12
+            assert find_crossings(res, 1.0) == reference_find_crossings(res, 1.0)
+
+    @pytest.mark.parametrize("step", [1e200, 5e199])
+    def test_huge_moduli_equal_the_pairwise_reference(self, step):
+        # Products of adjacent differences overflow here; the sign test must not.
+        for n in (2, 3, 12):
+            for family in Family:
+                res = sweep(template(n, family), Quantity.VAR_X1, 0.0, 1e200, step)
+                for t in (0.0, 0.5, 1.0):
+                    assert find_crossings(res, t) == reference_find_crossings(res, t)
+
+    def test_bisection_stops_at_adjacent_doubles(self):
+        # <n> = r^2 for one head; past r ~ 5e9 adjacent doubles are wider than BISECT_TOL.
+        res = sweep(template(1, Family.COHERENT), Quantity.MEAN_PHOTON, 1e10, 2e10, 1e9)
+        assert find_crossings(res, 2e20) == [pytest.approx(math.sqrt(2e20), rel=1e-15)]
 
     def test_parity_sweep_passes_through_common_point(self):
         for n in range(1, 7):
