@@ -187,18 +187,19 @@ def _displacement_points(betas) -> np.ndarray:
     return 2.0 * beta
 
 
-def _displacement_diagonals(alpha: np.ndarray, cutoff: int):
-    """Yield f_p^(d) for p = 0..cutoff-1, shaped (points, cutoff - p) over d.
+def _displacement_diagonals(radii: np.ndarray, cutoff: int):
+    """Yield f_p^(d) for p = 0..cutoff-1, shaped (radii, cutoff - p) over d.
 
-    f_p^(d) = sqrt(p!/(p+d)!) x^(d/2) e^(-x/2) L_p^(d)(x) with x = |alpha|^2,
-    so <p+d|D(alpha)|p> = f e^(i d arg alpha) and <p|D(alpha)|p+d> =
+    f_p^(d) = sqrt(p!/(p+d)!) x^(d/2) e^(-x/2) L_p^(d)(x) with x = radius^2
+    depends on a displacement alpha only through radius = |alpha|:
+    <p+d|D(alpha)|p> = f e^(i d arg alpha) and <p|D(alpha)|p+d> =
     f (-e^(-i arg alpha))^d.  It is advanced in p by the normalised
     associated-Laguerre three-term recurrence (Johansson, Nation & Nori,
-    Comput. Phys. Commun. 184, 1234 (2013)), for every point at once.
+    Comput. Phys. Commun. 184, 1234 (2013)), for every radius at once.
     """
     from scipy.special import gammaln, xlogy
 
-    x = np.abs(alpha)[:, None] ** 2
+    x = radii[:, None] ** 2
     d = np.arange(cutoff)
     f = np.exp(xlogy(d / 2.0, x) - x / 2.0 - 0.5 * gammaln(d + 1))
     prev = np.zeros_like(f)
@@ -219,7 +220,7 @@ def displaced_parity_kernel(beta: complex, cutoff: int) -> np.ndarray:
     alpha = _displacement_points(beta)
     phases = np.exp(1j * np.angle(alpha[0]) * np.arange(cutoff))
     kernel = np.empty((cutoff, cutoff), dtype=complex)
-    for p, f in enumerate(_displacement_diagonals(alpha, cutoff)):
+    for p, f in enumerate(_displacement_diagonals(np.abs(alpha), cutoff)):
         column = (-1) ** p * f[0] * phases[: cutoff - p]
         kernel[p:, p] = column
         kernel[p, p:] = column.conj()
@@ -234,16 +235,19 @@ def oracle_wigner(state, beta: complex) -> float:
 def oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
     """Wigner values (2/pi) Tr[rho D(2b) Pi] on an array of phase-space points.
 
-    One pass over photon number p serves every point:
     W = (2/pi) sum_p (-1)^p Re sum_d w_d f_p^(d) e^(i d arg 2b) rho_(p,p+d),
     with w_0 = 1 and w_d = 2, since the d < 0 half of the trace is the
-    complex conjugate of the d > 0 half.
+    complex conjugate of the d > 0 half.  f_p^(d) depends on a point only
+    through |2b|, so one pass over photon number p sums the p-loop once per
+    distinct modulus; each point then takes its row and its phase.
     """
     alpha = _displacement_points(betas)
+    radii, inverse = np.unique(np.abs(alpha), return_inverse=True)
     cutoff, rho = state.cutoff, density_matrix(state, state.cutoff)
-    acc = np.zeros((alpha.size, cutoff), dtype=complex)
-    for p, f in enumerate(_displacement_diagonals(alpha, cutoff)):
+    acc = np.zeros((radii.size, cutoff), dtype=complex)
+    for p, f in enumerate(_displacement_diagonals(radii, cutoff)):
         acc[:, : cutoff - p] += f * ((-1) ** p * rho[p, p:])
+    acc = acc[inverse]
     d = np.arange(cutoff)
     acc *= np.exp(1j * np.multiply.outer(np.angle(alpha), d))
     values = np.sum(np.real(acc) * np.where(d == 0, 1.0, 2.0), axis=1)

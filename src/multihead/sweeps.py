@@ -100,15 +100,22 @@ def sweep(
     step: float = DEFAULT_STEP,
 ) -> SweepResult:
     """Evaluate the quantity on a modulus grid; undefined samples become gaps."""
-    r = np.minimum(r_min + np.arange(_sample_count(r_min, r_max, step)) * step, r_max)
+    with np.errstate(over="ignore"):  # a last term past the largest double clips to r_max
+        r = np.minimum(r_min + np.arange(_sample_count(r_min, r_max, step)) * step, r_max)
     values = evaluate(template, quantity, r)
     samples = np.column_stack((r, values))[~np.isnan(values)]
     return SweepResult(quantity=quantity, template=template, samples=samples)
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """0.5 * (lo + hi), halving each end first only where the sum overflows."""
+    total = lo + hi
+    return 0.5 * total if math.isfinite(total) else 0.5 * lo + 0.5 * hi
+
+
 def _bisect(result, threshold, lo, hi, f_lo):
     while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi)
         if mid == lo or mid == hi:  # lo and hi are adjacent doubles, past r ~ 5e9
             break
         f_mid = evaluate(result.template, result.quantity, mid) - threshold
@@ -118,7 +125,7 @@ def _bisect(result, threshold, lo, hi, f_lo):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return _midpoint(lo, hi)
 
 
 def find_crossings(result: SweepResult, threshold: float) -> list[float]:

@@ -196,6 +196,22 @@ class TestSweepCommand:
         code, out = run(capsys, *argv, *flags)
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("threshold", [(), ("--threshold=2.37e51",)])
+    def test_grid_near_the_largest_double_runs_cleanly(self, capsys, threshold):
+        # The last grid term and the bisection midpoint's sum both overflow a double here.
+        code = main([
+            "sweep", "--heads", "12", "--family", "incoherent", "--quantity", "mean-photon",
+            "--r-min", "1.6e308", "--r-max", "1.79e308", "--step", "1e307", *threshold,
+        ])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        crossings = json.loads(captured.out)["crossings"]
+        if threshold:
+            (c,) = crossings
+            assert c ** (1 / 6) == pytest.approx(2.37e51, rel=1e-12)
+        else:
+            assert crossings == []
+
     @pytest.mark.parametrize("r_max,step", [("1e300", "1e-300"), ("1e12", "1e-3")])
     def test_oversized_sweep_is_capacity_error(self, capsys, r_max, step):
         code, out = run(

@@ -3,7 +3,9 @@
 ``laguerre_kernel`` is the displaced-parity kernel the oracle built before
 the recurrence, one associated-Laguerre matrix per phase-space point; the
 tests pin the recurrence against it and the batched Wigner values against
-the closed form.
+the closed form.  ``reference_oracle_wigner_grid`` is the grid as it was
+summed before the recurrence ran once per distinct |2 beta|: one row per
+point; the de-duplicated grid must equal it bit for bit.
 """
 
 import math
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre, gammaln, xlogy
 
 from multihead import (
     CapacityError,
@@ -26,8 +28,11 @@ from multihead import (
     oracle_wigner,
     wigner,
 )
+from multihead import fockspace
+from multihead.compare import _WIGNER_POINTS
 from multihead.fockspace import (
     WIGNER_BETA_SQ_MAX,
+    _displacement_points,
     density_matrix,
     displaced_parity_kernel,
     oracle_wigner_grid,
@@ -57,6 +62,33 @@ def laguerre_kernel(beta: complex, cutoff: int) -> np.ndarray:
     kernel = mag * lag * phase
     kernel *= np.where(nn % 2 == 0, 1.0, -1.0)  # parity on the right
     return kernel
+
+
+def reference_displacement_diagonals(alpha: np.ndarray, cutoff: int):
+    """f_p^(d) for p = 0..cutoff-1, one row per complex point alpha."""
+    x = np.abs(alpha)[:, None] ** 2
+    d = np.arange(cutoff)
+    f = np.exp(xlogy(d / 2.0, x) - x / 2.0 - 0.5 * gammaln(d + 1))
+    prev = np.zeros_like(f)
+    for p in range(cutoff):
+        yield f
+        d = d[:-1]
+        f, prev = (
+            (2 * p + 1 + d - x) * f[:, :-1] - np.sqrt(p * (p + d)) * prev[:, :-1]
+        ) / np.sqrt((p + 1) * (p + 1 + d)), f[:, :-1]
+
+
+def reference_oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
+    """The oracle Wigner grid with the p-loop run once per point."""
+    alpha = _displacement_points(betas)
+    cutoff, rho = state.cutoff, density_matrix(state, state.cutoff)
+    acc = np.zeros((alpha.size, cutoff), dtype=complex)
+    for p, f in enumerate(reference_displacement_diagonals(alpha, cutoff)):
+        acc[:, : cutoff - p] += f * ((-1) ** p * rho[p, p:])
+    d = np.arange(cutoff)
+    acc *= np.exp(1j * np.multiply.outer(np.angle(alpha), d))
+    values = np.sum(np.real(acc) * np.where(d == 0, 1.0, 2.0), axis=1)
+    return (2.0 / math.pi * values).reshape(np.shape(betas))
 
 
 def oracle_state(spec: StateSpec):
@@ -138,3 +170,43 @@ def test_points_past_the_domain_limit_raise():
         displaced_parity_kernel(past, 32)
     with pytest.raises(CapacityError):
         oracle_wigner(state, complex(math.nan, 0.0))
+
+
+RING = 1.7 * np.exp(2j * math.pi * np.arange(16) / 16)
+SIGNED_ZEROS = np.array(
+    [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e-3, -1e-3j, -1e-3]
+)
+
+
+@pytest.mark.parametrize("points", [_WIGNER_POINTS, RING, SIGNED_ZEROS], ids=["validate", "ring", "zeros"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StateSpec(PolarAmplitude(0.05, 0.7), 12, Family.COHERENT),
+        StateSpec(PolarAmplitude(math.sqrt(2.0), 0.7), 2, Family.COHERENT),
+        StateSpec(PolarAmplitude(10.0, 3.0), 3, Family.COHERENT),
+        StateSpec(PolarAmplitude(3.0), 1, Family.INCOHERENT),
+        StateSpec(PolarAmplitude(60.0, 0.7), 4, Family.INCOHERENT),
+    ],
+    ids=lambda spec: f"{spec.family.value}-{spec.n_heads}-{spec.alpha.r:g}",
+)
+def test_grid_equals_the_per_point_reference(spec, points):
+    # Pure (coherent) and stacked (incoherent) states; the values must keep every bit.
+    state = oracle_state(spec)
+    assert state.amplitudes.ndim == (1 if spec.is_coherent else 2)
+    assert np.array_equal(oracle_wigner_grid(state, points), reference_oracle_wigner_grid(state, points))
+
+
+def test_recurrence_runs_once_per_distinct_modulus(monkeypatch):
+    rows = []
+    original = fockspace._displacement_diagonals
+
+    def counting(radii, cutoff):
+        rows.append(len(radii))
+        return original(radii, cutoff)
+
+    monkeypatch.setattr(fockspace, "_displacement_diagonals", counting)
+    state = build_coherent(0.5 + 0.5j, 32)
+    oracle_wigner_grid(state, _WIGNER_POINTS)
+    # linspace(-3, 3, 21) is not exactly symmetric, so some mirror points differ in |2 beta|.
+    assert (_WIGNER_POINTS.size, rows) == (441, [105])

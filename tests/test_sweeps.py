@@ -183,6 +183,19 @@ class TestFindCrossings:
         res = sweep(template(1, Family.COHERENT), Quantity.MEAN_PHOTON, 1e10, 2e10, 1e9)
         assert find_crossings(res, 2e20) == [pytest.approx(math.sqrt(2e20), rel=1e-15)]
 
+    def test_grid_and_bisection_near_the_largest_double(self):
+        # The last grid term and the bisection sum lo + hi both pass the largest double.
+        res = sweep(template(12, Family.INCOHERENT), Quantity.MEAN_PHOTON, 1.6e308, 1.79e308, 1e307)
+        assert res.samples[:, 0].tolist() == [1.6e308, 1.6e308 + 1e307, 1.79e308]
+        (crossing,) = find_crossings(res, 2.37e51)
+        assert math.isfinite(crossing)
+        assert crossing ** (1 / 6) == pytest.approx(2.37e51, rel=1e-12)
+
+    def test_midpoint_keeps_the_sum_where_it_is_finite(self):
+        for lo, hi in ((0.1, 0.7), (5.23, 5.24), (1e10, 2e10), (0.0, 1.7e308)):
+            assert sweeps._midpoint(lo, hi) == 0.5 * (lo + hi)
+        assert sweeps._midpoint(1.7e308, 1.79e308) == 0.5 * 1.7e308 + 0.5 * 1.79e308
+
     def test_parity_sweep_passes_through_common_point(self):
         for n in range(1, 7):
             res = sweep(template(n, Family.INCOHERENT), Quantity.PARITY, 0.5, 1.5, 0.25)
