@@ -41,10 +41,24 @@ GRID_POINT_CAP = 4_000_000
 # as large blocks are freed, so they depend on what was imported and run
 # before.  Fixed at glibc's own ceilings, large grids, kernels and temporaries
 # reuse retained heap pages instead of faulting in new ones.
-if sys.platform.startswith("linux"):
-    _mallopt = ctypes.CDLL(None).mallopt
-    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+_libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+if _libc is not None:
+    _libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    _libc.malloc_trim.argtypes = (ctypes.c_size_t,)
+
+
+def _return_free_heap() -> None:
+    """Hand glibc's free heap pages back, as the fixed trim threshold above does not.
+
+    A grid's text is built from blocks below the mmap threshold; freed after
+    the join, they would stay resident, up to one output's size (32 MB at
+    601 x 601), through whatever the process does next.
+    """
+    if _libc is not None:
+        _libc.malloc_trim(0)
+
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -152,6 +166,7 @@ def cmd_wigner(args) -> int:
             }
         )
         _emit(render_json(payload) + "\n", args.out)
+    _return_free_heap()  # the emitter's freed blocks; see the mallopt settings
     return EXIT_OK
 
 

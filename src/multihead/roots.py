@@ -106,10 +106,13 @@ def root_modulus(alpha: PolarAmplitude, n_heads: int) -> float:
 def nth_roots(alpha: PolarAmplitude, n_heads: int) -> tuple:
     """All N-th roots of alpha as a tuple, ordered by root index k ascending.
 
-    For n_heads == 1 the single root is alpha itself.
+    For n_heads == 1 the single root is alpha itself.  At r = 0 every root
+    is exactly 0j: 0 * e^(i phi) would keep the signs of cos phi and sin phi.
     """
     check_head_count(n_heads)
     rho = root_modulus(alpha, n_heads)
+    if rho == 0.0:
+        return (0j,) * n_heads
     return tuple(rho * cmath.exp(1j * phi) for phi in root_angles(alpha, n_heads))
 
 

@@ -437,7 +437,9 @@ class TestStartup:
 
     def test_only_validate_and_fock_load_scipy(self):
         # roots, stats, wigner and sweep use no scipy; validate and fock import
-        # scipy.special on their first call, in the same process.
+        # scipy.special on their first call, in the same process.  The float
+        # emitters build their tables with int and numpy arithmetic: neither
+        # fractions nor decimal is loaded.
         code = (
             "import sys, multihead.cli\n"
             "main = multihead.cli.main\n"
@@ -445,9 +447,10 @@ class TestStartup:
             "codes = [main(['roots', *spec[:4]]), main(['stats', *spec]),\n"
             "         main(['wigner', *spec, '--nx', '3', '--ny', '2']),\n"
             "         main(['sweep', *spec[2:], '--quantity', 'mandel-q', '--r-max', '1'])]\n"
-            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "loaded += sorted({'fractions', 'decimal', '_decimal'} & set(sys.modules))\n"
             "codes += [main(['validate', *spec]), main(['fock', *spec, '--max-m', '4'])]\n"
-            "print(scipy, codes)\n"
+            "print(loaded, codes)\n"
         )
         src = str(Path(multihead.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -475,6 +478,14 @@ class TestStartup:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert int(done.stdout.splitlines()[-1]) < 100
+
+    def test_wigner_hands_its_freed_heap_back(self, capsys, monkeypatch):
+        cli._return_free_heap()  # callable on every platform
+        calls = []
+        monkeypatch.setattr(cli, "_return_free_heap", lambda: calls.append(True))
+        code, out = run(capsys, "wigner", "--alpha", "1+1i", "--heads", "2", "--family",
+                        "coherent", "--nx", "3", "--ny", "2")
+        assert (code, calls, out.count("\n")) == (0, [True], 7)
 
 
 REUSE_SEQUENCE = (

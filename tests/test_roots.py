@@ -13,6 +13,7 @@ from multihead import (
     nth_roots,
     root_sum,
 )
+from multihead.cli import main
 from multihead.roots import HEADS_MAX, check_head_count, head_occupation
 
 
@@ -73,6 +74,24 @@ class TestNthRoots:
     def test_zero_amplitude(self):
         roots = nth_roots(PolarAmplitude(0.0), 4)
         assert all(z == 0 for z in roots)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_zero_amplitude_roots_are_unsigned_zeros(self, n):
+        # 0 * e^(i phi) would carry the signs of cos phi and sin phi.
+        roots = nth_roots(PolarAmplitude(0.0), n)
+        assert [(math.copysign(1.0, z.real), math.copysign(1.0, z.imag)) for z in roots] == [
+            (1.0, 1.0)
+        ] * n
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_cli_prints_no_negative_zero_at_alpha_zero(self, capsys, fmt):
+        assert main(["roots", "--alpha", "0", "--heads", "3", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "text":
+            assert out == "+0+0i\n" * 3
+        else:
+            assert "-0" not in out
+            assert out.count('"re": 0,') == 4
 
     def test_invalid_head_count(self):
         with pytest.raises(InvalidInputError):

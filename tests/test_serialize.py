@@ -1,10 +1,11 @@
 """Amplitude parsing and the deterministic emitters.
 
 The ``reference_*`` functions are the per-value emitters the package used
-before arrays were formatted in one pass: ``reference_render_json`` is the
+before arrays were formatted in numpy: ``reference_render_json`` is the
 list path of ``render_json`` and the three ``reference_*`` CLI emitters are
 the row loops of ``multihead wigner``, ``sweep`` and ``fock``.  The CLI's
-output must equal theirs byte for byte.
+output must equal theirs byte for byte, and ``serialize._float_texts`` must
+equal ``'%.17g' % v`` on every double.
 """
 
 import math
@@ -15,10 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from multihead import __version__, closed_form, sweeps
+from multihead import __version__, closed_form, serialize, sweeps
 from multihead.cli import main
 from multihead.errors import InvalidInputError
-from multihead.serialize import fmt, parse_amplitude, render_json, spec_to_jsonable
+from multihead.serialize import (
+    GridRows,
+    fmt,
+    parse_amplitude,
+    render_csv,
+    render_grid_csv,
+    render_json,
+    spec_to_jsonable,
+)
 from multihead.states import Family, StateSpec
 
 
@@ -274,3 +283,191 @@ def test_fock_output_equals_the_row_loop(capsys, family, fmt_name):
     out = cli_output(capsys, "fock", "--alpha", "3@0.4", "--heads", "3", "--family", family,
                      "--max-m", "12", "--format", fmt_name)
     assert out == reference_fock("3@0.4", 3, family, 12, fmt_name)
+
+
+def assert_texts_exact(values):
+    """_float_texts(values) is '%.17g' % v of every value, compared a chunk at a time."""
+    values = np.asarray(values, dtype=float)
+    for start in range(0, values.size, 100_000):
+        chunk = values[start : start + 100_000]
+        got = serialize._float_texts(chunk)
+        want = [reference_fmt(v) for v in chunk.tolist()]
+        bad = [(w, g) for g, w in zip(got, want) if g != w]
+        assert not bad, bad[:5]  # (expected, got)
+
+
+def with_negatives(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+def multiples_of_powers_of_two(mantissa):
+    """mantissa * 2^k for every k where the product is a finite double (subnormals rounded)."""
+    return [math.ldexp(mantissa, k) for k in range(-1074, 1025 - mantissa.bit_length())]
+
+
+def neighbours(x, steps=2):
+    """x and the doubles up to `steps` ulps either side of it."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(steps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def seventeen_digit_ties():
+    """Doubles v = t 2^(e-17) with v 10^(16-e) = D + 1/2 for a 17-digit integer D."""
+    out = []
+    for e in range(-8, 15):
+        five = 5 ** (16 - e)
+        lo, hi = -(-2 * 10**16 // five), min(2**53, 2 * 10**17 // five)
+        for t in np.linspace(lo, hi - 1, 40).astype(np.int64).tolist():
+            t |= 1
+            if lo <= t < hi:
+                out.append(math.ldexp(t, e - 17))
+                assert (t * five) % 2 == 1  # D + 1/2 exactly
+    return out
+
+
+def near_ties():
+    """Doubles v = m 2^(-j-q) with v 10^q = m 5^q / 2^j within 5 * 2^-j (j >= 48) of D + 1/2.
+
+    They sit within the product's error bound of a tie without being one.
+    """
+    out = []
+    for q in range(16, 29):
+        five = 5**q
+        for j in range(48, 64):
+            inverse = pow(five, -1, 2**j)
+            for delta in (-5, -3, -1, 1, 3, 5):
+                m = (2 ** (j - 1) + delta) * inverse % 2**j
+                while m < 2**53:
+                    if 10**16 * 2**j <= m * five < 10**17 * 2**j:
+                        out.append(math.ldexp(m, -j - q))
+                    m += 2**j
+    return out
+
+
+class TestFloatTexts:
+    """serialize._float_texts against CPython's '%.17g', value by value."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261018)
+        assert_texts_exact(rng.integers(0, 2**64, 1_000_000, dtype=np.uint64).view(np.float64))
+
+    def test_random_doubles_in_the_fast_range(self):
+        # Biased exponents 193..1853: |v| from about 1e-250 to 1e250.
+        rng = np.random.default_rng(17)
+        n = 500_000
+        bits = (
+            (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+            | (rng.integers(193, 1854, n, dtype=np.uint64) << np.uint64(52))
+            | rng.integers(0, 2**52, n, dtype=np.uint64)
+        )
+        assert_texts_exact(bits.view(np.float64))
+
+    @pytest.mark.parametrize("mantissa", [1, 2**53 - 1, 3, 5, 7, 25, 125, 625, 3125, 78125])
+    def test_multiples_of_powers_of_two(self, mantissa):
+        assert_texts_exact(with_negatives(multiples_of_powers_of_two(mantissa)))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = [y for k in range(-300, 300) for y in neighbours(float(f"1e{k}"))]
+        assert_texts_exact(with_negatives(values))
+
+    def test_seventeen_digit_ties_and_near_ties(self):
+        ties, close = seventeen_digit_ties(), near_ties()
+        assert len(ties) > 300 and len(close) > 300
+        assert_texts_exact(with_negatives([y for t in ties for y in neighbours(t, 1)] + close))
+
+    def test_carries_into_the_next_digit_and_exponent(self):
+        # 1.99999999999999997 rounds to "2"; 9.99999999999999997e15 to 1e16.
+        values = [
+            y
+            for lead in range(1, 10)
+            for k in range(-30, 30)
+            for tail in ("949", "95", "951", "97", "99")
+            for y in neighbours(float(f"{lead}.999999999999999{tail}e{k}"), 1)
+        ]
+        assert_texts_exact(with_negatives(values))
+
+    def test_fixed_and_exponent_switch_points(self):
+        values = [y for x in (1e-5, 1e-4, 1e16, 1e17) for y in neighbours(x, 3)]
+        assert_texts_exact(with_negatives(values))
+
+    def test_special_values(self):
+        rng = np.random.default_rng(5)
+        subnormals = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+        values = [0.0, math.inf, math.nan, 5e-324, 2.225073858507201e-308,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 1e-250, 1e250]
+        assert_texts_exact(with_negatives(np.concatenate([values, subnormals])))
+
+    def test_blocks_join_in_order(self):
+        values = np.arange(7 * 7100) * 0.1  # three blocks and a part
+        assert serialize._float_texts(values.reshape(7, -1)) == [reference_fmt(v) for v in values]
+        assert serialize._float_texts(np.empty(0)) == []
+
+
+@pytest.mark.parametrize("shape", [(20_000,), (3000, 7), (2, 10_000), (40, 30, 20)])
+def test_arrays_of_several_blocks_render_as_their_lists(shape):
+    rng = np.random.default_rng(len(shape))
+    arr = rng.standard_normal(shape) * np.exp(rng.uniform(-50.0, 50.0, shape))
+    for indent in (0, 1):
+        assert render_json(arr, indent) == reference_render_json(arr.tolist(), indent)
+
+
+def test_csv_of_several_blocks_reads_as_its_rows():
+    n = 2 * serialize._BLOCK + 3
+    index, values = np.arange(n), np.random.default_rng(9).standard_normal(n)
+    want = "i,v\n" + "".join(f"{i},{reference_fmt(v)}\n" for i, v in enumerate(values.tolist()))
+    assert render_csv("i,v", index, values) == want
+    assert render_csv("i,v", index[:0], values[:0]) == "i,v\n"
+
+
+def test_special_values_in_csv_columns():
+    values = np.array(SPECIAL)
+    text = render_csv("i,v,w", np.arange(values.size), values, values[::-1])
+    rows = zip(range(values.size), values.tolist(), values[::-1].tolist())
+    assert text == "i,v,w\n" + "".join(
+        f"{i},{reference_fmt(v)},{reference_fmt(w)}\n" for i, v, w in rows
+    )
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 3), (120, 150), (17_000, 2)])
+def test_special_values_in_grid_rows(nx, ny):
+    # 120 x 150 spans two blocks of whole rows; one 17000-value row spans two blocks.
+    rng = np.random.default_rng(nx)
+    values = rng.standard_normal((ny, nx)) * np.exp(rng.uniform(-700.0, 700.0, (ny, nx)))
+    values.flat[rng.choice(values.size, len(SPECIAL), replace=False)] = SPECIAL
+    if nx == 3:
+        xs, ys = np.array(SPECIAL[:3]), np.array(SPECIAL[-3:])
+    else:
+        xs, ys = np.linspace(-4.0, 4.0, nx), np.linspace(-1.0, 7.0, ny)
+    grid = GridRows(xs, ys, values)
+    rows = [[x, y, values[iy, ix]] for iy, y in enumerate(ys.tolist())
+            for ix, x in enumerate(xs.tolist())]
+    csv_want = "x,y,w\n" + "".join(f"{reference_fmt(x)},{reference_fmt(y)},{reference_fmt(w)}\n"
+                                   for x, y, w in rows)
+    assert render_grid_csv("x,y,w", grid) == csv_want
+    rows = [[x, y, float(w)] for x, y, w in rows]
+    for indent in (0, 2):
+        assert render_json(grid, indent) == reference_render_json(rows, indent)
+
+
+def test_default_grid_sends_almost_nothing_down_the_exact_path(capsys, monkeypatch):
+    sent = []
+    exact_texts = serialize._exact_texts
+
+    def counting(values):
+        sent.append(values.size)
+        return exact_texts(values)
+
+    monkeypatch.setattr(serialize, "_exact_texts", counting)
+    render_json(np.array(SPECIAL))
+    assert sum(sent) >= 5  # the patched helper is the one the emitters call
+    sent.clear()
+    for fmt_name in ("csv", "json"):
+        cli_output(capsys, "wigner", "--alpha", "3@0.4", "--heads", "2", "--family", "coherent",
+                   "--format", fmt_name)
+    assert sum(sent) <= 4  # of 2 x 40401 values
