@@ -16,12 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, closed_form, compare, sweeps
-from .errors import (
-    CapacityError,
-    InvalidInputError,
-    MultiheadError,
-    UndefinedStatisticError,
-)
+from .errors import CapacityError, InvalidInputError, MultiheadError, UndefinedStatisticError
 from .roots import nth_roots, root_sum
 from .serialize import (
     GridRows,
@@ -70,17 +65,11 @@ def _add_spec_args(parser, with_family=True):
     parser.add_argument("--alpha", required=True, help="amplitude, 'a+bi' or 'r@theta'")
     parser.add_argument("--heads", required=True, type=int, help="head count N >= 1")
     if with_family:
-        parser.add_argument(
-            "--family", required=True, help="'incoherent' or 'coherent'"
-        )
+        parser.add_argument("--family", required=True, help="'incoherent' or 'coherent'")
 
 
 def _spec_from_args(args) -> StateSpec:
-    return StateSpec(
-        alpha=parse_amplitude(args.alpha),
-        n_heads=args.heads,
-        family=Family.parse(args.family),
-    )
+    return StateSpec(parse_amplitude(args.alpha), args.heads, Family.parse(args.family))
 
 
 def _emit(text: str, out_path):
@@ -179,16 +168,10 @@ _DEFAULT_THRESHOLDS = {
 
 def cmd_sweep(args) -> int:
     quantity = Quantity.parse(args.quantity)
-    template = SweepTemplate(
-        theta_p=args.theta, n_heads=args.heads, family=Family.parse(args.family)
-    )
+    template = SweepTemplate(args.theta, args.heads, Family.parse(args.family))
     result = sweeps.sweep(template, quantity, args.r_min, args.r_max, args.step)
-    threshold = args.threshold
-    if threshold is None:
-        threshold = _DEFAULT_THRESHOLDS.get(quantity)
-    crossings = (
-        sweeps.find_crossings(result, threshold) if threshold is not None else []
-    )
+    threshold = _DEFAULT_THRESHOLDS.get(quantity) if args.threshold is None else args.threshold
+    crossings = [] if threshold is None else sweeps.find_crossings(result, threshold)
     if args.format == "csv":
         _emit(render_csv("r,value", *result.samples.T), args.out)
     else:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,9 +41,9 @@ _WIGNER_BLOCK = 1 << 17
 
 
 def _require_real(value, what: str):
-    imag = np.max(np.abs(np.imag(value)))
-    # Written so that a NaN residue fails the test too.
-    if not imag <= RESIDUE_TOL * max(1.0, float(np.max(np.abs(value)))):
+    imag = np.max(np.abs(np.imag(value)), initial=0.0)
+    # Written so that a NaN residue fails the test too; an empty value has none.
+    if not imag <= RESIDUE_TOL * max(1.0, float(np.max(np.abs(value), initial=0.0))):
         raise InternalConsistencyError(f"{what}: imaginary residue {imag:.3e} exceeds tolerance")
     return np.real(value)
 
@@ -66,10 +67,20 @@ def _head_sums(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
 
     This is N times the inverse DFT of the overlaps; ``mu`` broadcasts.  Terms
     j and N - j are complex conjugates, so every S_l is real; the imaginary
-    residue is checked here, where it arises.
+    residue is checked here, where it arises.  A float mu's sums (np.float64
+    is one) are formed once per (mu, N, turn) and shared read-only.
     """
+    if isinstance(mu, float):
+        return _kept_head_sums(mu, n_heads, turn)
     sums = n_heads * np.fft.ifft(np.exp(_log_overlaps(mu, n_heads, turn)), axis=-1)
     return _require_real(sums, "head sum")
+
+
+@lru_cache(maxsize=16)
+def _kept_head_sums(mu: float, n_heads: int, turn: float) -> np.ndarray:
+    sums = _head_sums(np.asarray(mu), n_heads, turn)  # a 0-d array: not kept
+    sums.flags.writeable = False
+    return sums
 
 
 def normalization(alpha: PolarAmplitude, n_heads: int) -> float:
@@ -112,6 +123,10 @@ def moment(spec: StateSpec, h: int, l: int) -> complex:
     return complex(_moment(spec, spec.alpha.r, h, l))
 
 
+# The (h, l) orders of the MomentTable fields, in field order.
+_MOMENT_ORDERS = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 2))
+
+
 @dataclass(frozen=True)
 class MomentTable:
     """The six low-order moments used by every derived statistic."""
@@ -125,14 +140,7 @@ class MomentTable:
 
 
 def moment_table(spec: StateSpec) -> MomentTable:
-    return MomentTable(
-        a_dag=moment(spec, 1, 0),
-        a=moment(spec, 0, 1),
-        n_mean=moment(spec, 1, 1),
-        a_dag2=moment(spec, 2, 0),
-        a2=moment(spec, 0, 2),
-        a_dag2_a2=moment(spec, 2, 2),
-    )
+    return MomentTable(*(moment(spec, h, l) for h, l in _MOMENT_ORDERS))
 
 
 # Statistic formulas over an array of moduli r; angle, N and family come from spec.

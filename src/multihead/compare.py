@@ -23,8 +23,6 @@ TOL_DEFAULT = 1e-8
 # Tail mass this small keeps truncation cross terms well under TOL_DEFAULT.
 _CUTOFF_EPS = 1e-20
 
-_MOMENT_ORDERS = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 2))
-
 # Fock block 0..20, PND 0..40, and Wigner values on a 21 x 21 grid over [-3, 3]^2.
 _FOCK_MAX = 20
 _PND_MAX = 40
@@ -52,7 +50,7 @@ def validate_spec(spec: StateSpec, tol: float = TOL_DEFAULT) -> ValidationReport
     state = fockspace.build_state(spec, cutoff=cutoff)
     report = ValidationReport(spec=spec, tol=tol)
 
-    for h, l in _MOMENT_ORDERS:
+    for h, l in closed_form._MOMENT_ORDERS:
         report.diffs[f"moment({h},{l})"] = moment_error(spec, state, h, l)
 
     rho = fockspace.density_matrix(state, _PND_MAX + 1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,13 @@ class FockVector:
     tail_bound: float
     norm_sq: float = 1.0  # squared norm the amplitudes were divided by, if any
 
+    @cached_property
+    def _populations(self) -> np.ndarray:
+        """Level occupations rho_kk, the mean of the rows' |c_k|^2: formed once, read-only."""
+        populations = np.mean(np.abs(_rows(self)) ** 2, axis=0)
+        populations.flags.writeable = False
+        return populations
+
 
 def choose_cutoff(alpha: PolarAmplitude, n_heads: int, eps: float = EPS_DEFAULT) -> int:
     """Cutoff large enough that the Poisson tail of the head occupation is < eps.
@@ -55,12 +63,15 @@ def choose_cutoff(alpha: PolarAmplitude, n_heads: int, eps: float = EPS_DEFAULT)
         raise TruncationError(f"eps must lie in (0, 1), got {eps}")
     mean = head_occupation(alpha.r, n_heads)
     d = max(1, int(math.ceil(mean)))
-    while pdtrc(d - 1, mean) >= eps:
-        d += 1
-        if d > CUTOFF_MAX:
-            raise CapacityError(
-                f"cutoff for mean occupation {mean:.3g} exceeds {CUTOFF_MAX}"
-            )
+    # Bernstein's Poisson tail bound, P(X >= mean + sqrt(2 mean L) + L/3) <= e^(-L) with
+    # L = -ln(eps), ends the candidate levels; one pdtrc call takes them all.
+    log_eps = -math.log(eps)
+    last = min(mean + math.sqrt(2.0 * mean * log_eps) + log_eps / 3.0 + 3.0, CUTOFF_MAX)
+    levels = np.arange(d, max(d, int(last)) + 1, dtype=float)
+    fits = pdtrc(levels - 1.0, mean) < eps
+    if not np.any(fits):
+        raise CapacityError(f"cutoff for mean occupation {mean:.3g} exceeds {CUTOFF_MAX}")
+    d = int(levels[np.argmax(fits)])
     d = ((d + n_heads - 1) // n_heads) * n_heads + 4 * n_heads
     d = max(d, CUTOFF_MIN)
     if d > CUTOFF_MAX:
@@ -132,11 +143,6 @@ def density_matrix(state: FockVector, levels: int) -> np.ndarray:
     return rho
 
 
-def _populations(state: FockVector) -> np.ndarray:
-    """Level occupations rho_kk, the mean of the rows' |c_k|^2."""
-    return np.mean(np.abs(_rows(state)) ** 2, axis=0)
-
-
 def _lowering_factors(k: np.ndarray, power: int) -> np.ndarray:
     """sqrt((k+power)!/k!): a^power takes |k+power> to this factor times |k>."""
     return np.sqrt(np.prod([k + j for j in range(1, power + 1)], axis=0, dtype=float))
@@ -154,7 +160,7 @@ def oracle_moment(state, h: int, l: int) -> complex:
     """<a^dag^h a^l> in the truncated basis, as the offset-diagonal sum
     sum_k sqrt((k+h)!/k!) sqrt((k+l)!/k!) rho_(k+l,k+h); no operator matrix is formed.
     """
-    _check_top_occupation(_populations(state), h + l)
+    _check_top_occupation(state._populations, h + l)
     rows, k = _rows(state), np.arange(state.cutoff - max(h, l))
     entries = np.mean(rows[:, k + l] * rows[:, k + h].conj(), axis=0)
     return complex(np.sum(_lowering_factors(k, h) * _lowering_factors(k, l) * entries))
@@ -164,7 +170,7 @@ def apply_annihilation_power(state: FockVector, n_heads: int) -> FockVector:
     """a^N applied to a pure state; result is unnormalized."""
     if n_heads >= state.cutoff:
         raise CutoffInsufficientError("cutoff smaller than the operator power")
-    _check_top_occupation(_populations(state), n_heads)
+    _check_top_occupation(state._populations, n_heads)
     k = np.arange(state.cutoff - n_heads)
     amp = np.zeros_like(state.amplitudes)
     amp[k] = _lowering_factors(k, n_heads) * state.amplitudes[k + n_heads]
@@ -188,27 +194,33 @@ def _displacement_points(betas) -> np.ndarray:
 
 
 def _displacement_diagonals(radii: np.ndarray, cutoff: int):
-    """Yield f_p^(d) for p = 0..cutoff-1, shaped (radii, cutoff - p) over d.
+    """Yield f_p^(d) for p = 0..cutoff-1, shaped (cutoff - p, radii): d by modulus.
 
     f_p^(d) = sqrt(p!/(p+d)!) x^(d/2) e^(-x/2) L_p^(d)(x) with x = radius^2
     depends on a displacement alpha only through radius = |alpha|:
     <p+d|D(alpha)|p> = f e^(i d arg alpha) and <p|D(alpha)|p+d> =
     f (-e^(-i arg alpha))^d.  It is advanced in p by the normalised
     associated-Laguerre three-term recurrence (Johansson, Nation & Nori,
-    Comput. Phys. Commun. 184, 1234 (2013)), for every radius at once.
+    Comput. Phys. Commun. 184, 1234 (2013)), for every radius at once, in
+    three rotating buffers: a yielded array is overwritten two steps later.
     """
     from scipy.special import gammaln, xlogy
 
-    x = radii[:, None] ** 2
-    d = np.arange(cutoff)
+    x = radii**2
+    d = np.arange(cutoff, dtype=float)[:, None]
     f = np.exp(xlogy(d / 2.0, x) - x / 2.0 - 0.5 * gammaln(d + 1))
-    prev = np.zeros_like(f)
+    shifted = np.arange(2 * cutoff, dtype=float)[:, None] - x  # row k holds k - x
+    prev, new, scale = np.zeros_like(f), np.empty_like(f), np.zeros((cutoff, 1))
     for p in range(cutoff):
-        yield f
-        d = d[:-1]
-        f, prev = (
-            (2 * p + 1 + d - x) * f[:, :-1] - np.sqrt(p * (p + d)) * prev[:, :-1]
-        ) / np.sqrt((p + 1) * (p + 1 + d)), f[:, :-1]
+        yield f[: cutoff - p]
+        n, d = cutoff - p - 1, d[:-1]
+        step, older = new[:n], prev[:n]
+        np.multiply(shifted[2 * p + 1 : 2 * p + 1 + n], f[:n], out=step)
+        older *= scale[:n]  # sqrt(p (p + d)), the last step's divisor
+        step -= older
+        scale = np.sqrt((p + 1) * (p + 1 + d))
+        step /= scale
+        f, prev, new = new, f, prev
 
 
 def displaced_parity_kernel(beta: complex, cutoff: int) -> np.ndarray:
@@ -221,7 +233,7 @@ def displaced_parity_kernel(beta: complex, cutoff: int) -> np.ndarray:
     phases = np.exp(1j * np.angle(alpha[0]) * np.arange(cutoff))
     kernel = np.empty((cutoff, cutoff), dtype=complex)
     for p, f in enumerate(_displacement_diagonals(np.abs(alpha), cutoff)):
-        column = (-1) ** p * f[0] * phases[: cutoff - p]
+        column = (-1) ** p * f[:, 0] * phases[: cutoff - p]
         kernel[p:, p] = column
         kernel[p, p:] = column.conj()
     return kernel
@@ -239,22 +251,27 @@ def oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
     with w_0 = 1 and w_d = 2, since the d < 0 half of the trace is the
     complex conjugate of the d > 0 half.  f_p^(d) depends on a point only
     through |2b|, so one pass over photon number p sums the p-loop once per
-    distinct modulus; each point then takes its row and its phase.
+    distinct modulus, into a level x modulus array.  The phases are formed
+    once per distinct angle (0.0 and -0.0 give the same bits); each point then
+    takes its row and its phase.
     """
     alpha = _displacement_points(betas)
-    radii, inverse = np.unique(np.abs(alpha), return_inverse=True)
+    radii, at_radius = np.unique(np.abs(alpha), return_inverse=True)
+    angles, at_angle = np.unique(np.angle(alpha), return_inverse=True)
     cutoff, rho = state.cutoff, density_matrix(state, state.cutoff)
-    acc = np.zeros((radii.size, cutoff), dtype=complex)
+    acc = np.zeros((cutoff, radii.size), dtype=complex)
+    term = np.empty_like(acc)
     for p, f in enumerate(_displacement_diagonals(radii, cutoff)):
-        acc[:, : cutoff - p] += f * ((-1) ** p * rho[p, p:])
-    acc = acc[inverse]
+        np.multiply(f, ((-1) ** p * rho[p, p:])[:, None], out=term[: cutoff - p])
+        acc[: cutoff - p] += term[: cutoff - p]
     d = np.arange(cutoff)
-    acc *= np.exp(1j * np.multiply.outer(np.angle(alpha), d))
+    acc = acc.T[at_radius]
+    acc *= np.exp(1j * np.multiply.outer(angles, d))[at_angle]
     values = np.sum(np.real(acc) * np.where(d == 0, 1.0, 2.0), axis=1)
     return (2.0 / math.pi * values).reshape(np.shape(betas))
 
 
 def oracle_parity(state) -> float:
     """Photon-number parity sum_p (-1)^p rho_pp, read off the diagonal."""
-    populations = _populations(state)
+    populations = state._populations
     return float(np.sum(populations[::2]) - np.sum(populations[1::2]))

@@ -49,11 +49,8 @@ def parse_amplitude(text: str) -> PolarAmplitude:
 
 
 def _imag_coeff(token: str) -> float:
-    if token in ("", "+"):
-        return 1.0
-    if token == "-":
-        return -1.0
-    return float(token)
+    """The coefficient of i: a bare sign, or none, stands for 1."""
+    return float(token + "1") if token in ("", "+", "-") else float(token)
 
 
 _FLOAT_SLOT = "%.17g"

@@ -6,9 +6,11 @@ import pytest
 from multihead import (
     CapacityError,
     Family,
+    InternalConsistencyError,
     PolarAmplitude,
     StateSpec,
     UndefinedStatisticError,
+    build_state,
     mandel_q,
     mean_photon,
     moment,
@@ -25,7 +27,9 @@ from multihead.closed_form import (
     _log_overlaps,
     _require_real,
 )
+from multihead.fockspace import oracle_wigner_grid
 from multihead.roots import nth_roots, root_modulus
+from multihead.sweeps import Quantity, SweepTemplate, evaluate
 from test_acceptance import wigner_two_head_coherent
 
 ALPHA = PolarAmplitude.from_cartesian(1.0, 1.0)
@@ -376,3 +380,29 @@ class TestFactoredCatWigner:
         # |beta|^2 overflows there; no warning escapes and no NaN comes back.
         s = StateSpec(PolarAmplitude.from_cartesian(1.0, 1.0), 3, family)
         assert wigner(s, np.array([beta, 0.0]))[0] == 0.0
+
+
+class TestEmptyInput:
+    """An empty point or modulus array gives an empty result for both families."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_wigner(self, family):
+        out = wigner(spec(3, family), np.empty(0, dtype=complex))
+        assert out.shape == (0,) and out.dtype == float
+
+    @pytest.mark.parametrize("quantity", list(Quantity))
+    @pytest.mark.parametrize("family", list(Family))
+    def test_evaluate(self, family, quantity):
+        template = SweepTemplate(theta_p=0.4, n_heads=3, family=family)
+        assert evaluate(template, quantity, np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_oracle_wigner_grid(self, family):
+        state = build_state(spec(3, family), cutoff=48)
+        assert oracle_wigner_grid(state, np.empty(0, dtype=complex)).shape == (0,)
+        assert oracle_wigner_grid(state, np.empty((0, 4), dtype=complex)).shape == (0, 4)
+
+    def test_a_nan_residue_still_fails(self):
+        with pytest.raises(InternalConsistencyError):
+            _require_real(np.array([1.0, complex(1.0, math.nan)]), "value")
+        assert _require_real(np.empty(0, dtype=complex), "value").shape == (0,)

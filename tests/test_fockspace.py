@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import pdtrc
 from scipy.stats import poisson
 
 import multihead
@@ -28,6 +29,7 @@ from multihead import (
     wigner,
 )
 from multihead.compare import TOL_DEFAULT, eigenstate_residual, moment_error
+from multihead.roots import head_occupation
 from multihead.fockspace import (
     CUTOFF_MAX,
     CUTOFF_MIN,
@@ -46,6 +48,23 @@ def reference_choose_cutoff(alpha, n_heads, eps):
     mean = alpha.r ** (2.0 / n_heads) if alpha.r > 0.0 else 0.0
     d = max(1, int(math.ceil(mean)))
     while poisson.sf(d - 1, mean) >= eps:
+        d += 1
+        if d > CUTOFF_MAX:
+            raise CapacityError(f"cutoff for mean occupation {mean:.3g} exceeds {CUTOFF_MAX}")
+    d = ((d + n_heads - 1) // n_heads) * n_heads + 4 * n_heads
+    d = max(d, CUTOFF_MIN)
+    if d > CUTOFF_MAX:
+        raise CapacityError(f"required cutoff {d} exceeds {CUTOFF_MAX}")
+    return d
+
+
+def scan_choose_cutoff(alpha, n_heads, eps):
+    """choose_cutoff as a scan with one scalar pdtrc call per level."""
+    if not (0.0 < eps < 1.0):
+        raise TruncationError(f"eps must lie in (0, 1), got {eps}")
+    mean = head_occupation(alpha.r, n_heads)
+    d = max(1, int(math.ceil(mean)))
+    while pdtrc(d - 1, mean) >= eps:
         d += 1
         if d > CUTOFF_MAX:
             raise CapacityError(f"cutoff for mean occupation {mean:.3g} exceeds {CUTOFF_MAX}")
@@ -96,6 +115,25 @@ class TestChooseCutoff:
             assert got == cutoff_or_error(reference_choose_cutoff, alpha, n, eps), (n, r, eps)
             errors += isinstance(got, str)
         assert errors >= 3
+
+    def test_equals_the_scalar_scan(self):
+        # Means from 0 to past the cap, both sides of every integer level
+        # that ends a scan, and a mean so large that only its first level is tried.
+        means = np.concatenate([
+            np.linspace(0.0, 4300.0, 173),
+            [1e-300, 0.5, 1.0, 1.0 + 2e-16, 7.0 - 1e-12, 7.0, 60.0, 3900.5, 4096.0, 4097.0, 1e300],
+        ])
+        outcomes = set()
+        for mean in means.tolist():
+            for n in (1, 3) if mean < 1e200 else (1,):
+                alpha = PolarAmplitude(mean ** (n / 2.0))
+                for eps in (1e-300, 1e-20, 1e-12, 0.5, 0.9):
+                    got = cutoff_or_error(choose_cutoff, alpha, n, eps)
+                    want = cutoff_or_error(scan_choose_cutoff, alpha, n, eps)
+                    assert got == want, (mean, n, eps)
+                    outcomes.add(got.split()[0] if isinstance(got, str) else "fits")
+        # Both refusals occur: no level fits, and the level that fits is past the cap.
+        assert outcomes == {"fits", "cutoff", "required"}
 
 
 class TestBuildCoherent:

@@ -173,12 +173,25 @@ def test_points_past_the_domain_limit_raise():
 
 
 RING = 1.7 * np.exp(2j * math.pi * np.arange(16) / 16)
+# The ring at three radii: scaling by a power of two keeps every angle's bits,
+# so 48 points share 16 phases.
+RINGS = np.concatenate([scale * RING for scale in (0.5, 1.0, 2.0)])
 SIGNED_ZEROS = np.array(
     [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e-3, -1e-3j, -1e-3]
 )
+# The largest state validate-oracle builds: the two-head cat at r = 60.
+LARGEST_ORACLE_SPEC = StateSpec(PolarAmplitude(60.0, 0.7), 2, Family.COHERENT)
 
 
-@pytest.mark.parametrize("points", [_WIGNER_POINTS, RING, SIGNED_ZEROS], ids=["validate", "ring", "zeros"])
+def test_the_added_point_set_and_state():
+    alpha = _displacement_points(RINGS)
+    assert (alpha.size, np.unique(np.angle(alpha)).size) == (48, 16)
+    assert oracle_state(LARGEST_ORACLE_SPEC).cutoff == 154
+
+
+@pytest.mark.parametrize(
+    "points", [_WIGNER_POINTS, RING, RINGS, SIGNED_ZEROS], ids=["validate", "ring", "rings", "zeros"]
+)
 @pytest.mark.parametrize(
     "spec",
     [
@@ -187,6 +200,7 @@ SIGNED_ZEROS = np.array(
         StateSpec(PolarAmplitude(10.0, 3.0), 3, Family.COHERENT),
         StateSpec(PolarAmplitude(3.0), 1, Family.INCOHERENT),
         StateSpec(PolarAmplitude(60.0, 0.7), 4, Family.INCOHERENT),
+        LARGEST_ORACLE_SPEC,
     ],
     ids=lambda spec: f"{spec.family.value}-{spec.n_heads}-{spec.alpha.r:g}",
 )
@@ -194,7 +208,8 @@ def test_grid_equals_the_per_point_reference(spec, points):
     # Pure (coherent) and stacked (incoherent) states; the values must keep every bit.
     state = oracle_state(spec)
     assert state.amplitudes.ndim == (1 if spec.is_coherent else 2)
-    assert np.array_equal(oracle_wigner_grid(state, points), reference_oracle_wigner_grid(state, points))
+    got, want = oracle_wigner_grid(state, points), reference_oracle_wigner_grid(state, points)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()  # the signs of zeros too
 
 
 def test_recurrence_runs_once_per_distinct_modulus(monkeypatch):

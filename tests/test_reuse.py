@@ -1,0 +1,114 @@
+"""Work formed once per state: the head sums of a scalar mu and a state's populations.
+
+``closed_form`` keeps the head sums of each scalar (mu, N, turn) in a small
+cache, and a ``FockVector`` keeps its level populations.  Every quantity that
+reads them must return the same bits whether an earlier call formed them or
+not, in any call order, and the shared arrays must be read-only.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from multihead import (
+    Family,
+    PolarAmplitude,
+    StateSpec,
+    build_state,
+    fock_element,
+    moment,
+    normalization,
+    oracle_moment,
+    oracle_parity,
+    parity,
+    validate_spec,
+    wigner,
+)
+from multihead.closed_form import _head_sums, _kept_head_sums
+
+POINTS = np.array([0.0, 0.4 - 1.1j, 1.5 + 0.2j, -2.0 + 0.7j])
+INDEX = np.arange(13)
+SPECS = [
+    StateSpec(PolarAmplitude(2.5, 0.7), 3, Family.COHERENT),
+    StateSpec(PolarAmplitude(10.0, 3.0), 2, Family.COHERENT),
+    StateSpec(PolarAmplitude(0.05, 1.1), 6, Family.COHERENT),
+    StateSpec(PolarAmplitude(3.0, 0.4), 4, Family.INCOHERENT),
+]
+
+
+def calls(spec, state):
+    """Each quantity that reads head sums or populations, as a no-argument call."""
+    return {
+        "moment": lambda: [moment(spec, h, l) for h, l in ((1, 1), (0, 3), (3, 0), (2, 2), (0, 6))],
+        "normalization": lambda: normalization(spec.alpha, spec.n_heads),
+        "parity": lambda: parity(spec),
+        "fock_element": lambda: fock_element(spec, INDEX[:, None], INDEX),
+        "wigner": lambda: wigner(spec, POINTS),
+        "oracle_moment": lambda: [oracle_moment(state, h, l) for h, l in ((1, 1), (0, 2), (2, 2))],
+        "oracle_parity": lambda: oracle_parity(state),
+    }
+
+
+def fresh(spec):
+    """A state with no populations formed, after forgetting every kept head sum."""
+    _kept_head_sums.cache_clear()
+    return build_state(spec, cutoff=64)
+
+
+def bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.family.value}-{s.n_heads}-{s.alpha.r:g}")
+def test_same_bits_in_any_call_order(spec):
+    names = list(calls(spec, None))
+    want = {name: bits(calls(spec, fresh(spec))[name]()) for name in names}
+    rng = random.Random(13)
+    orders = [names, names[::-1]] + [rng.sample(names, len(names)) for _ in range(24)]
+    for order in orders:
+        quantities = calls(spec, fresh(spec))
+        for name in order + order:  # the second pass reads only what the first kept
+            assert bits(quantities[name]()) == want[name], (order, name)
+
+
+def test_kept_head_sums_are_read_only():
+    _kept_head_sums.cache_clear()
+    sums = _head_sums(1.7, 3)
+    assert not sums.flags.writeable
+    with pytest.raises(ValueError):
+        sums[0] = 0.0
+    # An np.float64 mu is a float too and finds the same entry; turn is part of the key.
+    assert _head_sums(np.float64(1.7), 3) is sums
+    assert _head_sums(1.7, 3, turn=-1.0) is not sums
+    assert _kept_head_sums.cache_info().currsize == 2
+
+
+def test_arrays_of_mu_are_not_kept():
+    _kept_head_sums.cache_clear()
+    mu = np.array([0.3, 1.7, 9.0])
+    sums = _head_sums(mu, 3)
+    assert sums.flags.writeable
+    zero_d = _head_sums(np.asarray(1.7), 3)
+    assert zero_d.flags.writeable
+    assert _kept_head_sums.cache_info().currsize == 0
+    # Kept or not, a mu's sums have the same bits, alone or in an array.
+    assert bits(_head_sums(1.7, 3)) == bits(zero_d) == bits(sums[1])
+
+
+def test_populations_are_formed_once_and_read_only():
+    state = fresh(SPECS[0])
+    populations = state._populations
+    assert state._populations is populations
+    assert not populations.flags.writeable
+    with pytest.raises(ValueError):
+        populations[0] = 0.0
+
+
+@pytest.mark.parametrize("spec, formed", [(SPECS[0], 2), (SPECS[3], 0)])
+def test_validate_forms_each_head_sum_once(spec, formed):
+    # The coherent family's sums at turn 1 and turn -1; the mixture reads none.
+    _kept_head_sums.cache_clear()
+    assert validate_spec(spec).passed
+    info = _kept_head_sums.cache_info()
+    assert (info.misses, info.hits > 0) == (formed, formed > 0)
