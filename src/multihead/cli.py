@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation mismatch, 2 usage error, 3 resource or
-capacity limit.
+capacity limit; an error's code is its type's ``exit_code``.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ def _return_free_heap() -> None:
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
-EXIT_USAGE = 2
-EXIT_CAPACITY = 3
 
 
 def _add_spec_args(parser, with_family=True):
@@ -294,15 +292,9 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (InvalidInputError, UndefinedStatisticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MultiheadError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        return exc.exit_code
 
 
 if __name__ == "__main__":

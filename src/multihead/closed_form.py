@@ -316,13 +316,15 @@ def wigner(spec: StateSpec, beta):
         else:
             # One exp per term: its modulus is exp(-2|beta - (g1 + g2)/2|^2) <= 1,
             # while the overlap and the pair factor alone under- and overflow.
+            # Far out the product overflows and its exp is 0, as in the mixture.
             total = np.zeros(beta.shape, dtype=complex)
-            for k1, g1 in enumerate(heads):
-                for k2, g2 in enumerate(heads):
-                    total += np.exp(
-                        log_overlaps[(k1 - k2) % n_heads]
-                        - 2.0 * (np.conj(g2) - np.conj(beta)) * (g1 - beta)
-                    )
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k1, g1 in enumerate(heads):
+                    for k2, g2 in enumerate(heads):
+                        total += np.exp(
+                            log_overlaps[(k1 - k2) % n_heads]
+                            - 2.0 * (np.conj(g2) - np.conj(beta)) * (g1 - beta)
+                        )
         n_c = normalization(alpha, n_heads)
         out = TWO_OVER_PI * _require_real(total, "Wigner value") / n_c
     if out.ndim == 0:

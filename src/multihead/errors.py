@@ -1,16 +1,22 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules; each type carries its CLI exit code."""
 
 
 class MultiheadError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class InvalidInputError(MultiheadError):
-    """Malformed or out-of-range user input (CLI exit code 2)."""
+    """Malformed or out-of-range user input."""
+
+    exit_code = 2
 
 
 class UndefinedStatisticError(MultiheadError):
     """A statistic is undefined for the given state (e.g. Mandel Q at zero amplitude)."""
+
+    exit_code = 2
 
 
 class InternalConsistencyError(MultiheadError):
@@ -29,4 +35,6 @@ class CutoffInsufficientError(TruncationError):
 
 
 class CapacityError(MultiheadError):
-    """The computation would exceed the configured resource limits (CLI exit code 3)."""
+    """The computation would exceed the configured resource limits."""
+
+    exit_code = 3

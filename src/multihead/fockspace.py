@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +26,8 @@ CUTOFF_MIN = 32
 CUTOFF_MAX = 4096
 # Largest |beta|^2 the Wigner oracle accepts: exp(-2|beta|^2) stays a normal float.
 WIGNER_BETA_SQ_MAX = -0.5 * math.log(np.finfo(float).tiny)
+# Rows of rho the Wigner trace forms at a time: 4 MB at CUTOFF_MAX.
+_RHO_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -41,13 +42,6 @@ class FockVector:
     amplitudes: np.ndarray
     tail_bound: float
     norm_sq: float = 1.0  # squared norm the amplitudes were divided by, if any
-
-    @cached_property
-    def _populations(self) -> np.ndarray:
-        """Level occupations rho_kk, the mean of the rows' |c_k|^2: formed once, read-only."""
-        populations = np.mean(np.abs(_rows(self)) ** 2, axis=0)
-        populations.flags.writeable = False
-        return populations
 
 
 def choose_cutoff(alpha: PolarAmplitude, n_heads: int, eps: float = EPS_DEFAULT) -> int:
@@ -130,17 +124,24 @@ def _rows(state: FockVector) -> np.ndarray:
     return np.atleast_2d(state.amplitudes)
 
 
-def density_matrix(state: FockVector, levels: int) -> np.ndarray:
-    """rho over the first ``levels`` levels: the mean of the rows' |c><c|.
+def _populations(state: FockVector) -> np.ndarray:
+    """Level occupations rho_kk, the mean of the rows' |c_k|^2."""
+    return np.mean(np.abs(_rows(state)) ** 2, axis=0)
 
-    The outer products are added one row at a time, with no matrix product.
-    """
-    rows = _rows(state)[:, :levels]
-    rho = np.zeros((rows.shape[1],) * 2, dtype=complex)
-    for c in rows:
-        rho += np.outer(c, c.conj())
-    rho /= len(rows)
+
+def _outer_mean(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Mean over rows of outer(left_row, conj(right_row)), one row at a time: no matrix product."""
+    rho = np.zeros((left.shape[1], right.shape[1]), dtype=complex)
+    for a, b in zip(left, right):
+        rho += np.outer(a, b.conj())
+    rho /= len(left)
     return rho
+
+
+def density_matrix(state: FockVector, levels: int) -> np.ndarray:
+    """rho over the first ``levels`` levels: the mean of the rows' |c><c|."""
+    rows = _rows(state)[:, :levels]
+    return _outer_mean(rows, rows)
 
 
 def _lowering_factors(k: np.ndarray, power: int) -> np.ndarray:
@@ -160,7 +161,7 @@ def oracle_moment(state, h: int, l: int) -> complex:
     """<a^dag^h a^l> in the truncated basis, as the offset-diagonal sum
     sum_k sqrt((k+h)!/k!) sqrt((k+l)!/k!) rho_(k+l,k+h); no operator matrix is formed.
     """
-    _check_top_occupation(state._populations, h + l)
+    _check_top_occupation(_populations(state), h + l)
     rows, k = _rows(state), np.arange(state.cutoff - max(h, l))
     entries = np.mean(rows[:, k + l] * rows[:, k + h].conj(), axis=0)
     return complex(np.sum(_lowering_factors(k, h) * _lowering_factors(k, l) * entries))
@@ -170,7 +171,7 @@ def apply_annihilation_power(state: FockVector, n_heads: int) -> FockVector:
     """a^N applied to a pure state; result is unnormalized."""
     if n_heads >= state.cutoff:
         raise CutoffInsufficientError("cutoff smaller than the operator power")
-    _check_top_occupation(state._populations, n_heads)
+    _check_top_occupation(_populations(state), n_heads)
     k = np.arange(state.cutoff - n_heads)
     amp = np.zeros_like(state.amplitudes)
     amp[k] = _lowering_factors(k, n_heads) * state.amplitudes[k + n_heads]
@@ -251,19 +252,21 @@ def oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
     with w_0 = 1 and w_d = 2, since the d < 0 half of the trace is the
     complex conjugate of the d > 0 half.  f_p^(d) depends on a point only
     through |2b|, so one pass over photon number p sums the p-loop once per
-    distinct modulus, into a level x modulus array.  The phases are formed
-    once per distinct angle (0.0 and -0.0 give the same bits); each point then
-    takes its row and its phase.
+    distinct modulus, into a level x modulus array; rho is formed _RHO_BLOCK
+    rows at a time, never whole.  The phases are formed once per distinct
+    angle (0.0 and -0.0 give the same bits); each point then takes its row
+    and its phase.
     """
     alpha = _displacement_points(betas)
     radii, at_radius = np.unique(np.abs(alpha), return_inverse=True)
     angles, at_angle = np.unique(np.angle(alpha), return_inverse=True)
-    cutoff, rho = state.cutoff, density_matrix(state, state.cutoff)
+    cutoff, rows = state.cutoff, _rows(state)
     acc = np.zeros((cutoff, radii.size), dtype=complex)
-    term = np.empty_like(acc)
     for p, f in enumerate(_displacement_diagonals(radii, cutoff)):
-        np.multiply(f, ((-1) ** p * rho[p, p:])[:, None], out=term[: cutoff - p])
-        acc[: cutoff - p] += term[: cutoff - p]
+        if p % _RHO_BLOCK == 0:  # rho's next _RHO_BLOCK rows, from column p on
+            block = _outer_mean(rows[:, p : p + _RHO_BLOCK], rows[:, p:])
+        i = p % _RHO_BLOCK
+        acc[: cutoff - p] += f * ((-1) ** p * block[i, i:])[:, None]
     d = np.arange(cutoff)
     acc = acc.T[at_radius]
     acc *= np.exp(1j * np.multiply.outer(angles, d))[at_angle]
@@ -273,5 +276,5 @@ def oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
 
 def oracle_parity(state) -> float:
     """Photon-number parity sum_p (-1)^p rho_pp, read off the diagonal."""
-    populations = state._populations
+    populations = _populations(state)
     return float(np.sum(populations[::2]) - np.sum(populations[1::2]))

@@ -25,8 +25,8 @@ HEADS_MAX = 4096
 class PolarAmplitude:
     """A complex amplitude stored as modulus and principal argument.
 
-    The argument is canonicalized into [0, 2*pi); a zero modulus forces the
-    stored angle to 0 so that equal amplitudes compare equal.
+    The argument is canonicalized into [0, 2*pi); a zero modulus, -0.0 too, is
+    stored as +0.0 with angle 0, so equal amplitudes compare equal and print alike.
     """
 
     r: float
@@ -45,7 +45,7 @@ class PolarAmplitude:
         if theta >= TWO_PI:  # remainder can land exactly on 2*pi after the shift
             theta -= TWO_PI
         if r == 0.0:
-            theta = 0.0
+            r = theta = 0.0
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "theta_p", theta)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import multihead
-from multihead import cli, serialize
+from multihead import cli, errors, serialize
 from multihead.cli import main
 from multihead.roots import HEADS_MAX
 
@@ -342,6 +342,27 @@ class TestCapacityLimits:
         assert captured.err == f"error: head count {HEADS_MAX + 1} exceeds {HEADS_MAX}\n"
 
 
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.MultiheadError, 1),
+        (errors.InternalConsistencyError, 1),
+        (errors.CutoffInsufficientError, 1),
+        (errors.InvalidInputError, 2),
+        (errors.UndefinedStatisticError, 2),
+        (errors.CapacityError, 3),
+    ],
+)
+def test_each_error_type_carries_its_exit_code(capsys, monkeypatch, error, code):
+    def failing(args):
+        raise error("stop")
+
+    monkeypatch.setattr(cli, "cmd_roots", failing)
+    assert error.exit_code == code
+    assert main(["roots", "--alpha", "1", "--heads", "2"]) == code
+    assert capsys.readouterr() == ("", "error: stop\n")
+
+
 EDGE_HEADS = (1, 2, 12, HEADS_MAX + 1)
 EDGE_MODULI = ("0", "1e-300", "1e100", "1e200")
 FRINGE_GAP = pytest.mark.xfail(
@@ -380,6 +401,10 @@ def far_out_grids():
             argv = ("wigner", "--alpha", "1+1i", "--heads", "3", "--family", family,
                     "--nx", "3", "--ny", "2", *span)
             yield pytest.param(argv, id=f"wigner-{family}-3-{span[0][2:]}")
+    # Past mu = 350 the cat runs its N^2 pair loop, where the product overflows.
+    argv = ("wigner", "--alpha", "1000", "--heads", "2", "--family", "coherent",
+            "--nx", "2", "--ny", "2", "--x-min=1e160", "--x-max=2e160")
+    yield pytest.param(argv, id="wigner-coherent-2-pair-loop-1e160")
 
 
 @pytest.mark.parametrize("argv", list(edge_cases()) + list(far_out_grids()))

@@ -9,6 +9,7 @@ point; the de-duplicated grid must equal it bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from scipy.special import eval_genlaguerre, gammaln, xlogy
 from multihead import (
     CapacityError,
     Family,
+    FockVector,
     PolarAmplitude,
     StateSpec,
     build_coherent,
@@ -183,10 +185,22 @@ SIGNED_ZEROS = np.array(
 LARGEST_ORACLE_SPEC = StateSpec(PolarAmplitude(60.0, 0.7), 2, Family.COHERENT)
 
 
+# A pure state and a mixture whose rho spans several row blocks and ends inside one.
+MANY_BLOCK_SPECS = [
+    StateSpec(PolarAmplitude(200.0, 0.7), 2, Family.COHERENT),
+    StateSpec(PolarAmplitude(150.0, 3.0), 2, Family.INCOHERENT),
+]
+
+
 def test_the_added_point_set_and_state():
     alpha = _displacement_points(RINGS)
     assert (alpha.size, np.unique(np.angle(alpha)).size) == (48, 16)
     assert oracle_state(LARGEST_ORACLE_SPEC).cutoff == 154
+    cutoffs = [oracle_state(spec).cutoff for spec in MANY_BLOCK_SPECS]
+    assert [(c // fockspace._RHO_BLOCK, c % fockspace._RHO_BLOCK) for c in cutoffs] == [
+        (5, 34),
+        (4, 30),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -201,6 +215,7 @@ def test_the_added_point_set_and_state():
         StateSpec(PolarAmplitude(3.0), 1, Family.INCOHERENT),
         StateSpec(PolarAmplitude(60.0, 0.7), 4, Family.INCOHERENT),
         LARGEST_ORACLE_SPEC,
+        *MANY_BLOCK_SPECS,
     ],
     ids=lambda spec: f"{spec.family.value}-{spec.n_heads}-{spec.alpha.r:g}",
 )
@@ -210,6 +225,21 @@ def test_grid_equals_the_per_point_reference(spec, points):
     assert state.amplitudes.ndim == (1 if spec.is_coherent else 2)
     got, want = oracle_wigner_grid(state, points), reference_oracle_wigner_grid(state, points)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()  # the signs of zeros too
+
+
+@pytest.mark.parametrize("gammas", [[0.7 + 0.2j], [0.7 + 0.2j, -0.3j, 1.1]], ids=["pure", "mixture"])
+def test_grid_forms_no_cutoff_squared_rho(gammas):
+    cutoff = 2000
+    rows = [build_coherent(g, cutoff).amplitudes for g in gammas]
+    state = FockVector(cutoff, rows[0] if len(rows) == 1 else np.array(rows), 0.0)
+    points = np.array([0.0, 0.5 + 0.5j, -1.2j])
+    tracemalloc.start()
+    try:
+        oracle_wigner_grid(state, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cutoff**2 * 16 / 4, peak
 
 
 def test_recurrence_runs_once_per_distinct_modulus(monkeypatch):

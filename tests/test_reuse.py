@@ -1,9 +1,10 @@
-"""Work formed once per state: the head sums of a scalar mu and a state's populations.
+"""Work formed once per state: the head sums of a scalar mu.
 
 ``closed_form`` keeps the head sums of each scalar (mu, N, turn) in a small
-cache, and a ``FockVector`` keeps its level populations.  Every quantity that
-reads them must return the same bits whether an earlier call formed them or
-not, in any call order, and the shared arrays must be read-only.
+cache.  Every quantity that reads them must return the same bits whether an
+earlier call formed them or not, in any call order, and the kept arrays must
+be read-only.  The oracle keeps nothing: a ``FockVector`` stays its four
+fields however often it is read.
 """
 
 import random
@@ -15,8 +16,10 @@ from multihead import (
     Family,
     PolarAmplitude,
     StateSpec,
+    apply_annihilation_power,
     build_state,
     fock_element,
+    fockspace,
     moment,
     normalization,
     oracle_moment,
@@ -26,6 +29,7 @@ from multihead import (
     wigner,
 )
 from multihead.closed_form import _head_sums, _kept_head_sums
+from multihead.fockspace import oracle_wigner_grid
 
 POINTS = np.array([0.0, 0.4 - 1.1j, 1.5 + 0.2j, -2.0 + 0.7j])
 INDEX = np.arange(13)
@@ -51,7 +55,7 @@ def calls(spec, state):
 
 
 def fresh(spec):
-    """A state with no populations formed, after forgetting every kept head sum."""
+    """A newly built state, after forgetting every kept head sum."""
     _kept_head_sums.cache_clear()
     return build_state(spec, cutoff=64)
 
@@ -96,13 +100,24 @@ def test_arrays_of_mu_are_not_kept():
     assert bits(_head_sums(1.7, 3)) == bits(zero_d) == bits(sums[1])
 
 
-def test_populations_are_formed_once_and_read_only():
-    state = fresh(SPECS[0])
-    populations = state._populations
-    assert state._populations is populations
-    assert not populations.flags.writeable
-    with pytest.raises(ValueError):
-        populations[0] = 0.0
+@pytest.mark.parametrize("spec", [SPECS[0], SPECS[3]], ids=["coherent", "incoherent"])
+def test_oracle_readers_keep_nothing_on_the_state(monkeypatch, spec):
+    states = []
+
+    def kept_build_state(*args, **kwargs):
+        states.append(build_state(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(fockspace, "build_state", kept_build_state)
+    assert validate_spec(spec).passed
+    state = fresh(spec)
+    oracle_moment(state, 1, 1)
+    oracle_parity(state)
+    oracle_wigner_grid(state, POINTS)
+    if spec.is_coherent:
+        apply_annihilation_power(state, spec.n_heads)
+    fields = {"cutoff", "amplitudes", "tail_bound", "norm_sq"}
+    assert [set(vars(s)) for s in states + [state]] == [fields, fields]
 
 
 @pytest.mark.parametrize("spec, formed", [(SPECS[0], 2), (SPECS[3], 0)])

@@ -50,6 +50,10 @@ class TestFromCartesian:
         assert PolarAmplitude.from_cartesian(0.0, 0.0).theta_p == 0.0
         assert PolarAmplitude(0.0, 2.5).theta_p == 0.0
 
+    def test_negative_zero_modulus_is_stored_as_plus_zero(self):
+        assert math.copysign(1.0, PolarAmplitude(-0.0, 1.0).r) == 1.0
+        assert PolarAmplitude(-0.0, 1.0) == PolarAmplitude(0.0)
+
     def test_negative_modulus_rejected(self):
         with pytest.raises(InvalidInputError):
             PolarAmplitude(-1.0, 0.0)
@@ -92,6 +96,14 @@ class TestNthRoots:
         else:
             assert "-0" not in out
             assert out.count('"re": 0,') == 4
+
+    def test_cli_prints_stats_at_minus_zero_as_at_zero(self, capsys):
+        outs = []
+        for alpha in ("--alpha=-0@1", "--alpha=0"):
+            assert main(["stats", alpha, "--heads", "2", "--family", "coherent"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert '"r": 0,' in outs[0]
 
     def test_invalid_head_count(self):
         with pytest.raises(InvalidInputError):

@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Digest what the multihead CLI prints over a fixed matrix of commands.
+
+    tools/cli_digest.py --src DIR
+
+Imports ``multihead`` from DIR (a checkout's ``src``), runs each argv of a
+fixed matrix through ``multihead.cli.main`` in this process, and prints one
+sha256 of (exit code, stdout, stderr) per case, then one over all cases.
+Two source trees that print the same digests print the same bytes on every
+case.
+
+The matrix covers ``roots``, ``stats``, ``fock`` and ``wigner`` in each of
+their formats on small grids, ``sweep`` for all five quantities and
+``validate``, over N in {1, 2, 3, 4, 6, 12}, both families and amplitudes
+from 0 and -0@1 up to 60@0.7 and 1e100; ``validate`` again over 288 states
+(r in {0, 0.05, 1, sqrt 2, 3, 10, 30, 60} x theta in {0, 0.7, 3}); far-out
+``wigner`` grids; and one argv for each of the exit codes 1, 2 and 3.  A
+warning is captured as "Category: message" on stderr, without its file and
+line, so moving a source line does not change a digest.  The tool itself
+uses only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import warnings
+from pathlib import Path
+
+HEADS = (1, 2, 3, 4, 6, 12)
+FAMILIES = ("incoherent", "coherent")
+AMPLITUDES = ("0", "-0@1", "0.05@1.1", "1+1i", "1.4142135623730951@0.7", "3@3", "10@0.7",
+              "60@0.7", "1e100")
+# validate's own matrix: 8 moduli x 3 angles x 6 head counts x 2 families.
+VALIDATE_MODULI = ("0", "0.05", "1", "1.4142135623730951", "3", "10", "30", "60")
+QUANTITIES = ("mean-photon", "mandel-q", "var-x1", "var-x2", "parity")
+SMALL_GRID = ("--nx", "4", "--ny", "3")
+FAR_OUT = (("--x-min=1e160", "--x-max=2e160"), ("--y-min=-1e200", "--y-max=1e200"))
+
+
+def spec(alpha: str, n: int, family: str) -> tuple:
+    # The '=' form keeps an amplitude such as -0@1 from reading as an option.
+    return (f"--alpha={alpha}", "--heads", str(n), "--family", family)
+
+
+def cases():
+    for alpha in AMPLITUDES:
+        for n in HEADS:
+            for fmt in ("json", "text"):
+                yield ("roots", f"--alpha={alpha}", "--heads", str(n), "--format", fmt)
+            for family in FAMILIES:
+                s = spec(alpha, n, family)
+                yield ("stats", *s)
+                for fmt in ("json", "csv"):
+                    yield ("fock", *s, "--max-m", "6", "--format", fmt)
+                    yield ("wigner", *s, *SMALL_GRID, "--format", fmt)
+                yield ("validate", *s)
+    for r in VALIDATE_MODULI:
+        for theta in ("0", "0.7", "3.0"):
+            for n in HEADS:
+                for family in FAMILIES:
+                    yield ("validate", *spec(f"{r}@{theta}", n, family))
+    for n in HEADS:
+        for family in FAMILIES:
+            for quantity in QUANTITIES:
+                yield ("sweep", "--theta", "0.7", "--heads", str(n), "--family", family,
+                       "--quantity", quantity, "--r-max", "4", "--step", "0.05")
+            yield ("sweep", "--heads", str(n), "--family", family, "--quantity", "mandel-q",
+                   "--r-max", "4", "--step", "0.05", "--format", "csv")
+    # Far-out points: |beta|^2 overflows; mu = 1000 runs the cat's N^2 pair loop.
+    for alpha, n in (("1+1i", 3), ("1000", 2)):
+        for family in FAMILIES:
+            for span in FAR_OUT:
+                yield ("wigner", *spec(alpha, n, family), "--nx", "3", "--ny", "2", *span)
+    yield ("validate", *spec("1+1i", 2, "coherent"), "--tol", "1e-300")  # exit 1
+    yield ("stats", *spec("1", 0, "coherent"))  # exit 2
+    yield ("roots", "--alpha", "1", "--heads", "4097")  # exit 3
+
+
+def _short_warning(message, category, *_):
+    sys.stderr.write(f"{category.__name__}: {message}\n")
+
+
+def run(main, argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, required=True, help="directory holding multihead")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+    from multihead import cli
+
+    total = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _short_warning
+        for argv in cases():
+            record = json.dumps(run(cli.main, argv)).encode()
+            digest = hashlib.sha256(record).hexdigest()
+            total.update(digest.encode())
+            print(digest, " ".join(argv))
+    print(total.hexdigest(), "total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
