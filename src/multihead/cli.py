@@ -20,6 +20,7 @@ from .errors import CapacityError, InvalidInputError, MultiheadError, UndefinedS
 from .roots import nth_roots, root_sum
 from .serialize import (
     GridRows,
+    _Line,
     parse_amplitude,
     render_csv,
     render_grid_csv,
@@ -97,7 +98,7 @@ def cmd_roots(args) -> int:
             "root_sum": complex(root_sum(roots)),
         }
     )
-    _emit(render_json(payload) + "\n", args.out)
+    _emit(render_json(_Line(payload)), args.out)
     return EXIT_OK
 
 
@@ -120,7 +121,7 @@ def cmd_stats(args) -> int:
             "parity": closed_form.parity(spec),
         }
     )
-    _emit(render_json(payload) + "\n", args.out)
+    _emit(render_json(_Line(payload)), args.out)
     return EXIT_OK
 
 
@@ -152,7 +153,7 @@ def cmd_wigner(args) -> int:
                 "rows": rows,
             }
         )
-        _emit(render_json(payload) + "\n", args.out)
+        _emit(render_json(_Line(payload)), args.out)
     _return_free_heap()  # the emitter's freed blocks; see the mallopt settings
     return EXIT_OK
 
@@ -189,7 +190,7 @@ def cmd_sweep(args) -> int:
                 "crossings": crossings,
             }
         )
-        _emit(render_json(payload) + "\n", args.out)
+        _emit(render_json(_Line(payload)), args.out)
     return EXIT_OK
 
 
@@ -223,7 +224,7 @@ def cmd_fock(args) -> int:
                 "pnd": diag,
             }
         )
-        _emit(render_json(payload) + "\n", args.out)
+        _emit(render_json(_Line(payload)), args.out)
     return EXIT_OK
 
 

@@ -95,11 +95,22 @@ def normalization(alpha: PolarAmplitude, n_heads: int) -> float:
     return value
 
 
-def _moment(spec: StateSpec, r, h: int, l: int) -> np.ndarray:
+def _state_sums(spec: StateSpec, r):
+    """The coherent family's head sums S_l at the moduli r; None for the mixture.
+
+    Called under np.errstate(over="ignore", invalid="ignore"), as _moment is.
+    """
+    if not spec.is_coherent:
+        return None
+    return _head_sums(head_occupation(np.asarray(r, dtype=float), spec.n_heads), spec.n_heads)
+
+
+def _moment(spec: StateSpec, r, h: int, l: int, sums=None) -> np.ndarray:
     """<a^dag^h a^l> at the moduli r, with angle, head count and family from spec.
 
     The head sums leave r^((h+l)/N) e^(i(l-h)theta/N), nonzero only when N
-    divides l - h, times S_l/S_0 for the coherent family.  A moment that
+    divides l - h, times S_l/S_0 for the coherent family.  A formula that
+    reads several moments passes its ``_state_sums`` once.  A moment that
     overflows a double raises CapacityError.
     """
     n = spec.n_heads
@@ -109,7 +120,7 @@ def _moment(spec: StateSpec, r, h: int, l: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         value = r ** ((h + l) / n) * cmath.exp(1j * (l - h) * spec.alpha.theta_p / n)
         if spec.is_coherent:
-            sums = _head_sums(head_occupation(r, n), n)
+            sums = _state_sums(spec, r) if sums is None else sums
             value = value * sums[..., l % n] / sums[..., 0]
     if not np.all(np.isfinite(value)):
         raise CapacityError(f"moment <a^dag^{h} a^{l}> overflows at r = {np.max(r):.4g}")
@@ -152,8 +163,10 @@ def _mean_photon(spec: StateSpec, r) -> np.ndarray:
 
 def _mandel_q(spec: StateSpec, r) -> np.ndarray:
     """Mandel Q = <a^dag2 a^2>/<a^dag a> - <a^dag a>; NaN where <n> = 0."""
-    n = _mean_photon(spec, r)
-    g2 = _moment(spec, r, 2, 2).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _state_sums(spec, r)
+    n = _moment(spec, r, 1, 1, sums).real
+    g2 = _moment(spec, r, 2, 2, sums).real
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(n == 0.0, np.nan, g2 / n - n)
 
@@ -166,8 +179,10 @@ def _quadrature_variances(spec: StateSpec, r) -> tuple[np.ndarray, np.ndarray]:
     as <n> and Re<a^2> are, so a coherent state's brackets cancel to 0.
     Real arithmetic only, so an array of moduli rounds exactly like a scalar.
     """
-    spread = _mean_photon(spec, r)
-    cross = _moment(spec, r, 0, 2).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _state_sums(spec, r)
+    spread = _moment(spec, r, 1, 1, sums).real
+    cross = _moment(spec, r, 0, 2, sums).real
     if spec.n_heads == 1:
         a_sq = np.asarray(r, dtype=float) ** 2.0
         spread = spread - a_sq

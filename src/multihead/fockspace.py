@@ -28,6 +28,9 @@ CUTOFF_MAX = 4096
 WIGNER_BETA_SQ_MAX = -0.5 * math.log(np.finfo(float).tiny)
 # Rows of rho the Wigner trace forms at a time: 4 MB at CUTOFF_MAX.
 _RHO_BLOCK = 64
+# Complex values in one block of the trace's phase stage (2 MB): a block
+# holds this many over cutoff points, all of validate's 441 up to cutoff 297.
+_POINT_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -253,13 +256,12 @@ def oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
     complex conjugate of the d > 0 half.  f_p^(d) depends on a point only
     through |2b|, so one pass over photon number p sums the p-loop once per
     distinct modulus, into a level x modulus array; rho is formed _RHO_BLOCK
-    rows at a time, never whole.  The phases are formed once per distinct
-    angle (0.0 and -0.0 give the same bits); each point then takes its row
-    and its phase.
+    rows at a time, never whole.  The points are then taken a block at a
+    time: the phases are formed once per distinct angle in the block (0.0 and
+    -0.0 give the same bits), and each point takes its row and its phase.
     """
     alpha = _displacement_points(betas)
     radii, at_radius = np.unique(np.abs(alpha), return_inverse=True)
-    angles, at_angle = np.unique(np.angle(alpha), return_inverse=True)
     cutoff, rows = state.cutoff, _rows(state)
     acc = np.zeros((cutoff, radii.size), dtype=complex)
     for p, f in enumerate(_displacement_diagonals(radii, cutoff)):
@@ -268,9 +270,15 @@ def oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
         i = p % _RHO_BLOCK
         acc[: cutoff - p] += f * ((-1) ** p * block[i, i:])[:, None]
     d = np.arange(cutoff)
-    acc = acc.T[at_radius]
-    acc *= np.exp(1j * np.multiply.outer(angles, d))[at_angle]
-    values = np.sum(np.real(acc) * np.where(d == 0, 1.0, 2.0), axis=1)
+    weights = np.where(d == 0, 1.0, 2.0)
+    values = np.empty(alpha.size)
+    step = max(1, _POINT_BLOCK // cutoff)
+    for start in range(0, alpha.size, step):
+        part = slice(start, start + step)
+        angles, at_angle = np.unique(np.angle(alpha[part]), return_inverse=True)
+        per_point = acc.T[at_radius[part]]
+        per_point *= np.exp(1j * np.multiply.outer(angles, d))[at_angle]
+        values[part] = np.sum(np.real(per_point) * weights, axis=1)
     return (2.0 / math.pi * values).reshape(np.shape(betas))
 
 

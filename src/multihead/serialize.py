@@ -2,9 +2,9 @@
 
 Floats are rendered with 17 significant digits so every emitted value parses
 back to the identical IEEE-754 double, which makes re-emission byte-stable.
-A float array's values are turned into that text in numpy (``_float_texts``)
-and fill the ``%s`` slots of templates, a block of rows at a time; a grid's
-axis values are formatted once each.
+A float array's text is formed in numpy, each value followed by its own
+separator byte, a block of values at a time; a grid's axis values are
+formatted once each.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -86,9 +85,17 @@ def fmt(value: float) -> str:
 #   is one), and any log10 off by more than one.
 # * Text.  Each value fills six little-endian uint64 words (48 bytes): sign,
 #   "0.000" and the lead digit, four 4-digit groups with a point after every
-#   digit, then "e+ddd" and a separator.  A keep-mask indexed by (sign, point
-#   position or exponent width, last nonzero digit) selects the bytes of the
-#   value's text; one np.compress, decode and split per block.
+#   digit, then "e+ddd", and in its last byte the separator the caller sets.
+#   A keep-mask indexed by (sign, point position or exponent width, last
+#   nonzero digit) selects the bytes of the value's text and its separator.
+#   An exact-path value's CPython text is written into its own record, with
+#   its own mask row, so one np.compress and one decode give the block's text.
+# * Separators.  render_csv's are "," and "\n" themselves.  A render_json
+#   float array marks value i with chr(j + 1), where j axes close after it;
+#   one str.replace per marker expands it into brackets, ",\n" and indent.
+#   Grids split their values' text on a space (_float_texts), since every
+#   grid row carries its own x and y text.  render_json collects a payload's
+#   pieces, grid blocks included, in one list and joins it once.
 _BLOCK = 1 << 14
 _MAGNITUDE = (1e-250, 1e250)  # |v| the double-double product covers
 _EXP_OFFSET = 260  # offset of exponent e in the exponent-word table
@@ -196,8 +203,8 @@ def _significands(a: np.ndarray) -> tuple:
     return e, d, (d >= _D_MIN) & (d < _D_END) & (np.abs(r - np.floor(r) - 0.5) > _TIE)
 
 
-def _text_bytes(negative: np.ndarray, e: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The values' text as ASCII bytes, separated by single spaces."""
+def _records(negative: np.ndarray, e: np.ndarray, d: np.ndarray) -> tuple:
+    """(text, keep): each value's 48-byte record and the mask of its text's bytes."""
     lead_words, group_words, group_zeros, exponent_words, keep = _text_tables()
     lead, rest = np.divmod(d, _D_MIN)
     high, low = np.divmod(rest, 10**8)
@@ -212,12 +219,11 @@ def _text_bytes(negative: np.ndarray, e: np.ndarray, d: np.ndarray) -> np.ndarra
     words[:, 0] = lead_words[lead]
     words[:, 1:5] = group_words[groups]
     words[:, 5] = exponent_words[e + _EXP_OFFSET]
-    keep = keep.take((negative * _MODES + mode) * 17 + 16 - zeros, axis=0)
-    return np.compress(keep.ravel(), words.view(np.uint8).ravel())[:-1]
+    return words.view(np.uint8), keep.take((negative * _MODES + mode) * 17 + 16 - zeros, axis=0)
 
 
-def _float_block(v: np.ndarray) -> list:
-    """_float_texts of one block of float64 values."""
+def _float_block(v: np.ndarray, seps) -> str:
+    """The text of one block of float64 values, each followed by its separator byte."""
     a = np.abs(v)
     fast = (a >= _MAGNITUDE[0]) & (a < _MAGNITUDE[1])  # NaN fails both
     zero = a == 0.0
@@ -227,12 +233,27 @@ def _float_block(v: np.ndarray) -> list:
     d[~fast] = _D_MIN
     e[zero], d[zero] = 0, 0  # the digits of 0 at e = 0 read "0"
     fast |= zero
-    out = _text_bytes(np.signbit(v), e, d).tobytes().decode("ascii").split(" ")
+    text, keep = _records(np.signbit(v), e, d)
+    text[:, -1] = seps
     exact = np.flatnonzero(~fast)
-    if exact.size:
-        for i, t in zip(exact.tolist(), _exact_texts(v[exact])):
-            out[i] = t
-    return out
+    texts = np.array(_exact_texts(v[exact]), dtype=f"S{_WIDTH - 1}")
+    text[exact, :-1] = texts.view(np.uint8).reshape(exact.size, _WIDTH - 1)
+    keep[exact, :-1] = np.arange(_WIDTH - 1) < np.char.str_len(texts)[:, None]
+    return str(np.compress(keep.ravel(), text), "ascii")
+
+
+def _float_pieces(flat: np.ndarray, seps: np.ndarray, literals=()) -> list:
+    """The text of each _BLOCK of the values, each value followed by its separator.
+
+    ``literals`` holds (separator, text) pairs, replaced in each block in order.
+    """
+    pieces = []
+    for start in range(0, flat.size, _BLOCK):
+        text = _float_block(flat[start : start + _BLOCK], seps[start : start + _BLOCK])
+        for sep, literal in literals:
+            text = text.replace(sep, literal)
+        pieces.append(text)
+    return pieces
 
 
 def _float_texts(values: np.ndarray) -> list:
@@ -240,30 +261,24 @@ def _float_texts(values: np.ndarray) -> list:
     flat = np.asarray(values, dtype=np.float64).ravel()
     out = []
     for start in range(0, flat.size, _BLOCK):
-        out += _float_block(flat[start : start + _BLOCK])
+        out += _float_block(flat[start : start + _BLOCK], ord(" ")).split(" ")
+        out.pop()  # the empty text after the block's last separator
     return out
-
-
-def _array_template(shape: tuple, indent: int) -> str:
-    """render_json's text for a nonempty float array of this shape, with a slot per value."""
-    if not shape:
-        return "%s"
-    item = "  " * (indent + 1) + _array_template(shape[1:], indent + 1)
-    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + "  " * indent + "]"
 
 
 def render_csv(header: str, *columns: np.ndarray) -> str:
     """Header line, then a line per row of the 1-D columns: floats as fmt(), ints as ints.
 
-    The lines are filled _BLOCK rows at a time.
+    The columns are interleaved into one float64 array whose values carry
+    their own separators, "," within a row and "\\n" at its end.  An integer
+    column must lie within +-2^53, where "%.17g" of its double reads as "%d".
     """
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%s" for c in columns) + "\n"
-    pieces = [header + "\n"]
-    for start in range(0, len(columns[0]), _BLOCK):
-        block = [c[start : start + _BLOCK] for c in columns]
-        texts = [c.tolist() if c.dtype.kind in "iu" else _float_texts(c) for c in block]
-        pieces.append(row * len(block[0]) % tuple(chain.from_iterable(zip(*texts))))
-    return "".join(pieces)
+    if any(c.dtype.kind in "iu" and np.any((c < -(2**53)) | (c > 2**53)) for c in columns):
+        raise ValueError("integer columns must lie within +-2^53")
+    table = np.column_stack(columns).astype(np.float64, copy=False)
+    seps = np.full(table.shape, ord(","), np.uint8)
+    seps[:, -1] = ord("\n")
+    return "".join([header + "\n", *_float_pieces(table.ravel(), seps.ravel())])
 
 
 @dataclass(frozen=True)
@@ -279,8 +294,15 @@ class GridRows:
     values: np.ndarray
 
 
-def _render_grid(grid: GridRows, head: str, row: str, sep: str, tail: str) -> str:
-    """head, then the rows joined by sep, then tail.
+@dataclass(frozen=True)
+class _Line:
+    """A command's JSON output: the value's text and a newline, joined once."""
+
+    value: object
+
+
+def _grid_pieces(grid: GridRows, head: str, row: str, sep: str, tail: str, out: list) -> None:
+    """Append head, then the rows joined by sep, then tail, to out.
 
     ``row`` holds three "%s", for the x, y and value text.  Each axis value is
     formatted once.  The rows are built a block of y values at a time: one
@@ -290,22 +312,35 @@ def _render_grid(grid: GridRows, head: str, row: str, sep: str, tail: str) -> st
     before_x, before_y, after_y = row.split("%s", 2)
     xs = [_FLOAT_SLOT % x for x in grid.xs.tolist()]
     step = max(1, _BLOCK // len(xs))
-    pieces = []
+    out.append(head)
     for start in range(0, len(grid.ys), step):
         lines = []
         for y in grid.ys[start : start + step].tolist():
             y_part = before_y + _FLOAT_SLOT % y + after_y
             lines.append(before_x + (y_part + sep + before_x).join(xs) + y_part)
         values = _float_texts(grid.values[start : start + step])
-        pieces.append(sep.join(lines) % tuple(values))
-    pieces[0] = head + pieces[0]
-    pieces[-1] += tail
-    return sep.join(pieces)
+        out += [sep.join(lines) % tuple(values), sep]
+    out[-1] = tail
 
 
 def render_grid_csv(header: str, grid: GridRows) -> str:
     """render_csv(header, x, y, value) of the grid's rows, each axis value formatted once."""
-    return _render_grid(grid, header + "\n", "%s,%s,%s", "\n", "\n")
+    out = []
+    _grid_pieces(grid, header + "\n", "%s,%s,%s", "\n", "\n", out)
+    return "".join(out)
+
+
+@functools.cache
+def _array_literals(ndim: int, indent: int) -> tuple:
+    """(head, [(separator, text)]) of render_json's float arrays of 1 to 8 axes.
+
+    Value i carries the separator chr(j + 1), where j trailing axes close
+    after it.  Its text is what the list path writes after value 2^j - 1 of
+    a 2 x ... x 2 array of ints, which closes j axes too.  The separators
+    reach chr(9) at most, a byte that no value's text or literal holds.
+    """
+    between = re.split(r"\d+", render_json(np.arange(2**ndim).reshape((2,) * ndim), indent))
+    return between[0], [(chr(j + 1), between[2**j]) for j in range(ndim + 1)]
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -313,52 +348,63 @@ def render_json(obj, indent: int = 0) -> str:
 
     Complex values are emitted as {"re": ..., "im": ...} objects.  A numpy
     array reads exactly as its .tolist() would, and GridRows as the list of
-    its [x, y, value] rows.
+    its [x, y, value] rows.  The text is collected piece by piece and joined
+    once, so a large member is copied once.
     """
+    out = []
+    _json_pieces(obj, indent, out)
+    return "".join(out)
+
+
+def _json_pieces(obj, indent: int, out: list) -> None:
+    """Append render_json(obj, indent) to out, a piece at a time."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if isinstance(obj, GridRows):
+    if isinstance(obj, _Line):
+        _json_pieces(obj.value, indent, out)
+        out.append("\n")
+    elif isinstance(obj, GridRows):
         item = "  " * (indent + 2)
         row = f"[\n{item}%s,\n{item}%s,\n{item}%s\n{inner}]"
-        return _render_grid(obj, f"[\n{inner}", row, f",\n{inner}", f"\n{pad}]")
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind != "f" or obj.size == 0 or obj.ndim == 0:
-            return render_json(obj.tolist(), indent)
-        # Filled a block of rows of the first axis at a time.
-        item = inner + _array_template(obj.shape[1:], indent + 1)
-        step = max(1, _BLOCK * len(obj) // obj.size)
-        pieces = [
-            ",\n".join([item] * len(rows)) % tuple(_float_texts(rows))
-            for rows in (obj[start : start + step] for start in range(0, len(obj), step))
-        ]
-        return "[\n" + ",\n".join(pieces) + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return fmt(obj)
-    if isinstance(obj, complex):
-        return render_json({"re": float(obj.real), "im": float(obj.imag)}, indent)
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        # One join over every piece, so a large member is copied once.
-        pieces = ["{\n"]
+        _grid_pieces(obj, f"[\n{inner}", row, f",\n{inner}", f"\n{pad}]", out)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.size and 0 < obj.ndim < 9:
+        seps = np.ones(obj.size, np.uint8)
+        for stride in np.cumprod(obj.shape[::-1]).tolist():
+            seps[stride - 1 :: stride] += 1
+        head, literals = _array_literals(obj.ndim, indent)
+        out += [head, *_float_pieces(obj.ravel(), seps, literals)]
+    elif isinstance(obj, np.ndarray):
+        _json_pieces(obj.tolist(), indent, out)
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(fmt(obj))
+    elif isinstance(obj, complex):
+        _json_pieces({"re": float(obj.real), "im": float(obj.imag)}, indent, out)
+    elif isinstance(obj, str):
+        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif isinstance(obj, (dict, list, tuple)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        out.append("{\n")
         for k, v in obj.items():
-            pieces += [f'{inner}"{k}": ', render_json(v, indent + 1), ",\n"]
-        pieces[-1] = "\n" + pad + "}"
-        return "".join(pieces)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot render {type(obj).__name__}")
+            out.append(f'{inner}"{k}": ')
+            _json_pieces(v, indent + 1, out)
+            out.append(",\n")
+        out[-1] = "\n" + pad + "}"
+    elif isinstance(obj, (list, tuple)):
+        out.append("[\n")
+        for v in obj:
+            out.append(inner)
+            _json_pieces(v, indent + 1, out)
+            out.append(",\n")
+        out[-1] = "\n" + pad + "]"
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__}")
 
 
 def spec_to_jsonable(spec: StateSpec) -> dict:

@@ -65,8 +65,11 @@ _FORMULAS = {
 def evaluate(template: SweepTemplate, quantity: Quantity, r):
     """The quantity at modulus r, a scalar or an array of moduli.
 
-    Mandel Q is NaN where it is undefined, at <n> = 0.
+    Mandel Q is NaN where it is undefined, at <n> = 0.  A negative or NaN
+    modulus is refused before any formula runs; +inf raises CapacityError.
     """
+    if not np.all(np.greater_equal(r, 0.0)):  # NaN fails it too
+        raise InvalidInputError("moduli must be nonnegative numbers")
     # Any positive modulus gives the template's canonical angle; r supplies the moduli.
     values = _FORMULAS[quantity](template.spec_at(1.0), r)
     return float(values) if np.ndim(r) == 0 else values

@@ -242,6 +242,43 @@ def test_grid_forms_no_cutoff_squared_rho(gammas):
     assert peak < cutoff**2 * 16 / 4, peak
 
 
+@pytest.mark.parametrize("gammas", [[0.7 + 0.2j], [0.7 + 0.2j, -0.3j, 1.1]], ids=["pure", "mixture"])
+def test_phase_stage_holds_one_block_of_points(gammas):
+    # 600 points on two radii: the recurrence stays small, while one points x
+    # cutoff complex array is 19.2 MB.
+    cutoff = 2000
+    rows = [build_coherent(g, cutoff).amplitudes for g in gammas]
+    state = FockVector(cutoff, rows[0] if len(rows) == 1 else np.array(rows), 0.0)
+    points = np.multiply.outer([0.25, 0.75], np.exp(2j * np.pi * np.arange(300) / 300)).ravel()
+    tracemalloc.start()
+    try:
+        oracle_wigner_grid(state, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The stages run one after the other.  The phase stage holds at most four
+    # arrays of a block of points (its gathered rows, phase table, gathered
+    # phases and weighted real parts); forming rho holds at most three blocks
+    # of rows (the one in use, the sum being formed and one outer product).
+    point_block = fockspace._POINT_BLOCK * 16
+    rho_block = fockspace._RHO_BLOCK * cutoff * 16
+    assert peak < 4 * point_block + 3 * rho_block, peak
+
+
+def test_grid_in_several_point_blocks_equals_the_per_point_reference(monkeypatch):
+    state = oracle_state(MANY_BLOCK_SPECS[0])
+    # A block holds 370 points at cutoff 354, so validate's 441 take two.
+    assert fockspace._POINT_BLOCK // state.cutoff < _WIGNER_POINTS.size
+    want = reference_oracle_wigner_grid(state, _WIGNER_POINTS)
+    assert oracle_wigner_grid(state, _WIGNER_POINTS).tobytes() == want.tobytes()
+    # Blocks of 7 points: the last one partial, and angles shared across blocks.
+    state = oracle_state(StateSpec(PolarAmplitude(10.0, 3.0), 3, Family.COHERENT))
+    monkeypatch.setattr(fockspace, "_POINT_BLOCK", 7 * state.cutoff)
+    for points in (_WIGNER_POINTS, RINGS, SIGNED_ZEROS):
+        want = reference_oracle_wigner_grid(state, points)
+        assert oracle_wigner_grid(state, points).tobytes() == want.tobytes()
+
+
 def test_recurrence_runs_once_per_distinct_modulus(monkeypatch):
     rows = []
     original = fockspace._displacement_diagonals

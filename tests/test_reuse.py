@@ -1,10 +1,11 @@
-"""Work formed once per state: the head sums of a scalar mu.
+"""Work formed once: the head sums of a scalar mu, and of a sweep's array of mu.
 
 ``closed_form`` keeps the head sums of each scalar (mu, N, turn) in a small
 cache.  Every quantity that reads them must return the same bits whether an
 earlier call formed them or not, in any call order, and the kept arrays must
-be read-only.  The oracle keeps nothing: a ``FockVector`` stays its four
-fields however often it is read.
+be read-only.  A sweep's statistic forms the sums of its array of mu once and
+passes them to each moment it reads.  The oracle keeps nothing: a
+``FockVector`` stays its four fields however often it is read.
 """
 
 import random
@@ -14,6 +15,8 @@ import pytest
 
 from multihead import (
     Family,
+    Quantity,
+    SweepTemplate,
     PolarAmplitude,
     StateSpec,
     apply_annihilation_power,
@@ -25,9 +28,11 @@ from multihead import (
     oracle_moment,
     oracle_parity,
     parity,
+    sweep,
     validate_spec,
     wigner,
 )
+from multihead import closed_form
 from multihead.closed_form import _head_sums, _kept_head_sums
 from multihead.fockspace import oracle_wigner_grid
 
@@ -127,3 +132,21 @@ def test_validate_forms_each_head_sum_once(spec, formed):
     assert validate_spec(spec).passed
     info = _kept_head_sums.cache_info()
     assert (info.misses, info.hits > 0) == (formed, formed > 0)
+
+
+@pytest.mark.parametrize(
+    "quantity, heads",
+    [("mandel-q", 2), ("mandel-q", 3), ("mandel-q", 6), ("var-x1", 2), ("var-x2", 2)],
+)
+def test_a_coherent_sweep_forms_its_head_sums_once(monkeypatch, quantity, heads):
+    shapes = []
+    original = closed_form._head_sums
+
+    def counting(mu, n_heads, turn=1.0):
+        if np.ndim(mu):
+            shapes.append((np.shape(mu), turn))
+        return original(mu, n_heads, turn)
+
+    monkeypatch.setattr(closed_form, "_head_sums", counting)
+    sweep(SweepTemplate(0.7, heads, Family.COHERENT), Quantity(quantity), 0.0, 25.0)
+    assert shapes == [((2501,), 1.0)]

@@ -471,3 +471,64 @@ def test_default_grid_sends_almost_nothing_down_the_exact_path(capsys, monkeypat
         cli_output(capsys, "wigner", "--alpha", "3@0.4", "--heads", "2", "--family", "coherent",
                    "--format", fmt_name)
     assert sum(sent) <= 4  # of 2 x 40401 values
+
+
+# Values at the formatter's edges: 1.0 and 0.01 (17-digit significand exactly
+# 1e16), infinities, NaN and a subnormal take CPython's text; signed zeros
+# take the fast path's special case.
+EXACT_PATH = [1.0, 0.01, 0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]
+
+
+def with_exact_path_at_block_ends(values):
+    """values, flattened, with EXACT_PATH values in the first and last slot of every block."""
+    flat = np.array(values, dtype=float).ravel()
+    ends = [i for start in range(0, flat.size, serialize._BLOCK)
+            for i in (start, min(start + serialize._BLOCK, flat.size) - 1)]
+    flat[ends] = [EXACT_PATH[k % len(EXACT_PATH)] for k in range(len(ends))]
+    return flat.reshape(np.shape(values))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 3, 2, 2), (1, 1, 1, 5), (3, 2, 4, 1), (2,) * 8, (2,) * 9, (2 * serialize._BLOCK,),
+     (2, serialize._BLOCK), (4, 64, serialize._BLOCK // 128), (3, 2, 2, serialize._BLOCK // 4)],
+    ids=str,
+)
+def test_arrays_with_exact_path_values_at_block_ends_render_as_their_lists(shape):
+    # Eight axes use separators up to chr(9); nine take the list path.  In the
+    # last four shapes every block ends where one or more axes close, so its
+    # last separator expands to closing brackets.
+    rng = np.random.default_rng(sum(shape))
+    arr = with_exact_path_at_block_ends(rng.standard_normal(shape) * 1e5)
+    for indent in range(4):
+        assert render_json(arr, indent) == reference_render_json(arr.tolist(), indent)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 2), (2, 0, 4), (2, 3, 0), (1, 2, 3, 0)], ids=str)
+def test_arrays_with_an_empty_axis_render_as_their_lists(shape):
+    arr = np.empty(shape)
+    for indent in range(4):
+        assert render_json(arr, indent) == reference_render_json(arr.tolist(), indent)
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_csv_blocks_with_exact_path_values_at_their_ends(columns):
+    # The columns interleave row by row, so the table's flat blocks are the formatter's.
+    rows = 2 * serialize._BLOCK // columns + 5
+    table = with_exact_path_at_block_ends(
+        np.random.default_rng(columns).standard_normal((rows, columns))
+    )
+    want = "".join(",".join(reference_fmt(v) for v in row) + "\n" for row in table.tolist())
+    assert render_csv("v", *table.T) == "v\n" + want
+    index = np.arange(rows)
+    want = "".join(f"{i}," + ",".join(reference_fmt(v) for v in row) + "\n"
+                   for i, row in zip(index.tolist(), table.tolist()))
+    assert render_csv("i,v", index, *table.T) == "i,v\n" + want
+
+
+def test_csv_refuses_integers_a_double_cannot_hold():
+    for big in (2**53 + 1, -(2**53) - 1, np.iinfo(np.int64).min, np.iinfo(np.uint64).max):
+        with pytest.raises(ValueError):
+            render_csv("i", np.array([big]))
+    text = render_csv("i", np.array([-(2**53), 0, 2**53]))
+    assert text == "i\n-9007199254740992\n0\n9007199254740992\n"

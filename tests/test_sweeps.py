@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from multihead import Family, Quantity, SweepTemplate, find_crossings, squeezing_window, sweep
@@ -126,6 +127,28 @@ class TestSweep:
         assert sweeps._sample_count(0.0, 3_999_999.0, 1.0) == sweeps.SAMPLES_MAX == 4_000_000
         with pytest.raises(CapacityError):
             sweeps._sample_count(0.0, 4_000_000.0, 1.0)
+
+
+BAD_MODULI = [-1.0, math.nan, np.array([0.5, -1.0]), np.array([1.0, math.nan])]
+
+
+class TestEvaluateRefusals:
+    """evaluate refuses what _sample_count refuses on a grid, before any formula runs."""
+
+    @pytest.mark.parametrize("r", BAD_MODULI, ids=["-1", "nan", "array-1", "array-nan"])
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("quantity", list(Quantity), ids=lambda q: q.value)
+    def test_negative_or_nan_modulus_is_invalid_input(self, quantity, family, r):
+        for n in (2, 3):
+            with pytest.raises(InvalidInputError, match="nonnegative"):
+                evaluate(template(n, family, 0.7), quantity, r)
+
+    @pytest.mark.parametrize("r", [math.inf, np.array([1.0, math.inf])], ids=["inf", "array-inf"])
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("quantity", list(Quantity), ids=lambda q: q.value)
+    def test_infinite_modulus_stays_a_capacity_error(self, quantity, family, r):
+        with pytest.raises(CapacityError):
+            evaluate(template(2, family, 0.7), quantity, r)
 
 
 class TestFindCrossings:

@@ -14,7 +14,10 @@ their formats on small grids, ``sweep`` for all five quantities and
 ``validate``, over N in {1, 2, 3, 4, 6, 12}, both families and amplitudes
 from 0 and -0@1 up to 60@0.7 and 1e100; ``validate`` again over 288 states
 (r in {0, 0.05, 1, sqrt 2, 3, 10, 30, 60} x theta in {0, 0.7, 3}); far-out
-``wigner`` grids; and one argv for each of the exit codes 1, 2 and 3.  A
+``wigner`` grids; and one argv for each of the exit codes 1, 2 and 3.  Long
+sweeps (``--r-max 25`` at the default step, past the Mandel Q crossings and
+the squeezing edges) and ``fock --max-m 130`` (17,161 elements) make the
+emitters span more than one formatter block.  A
 warning is captured as "Category: message" on stderr, without its file and
 line, so moving a source line does not change a digest.  The tool itself
 uses only the standard library.
@@ -71,6 +74,15 @@ def cases():
                        "--quantity", quantity, "--r-max", "4", "--step", "0.05")
             yield ("sweep", "--heads", str(n), "--family", family, "--quantity", "mandel-q",
                    "--r-max", "4", "--step", "0.05", "--format", "csv")
+    for n in (2, 3, 4):
+        for family in FAMILIES:
+            for quantity in ("mandel-q", "var-x1", "var-x2"):
+                for fmt in ("json", "csv"):
+                    yield ("sweep", "--heads", str(n), "--family", family, "--quantity", quantity,
+                           "--r-max", "25", "--format", fmt)
+    for family in FAMILIES:
+        for fmt in ("json", "csv"):
+            yield ("fock", *spec("10@0.7", 2, family), "--max-m", "130", "--format", fmt)
     # Far-out points: |beta|^2 overflows; mu = 1000 runs the cat's N^2 pair loop.
     for alpha, n in (("1+1i", 3), ("1000", 2)):
         for family in FAMILIES:
