@@ -11,22 +11,13 @@ import ctypes
 import functools
 import math
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, closed_form, compare, sweeps
 from .errors import CapacityError, InvalidInputError, MultiheadError, UndefinedStatisticError
 from .roots import nth_roots, root_sum
-from .serialize import (
-    GridRows,
-    _Line,
-    parse_amplitude,
-    render_csv,
-    render_grid_csv,
-    render_json,
-    spec_to_jsonable,
-)
+from .serialize import GridRows, _Line, parse_amplitude, render_csv, render_grid_csv, render_json
 from .states import Family, StateSpec
 from .sweeps import Quantity, SweepTemplate
 
@@ -79,8 +70,8 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _provenance(payload: dict) -> dict:
-    return {"tool": "multihead", "version": __version__, **payload}
+def _emit_json(payload: dict, out_path):
+    _emit(render_json(_Line({"tool": "multihead", "version": __version__, **payload})), out_path)
 
 
 def cmd_roots(args) -> int:
@@ -90,15 +81,15 @@ def cmd_roots(args) -> int:
         lines = [f"{z.real:+.12g}{z.imag:+.12g}i" for z in roots]
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
-    payload = _provenance(
+    _emit_json(
         {
-            "alpha": {"r": alpha.r, "theta_p": alpha.theta_p},
+            "alpha": alpha,
             "n_heads": args.heads,
             "roots": [complex(z) for z in roots],
             "root_sum": complex(root_sum(roots)),
-        }
+        },
+        args.out,
     )
-    _emit(render_json(_Line(payload)), args.out)
     return EXIT_OK
 
 
@@ -110,18 +101,18 @@ def cmd_stats(args) -> int:
     except UndefinedStatisticError:
         mq = None
     variances = closed_form.quadrature_variances(spec)
-    payload = _provenance(
+    _emit_json(
         {
-            "spec": spec_to_jsonable(spec),
-            "moments": asdict(table),
+            "spec": spec,
+            "moments": table,
             "mean_photon": closed_form.mean_photon(spec),
             "mandel_q": mq,
             "var_x1": variances.var_x1,
             "var_x2": variances.var_x2,
             "parity": closed_form.parity(spec),
-        }
+        },
+        args.out,
     )
-    _emit(render_json(_Line(payload)), args.out)
     return EXIT_OK
 
 
@@ -144,16 +135,8 @@ def cmd_wigner(args) -> int:
     if args.format == "csv":
         _emit(render_grid_csv("x,y,w", rows), args.out)
     else:
-        payload = _provenance(
-            {
-                "spec": spec_to_jsonable(spec),
-                "grid": {
-                    k: getattr(args, k) for k in ("x_min", "x_max", "y_min", "y_max", "nx", "ny")
-                },
-                "rows": rows,
-            }
-        )
-        _emit(render_json(_Line(payload)), args.out)
+        grid = {k: getattr(args, k) for k in ("x_min", "x_max", "y_min", "y_max", "nx", "ny")}
+        _emit_json({"spec": spec, "grid": grid, "rows": rows}, args.out)
     _return_free_heap()  # the emitter's freed blocks; see the mallopt settings
     return EXIT_OK
 
@@ -174,23 +157,19 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         _emit(render_csv("r,value", *result.samples.T), args.out)
     else:
-        payload = _provenance(
+        _emit_json(
             {
-                "quantity": quantity.value,
-                "template": {
-                    "theta_p": template.theta_p,
-                    "n_heads": template.n_heads,
-                    "family": template.family.value,
-                },
+                "quantity": quantity,
+                "template": template,
                 "r_min": args.r_min,
                 "r_max": args.r_max,
                 "step": args.step,
                 "threshold": threshold,
                 "samples": result.samples,
                 "crossings": crossings,
-            }
+            },
+            args.out,
         )
-        _emit(render_json(_Line(payload)), args.out)
     return EXIT_OK
 
 
@@ -216,15 +195,8 @@ def cmd_fock(args) -> int:
         block = render_csv("m,n,abs_p_mn", m.ravel(), n.ravel(), magnitudes.ravel())
         _emit(block + render_csv("m,p_mm", index, diag), args.out)
     else:
-        payload = _provenance(
-            {
-                "spec": spec_to_jsonable(spec),
-                "max_m": args.max_m,
-                "abs_fock_elements": magnitudes,
-                "pnd": diag,
-            }
-        )
-        _emit(render_json(_Line(payload)), args.out)
+        payload = {"spec": spec, "max_m": args.max_m, "abs_fock_elements": magnitudes, "pnd": diag}
+        _emit_json(payload, args.out)
     return EXIT_OK
 
 
@@ -240,11 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="N-th roots of the amplitude")
     _add_spec_args(p, with_family=False)
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out")
 
     p = sub.add_parser("stats", help="moments and derived statistics")
     _add_spec_args(p)
-    p.add_argument("--out")
 
     p = sub.add_parser("wigner", help="Wigner function on a phase-space grid")
     _add_spec_args(p)
@@ -255,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int, default=201)
     p.add_argument("--ny", type=int, default=201)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
 
     p = sub.add_parser("sweep", help="scan a statistic over the modulus")
     p.add_argument("--theta", type=float, default=0.0, help="principal argument (radians)")
@@ -267,19 +236,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=sweeps.DEFAULT_STEP)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
 
     p = sub.add_parser("validate", help="closed-form vs Fock-oracle agreement")
     _add_spec_args(p)
     p.add_argument("--tol", type=float, default=compare.TOL_DEFAULT)
-    p.add_argument("--out")
 
     p = sub.add_parser("fock", help="Fock matrix element magnitudes and PND")
     _add_spec_args(p)
     p.add_argument("--max-m", type=int, default=20)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 

@@ -205,9 +205,10 @@ def mean_photon(spec: StateSpec) -> float:
 
 def mandel_q(spec: StateSpec) -> float:
     """Mandel Q = <a^dag2 a^2>/<a^dag a> - <a^dag a>; sign classifies the statistics."""
-    if mean_photon(spec) == 0.0:
+    q = float(_mandel_q(spec, spec.alpha.r))
+    if math.isnan(q):  # exactly where <n> = 0
         raise UndefinedStatisticError("Mandel Q is undefined at zero amplitude")
-    return float(_mandel_q(spec, spec.alpha.r))
+    return q
 
 
 @dataclass(frozen=True)

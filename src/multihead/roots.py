@@ -58,14 +58,6 @@ class PolarAmplitude:
     def to_complex(self) -> complex:
         return complex(self.r * math.cos(self.theta_p), self.r * math.sin(self.theta_p))
 
-    @property
-    def x(self) -> float:
-        return self.r * math.cos(self.theta_p)
-
-    @property
-    def y(self) -> float:
-        return self.r * math.sin(self.theta_p)
-
 
 def check_head_count(n_heads) -> None:
     """Refuse a head count that is not an integer in 1..HEADS_MAX, before any allocation."""

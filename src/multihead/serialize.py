@@ -9,6 +9,8 @@ formatted once each.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import functools
 import re
 from dataclasses import dataclass
@@ -17,12 +19,12 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .roots import PolarAmplitude
-from .states import StateSpec
 
-_FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_FLOAT = rf"[+-]?{_UNSIGNED}"
 _RE_REAL = re.compile(rf"^(?P<re>{_FLOAT})$")
 _RE_IMAG = re.compile(rf"^(?P<im>{_FLOAT}|[+-]?)i$")
-_RE_CART = re.compile(rf"^(?P<re>{_FLOAT})(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-])i$")
+_RE_CART = re.compile(rf"^(?P<re>{_FLOAT})(?P<im>[+-](?:{_UNSIGNED})?)i$")
 _RE_POLAR = re.compile(rf"^(?P<r>{_FLOAT})@(?P<theta>{_FLOAT})$")
 
 
@@ -66,9 +68,9 @@ def fmt(value: float) -> str:
 # 17-digit value, so the arrays are converted here instead, _BLOCK values at a
 # time, to the same bytes:
 #
-# * Exponent.  e = floor(log10 |v|) is within one of the decimal exponent:
-#   it is lowered where the significand D below comes out <= 1e16, raised
-#   where D > 1e17, and D is taken again at the new e.
+# * Exponent.  e = floor(log10 |v|) is within one of the decimal exponent,
+#   and D below is taken once, at that e.  It is the exponent wherever
+#   1e16 < D < 1e17: one too high gives D <= 1e16 and one too low D >= 1e17.
 # * Significand.  D = round-half-even(S), from the double-double product of
 #   |v| and 10^q = hi + lo + delta, q = 16 - e, |delta| <= 2^-106 hi: with
 #   Veltkamp's split of |v| and hi, Dekker's p + pl = |v| hi is exact (for
@@ -77,12 +79,12 @@ def fmt(value: float) -> str:
 #   S < 2^57, p is an integer (S > 2^53), |pl| <= 8, |v lo| <= 16 and
 #   |v delta| <= 2^-49, so r = fl(pl + fl(|v| lo)) has |r - R| <= 3 * 2^-49
 #   < 2^-47, and D = p + rint(r) unless r lies within _TIE of a half-integer.
-# * Exact path.  _exact_texts formats whatever the bound cannot decide: true
-#   ties (2^-25), r near a tie, +-inf, NaN, subnormals and every nonzero |v|
-#   outside [1e-250, 1e250), where the split could overflow or lo underflow.
-#   It also takes each D still outside [1e16, 1e17) after that one repair:
-#   exact powers of ten, the rare S that round up to 1e17 (the double 1e-14
-#   is one), and any log10 off by more than one.
+# * Exact path.  _exact_texts formats whatever the pass leaves undecided:
+#   true ties (2^-25), r near a tie, +-inf, NaN, subnormals, every nonzero
+#   |v| outside [1e-250, 1e250), where the split could overflow or lo
+#   underflow, and every D outside (1e16, 1e17).  Those are the values whose
+#   log10 is off by one, the D of exactly 1e16 (powers of ten, and 0.1 at
+#   17 digits) and the rare S that round up to 1e17 (the double 1e-14 is one).
 # * Text.  Each value fills six little-endian uint64 words (48 bytes): sign,
 #   "0.000" and the lead digit, four 4-digit groups with a point after every
 #   digit, then "e+ddd", and in its last byte the separator the caller sets.
@@ -193,14 +195,7 @@ def _significands(a: np.ndarray) -> tuple:
     e = np.floor(np.log10(a)).astype(np.int64)
     p, r = _scaled(a, e)
     d = _rounded(p, r)
-    low = d <= _D_MIN
-    high = d > _D_END
-    redo = np.flatnonzero(low | high)
-    if redo.size:
-        e[redo] += high[redo].astype(np.int64) - low[redo]
-        p[redo], r[redo] = _scaled(a[redo], e[redo])
-        d[redo] = _rounded(p[redo], r[redo])
-    return e, d, (d >= _D_MIN) & (d < _D_END) & (np.abs(r - np.floor(r) - 0.5) > _TIE)
+    return e, d, (d > _D_MIN) & (d < _D_END) & (np.abs(r - np.floor(r) - 0.5) > _TIE)
 
 
 def _records(negative: np.ndarray, e: np.ndarray, d: np.ndarray) -> tuple:
@@ -301,23 +296,21 @@ class _Line:
     value: object
 
 
-def _grid_pieces(grid: GridRows, head: str, row: str, sep: str, tail: str, out: list) -> None:
-    """Append head, then the rows joined by sep, then tail, to out.
+def _grid_pieces(grid: GridRows, head: str, mid: str, sep: str, tail: str, out: list) -> None:
+    """Append head, then the rows "x mid y mid value" joined by sep, then tail, to out.
 
-    ``row`` holds three "%s", for the x, y and value text.  Each axis value is
-    formatted once.  The rows are built a block of y values at a time: one
-    template of the block's rows with their x and y text in place, filled
-    with the text of the block's values.
+    Each axis value is formatted once.  The rows are built a block of y
+    values at a time: one template of the block's rows with their x and y
+    text in place, filled with the text of the block's values.
     """
-    before_x, before_y, after_y = row.split("%s", 2)
     xs = [_FLOAT_SLOT % x for x in grid.xs.tolist()]
     step = max(1, _BLOCK // len(xs))
     out.append(head)
     for start in range(0, len(grid.ys), step):
         lines = []
         for y in grid.ys[start : start + step].tolist():
-            y_part = before_y + _FLOAT_SLOT % y + after_y
-            lines.append(before_x + (y_part + sep + before_x).join(xs) + y_part)
+            y_part = mid + _FLOAT_SLOT % y + mid + "%s"
+            lines.append((y_part + sep).join(xs) + y_part)
         values = _float_texts(grid.values[start : start + step])
         out += [sep.join(lines) % tuple(values), sep]
     out[-1] = tail
@@ -326,7 +319,7 @@ def _grid_pieces(grid: GridRows, head: str, row: str, sep: str, tail: str, out: 
 def render_grid_csv(header: str, grid: GridRows) -> str:
     """render_csv(header, x, y, value) of the grid's rows, each axis value formatted once."""
     out = []
-    _grid_pieces(grid, header + "\n", "%s,%s,%s", "\n", "\n", out)
+    _grid_pieces(grid, header + "\n", ",", "\n", "\n", out)
     return "".join(out)
 
 
@@ -348,8 +341,10 @@ def render_json(obj, indent: int = 0) -> str:
 
     Complex values are emitted as {"re": ..., "im": ...} objects.  A numpy
     array reads exactly as its .tolist() would, and GridRows as the list of
-    its [x, y, value] rows.  The text is collected piece by piece and joined
-    once, so a large member is copied once.
+    its [x, y, value] rows.  Any other dataclass reads as the dict of its
+    fields, in field order, and an enum member as its value.  The text is
+    collected piece by piece and joined once, so a large member is copied
+    once.
     """
     out = []
     _json_pieces(obj, indent, out)
@@ -364,9 +359,8 @@ def _json_pieces(obj, indent: int, out: list) -> None:
         _json_pieces(obj.value, indent, out)
         out.append("\n")
     elif isinstance(obj, GridRows):
-        item = "  " * (indent + 2)
-        row = f"[\n{item}%s,\n{item}%s,\n{item}%s\n{inner}]"
-        _grid_pieces(obj, f"[\n{inner}", row, f",\n{inner}", f"\n{pad}]", out)
+        head, ((_, mid), (_, sep), (_, tail)) = _array_literals(2, indent)
+        _grid_pieces(obj, head, mid, sep, tail, out)
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.size and 0 < obj.ndim < 9:
         seps = np.ones(obj.size, np.uint8)
         for stride in np.cumprod(obj.shape[::-1]).tolist():
@@ -403,14 +397,9 @@ def _json_pieces(obj, indent: int, out: list) -> None:
             _json_pieces(v, indent + 1, out)
             out.append(",\n")
         out[-1] = "\n" + pad + "]"
+    elif dataclasses.is_dataclass(obj):
+        _json_pieces({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent, out)
+    elif isinstance(obj, enum.Enum):
+        _json_pieces(obj.value, indent, out)
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
-
-
-def spec_to_jsonable(spec: StateSpec) -> dict:
-    return {
-        "alpha": {"r": spec.alpha.r, "theta_p": spec.alpha.theta_p},
-        "n_heads": spec.n_heads,
-        "family": spec.family.value,
-    }
-

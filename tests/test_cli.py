@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -564,3 +565,17 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "cmd_sweep", counting)
         code, _ = run(capsys, *REUSE_SEQUENCE[0])
         assert (code, calls) == (0, ["sweep"])
+
+
+def test_output_matches_the_committed_digests(capsys, monkeypatch):
+    # Every case of tools/cli_digest.py against tests/data/cli_digest.txt; a
+    # mismatch lists the changed cases and how this environment's stamp differs.
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("cli_digest", root / "tools" / "cli_digest.py")
+    cli_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_digest)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    manifest = root / "tests" / "data" / "cli_digest.txt"
+    code = cli_digest.main(["--src", str(root / "src"), "--check", str(manifest)])
+    out = capsys.readouterr().out
+    assert code == 0, out

@@ -26,9 +26,11 @@ from multihead.serialize import (
     render_csv,
     render_grid_csv,
     render_json,
-    spec_to_jsonable,
 )
+from multihead.closed_form import MomentTable
+from multihead.roots import PolarAmplitude
 from multihead.states import Family, StateSpec
+from multihead.sweeps import Quantity, SweepTemplate
 
 
 class TestParseAmplitude:
@@ -48,8 +50,9 @@ class TestParseAmplitude:
     )
     def test_cartesian_forms(self, text, x, y):
         a = parse_amplitude(text)
-        assert a.x == pytest.approx(x, abs=1e-12)
-        assert a.y == pytest.approx(y, abs=1e-12)
+        z = a.to_complex()
+        assert z.real == pytest.approx(x, abs=1e-12)
+        assert z.imag == pytest.approx(y, abs=1e-12)
 
     def test_polar_form(self):
         a = parse_amplitude("2@1.5")
@@ -87,6 +90,36 @@ class TestFormatting:
         payload = {"a": [0.1, 0.2], "b": {"c": 3 + 0.5j}}
         assert render_json(payload) == render_json(payload)
 
+    def test_dataclasses_render_as_their_fields_and_enums_as_their_values(self):
+        alpha = PolarAmplitude(1.5, 0.7)
+        alpha_dict = {"r": 1.5, "theta_p": 0.7}
+        table = MomentTable(1 + 2j, 1 - 2j, 3.5 + 0j, -1j, 1j, 0.25 + 0j)
+        table_dict = {"a_dag": 1 + 2j, "a": 1 - 2j, "n_mean": 3.5 + 0j, "a_dag2": -1j,
+                      "a2": 1j, "a_dag2_a2": 0.25 + 0j}
+        pairs = [
+            (alpha, alpha_dict),
+            (StateSpec(alpha, 3, Family.COHERENT),
+             {"alpha": alpha_dict, "n_heads": 3, "family": "coherent"}),
+            (SweepTemplate(0.7, 2, Family.INCOHERENT),
+             {"theta_p": 0.7, "n_heads": 2, "family": "incoherent"}),
+            (table, table_dict),
+            (Family.INCOHERENT, "incoherent"),
+            (Quantity.MANDEL_Q, "mandel-q"),
+            ({"quantity": Quantity.VAR_X1, "moments": table},
+             {"quantity": "var-x1", "moments": table_dict}),
+        ]
+        for indent in (0, 1, 3):
+            for obj, want in pairs:
+                assert render_json(obj, indent) == reference_render_json(want, indent)
+
+    def test_grid_rows_and_lines_keep_their_own_output(self):
+        grid = GridRows(np.array([0.5, -1.0]), np.array([2.0]), np.array([[0.1, 1e-300]]))
+        rows = [[0.5, 2.0, 0.1], [-1.0, 2.0, 1e-300]]
+        for indent in (0, 2):
+            assert render_json(grid, indent) == reference_render_json(rows, indent)
+        line = serialize._Line({"rows": grid})
+        assert render_json(line) == reference_render_json({"rows": rows}) + "\n"
+
 
 def reference_fmt(value):
     return format(float(value), ".17g")
@@ -120,6 +153,11 @@ def reference_render_json(obj, indent=0):
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
+def reference_spec(spec):
+    alpha = {"r": spec.alpha.r, "theta_p": spec.alpha.theta_p}
+    return {"alpha": alpha, "n_heads": spec.n_heads, "family": spec.family.value}
+
+
 def reference_json(payload):
     return reference_render_json({"tool": "multihead", "version": __version__, **payload}) + "\n"
 
@@ -145,7 +183,7 @@ def reference_wigner(alpha, heads, family, fmt_name, nx, ny, x_range=(-4.0, 4.0)
         for iy in range(ny)
         for ix in range(nx)
     ]
-    return reference_json({"spec": spec_to_jsonable(spec), "grid": grid, "rows": rows})
+    return reference_json({"spec": reference_spec(spec), "grid": grid, "rows": rows})
 
 
 def reference_sweep(heads, family, quantity, r_max, step, fmt_name):
@@ -185,7 +223,7 @@ def reference_fock(alpha, heads, family, max_m, fmt_name):
         return "\n".join(lines) + "\n"
     return reference_json(
         {
-            "spec": spec_to_jsonable(spec),
+            "spec": reference_spec(spec),
             "max_m": max_m,
             "abs_fock_elements": magnitudes.tolist(),
             "pnd": diag.tolist(),
@@ -390,6 +428,19 @@ class TestFloatTexts:
             for tail in ("949", "95", "951", "97", "99")
             for y in neighbours(float(f"{lead}.999999999999999{tail}e{k}"), 1)
         ]
+        assert_texts_exact(with_negatives(values))
+
+    def test_just_below_large_powers_of_ten(self):
+        # Up to 300 ulps below 10^k, log10 rounds up to k for most values; the
+        # significand at that exponent is <= 1e16, so they take the exact path.
+        values, rounds_up = [], 0
+        for k in range(100, 301):
+            y = float(f"1e{k}")
+            for _ in range(300):
+                y = math.nextafter(y, 0.0)
+                values.append(y)
+                rounds_up += math.floor(np.log10(y)) == k
+        assert rounds_up > 40_000
         assert_texts_exact(with_negatives(values))
 
     def test_fixed_and_exponent_switch_points(self):

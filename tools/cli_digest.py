@@ -1,26 +1,31 @@
 #!/usr/bin/env python3
 """Digest what the multihead CLI prints over a fixed matrix of commands.
 
-    tools/cli_digest.py --src DIR
+    tools/cli_digest.py --src DIR [--write PATH | --check PATH]
 
 Imports ``multihead`` from DIR (a checkout's ``src``), runs each argv of a
 fixed matrix through ``multihead.cli.main`` in this process, and prints one
 sha256 of (exit code, stdout, stderr) per case, then one over all cases.
 Two source trees that print the same digests print the same bytes on every
-case.
+case.  ``--write PATH`` saves those lines as a manifest, headed by an
+environment stamp (Python, numpy and the CPU SIMD features numpy reports);
+``--check PATH`` prints each case whose digest differs from the manifest's,
+with the stamp lines that differ, and exits 1 if any case does.
 
 The matrix covers ``roots``, ``stats``, ``fock`` and ``wigner`` in each of
 their formats on small grids, ``sweep`` for all five quantities and
 ``validate``, over N in {1, 2, 3, 4, 6, 12}, both families and amplitudes
 from 0 and -0@1 up to 60@0.7 and 1e100; ``validate`` again over 288 states
 (r in {0, 0.05, 1, sqrt 2, 3, 10, 30, 60} x theta in {0, 0.7, 3}); far-out
-``wigner`` grids; and one argv for each of the exit codes 1, 2 and 3.  Long
+``wigner`` grids; the cat Wigner grids at r = 1e100 and 1e200 whose fringe
+phase outruns double precision; and one argv for each of the exit codes 1, 2
+and 3.  Long
 sweeps (``--r-max 25`` at the default step, past the Mandel Q crossings and
 the squeezing edges) and ``fock --max-m 130`` (17,161 elements) make the
 emitters span more than one formatter block.  A
 warning is captured as "Category: message" on stderr, without its file and
 line, so moving a source line does not change a digest.  The tool itself
-uses only the standard library.
+uses only the standard library, and numpy for the stamp.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import warnings
+from itertools import zip_longest
 from pathlib import Path
 
 HEADS = (1, 2, 3, 4, 6, 12)
@@ -88,6 +95,9 @@ def cases():
         for family in FAMILIES:
             for span in FAR_OUT:
                 yield ("wigner", *spec(alpha, n, family), "--nx", "3", "--ny", "2", *span)
+    # The cat Wigner's fringe gap (tests/test_cli.py's FRINGE_GAP cases).
+    for alpha, n in (("1e100", 2), ("1e200", 2), ("1e200", 12)):
+        yield ("wigner", *spec(alpha, n, "coherent"), "--nx", "2", "--ny", "2")
     yield ("validate", *spec("1+1i", 2, "coherent"), "--tol", "1e-300")  # exit 1
     yield ("stats", *spec("1", 0, "coherent"))  # exit 2
     yield ("roots", "--alpha", "1", "--heads", "4097")  # exit 3
@@ -107,23 +117,71 @@ def run(main, argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def main() -> int:
+def stamp() -> list:
+    """The manifest's header: what the digests may depend on besides the source."""
+    import numpy as np
+
+    try:
+        from numpy._core._multiarray_umath import (
+            __cpu_baseline__, __cpu_dispatch__, __cpu_features__)
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import (
+            __cpu_baseline__, __cpu_dispatch__, __cpu_features__)
+    found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+    return [
+        f"# python {platform.python_version()} {platform.machine()}",
+        f"# numpy {np.__version__}",
+        f"# simd baseline {' '.join(__cpu_baseline__)}",
+        f"# simd found {' '.join(found)}",
+    ]
+
+
+def check(lines: list, manifest: Path) -> int:
+    """Print each case whose line differs from the manifest's; 1 if any does."""
+    old = manifest.read_text().splitlines()
+    old_stamp = [line for line in old if line.startswith("#")]
+    old_cases = [line for line in old if not line.startswith("#")]
+    changed = [(was, now) for was, now in zip_longest(old_cases[:-1], lines[:-1]) if was != now]
+    if not changed:
+        print(f"{len(lines) - 1} cases match {manifest}")
+        return 0
+    for was, now in changed:
+        print(f"- {was}\n+ {now}")
+    new_stamp = stamp()
+    stamp_diff = [f"- {line}" for line in old_stamp if line not in new_stamp]
+    stamp_diff += [f"+ {line}" for line in new_stamp if line not in old_stamp]
+    print(f"{len(changed)} of {len(lines) - 1} cases differ from {manifest}")
+    print(*(stamp_diff or ["environment stamp: the manifest's"]), sep="\n")
+    return 1
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, required=True, help="directory holding multihead")
-    args = parser.parse_args()
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", type=Path, metavar="PATH", help="save the digests as a manifest")
+    mode.add_argument("--check", type=Path, metavar="PATH", help="compare with a manifest")
+    args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     from multihead import cli
 
+    lines = []
     total = hashlib.sha256()
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = _short_warning
-        for argv in cases():
-            record = json.dumps(run(cli.main, argv)).encode()
+        for case in cases():
+            record = json.dumps(run(cli.main, case)).encode()
             digest = hashlib.sha256(record).hexdigest()
             total.update(digest.encode())
-            print(digest, " ".join(argv))
-    print(total.hexdigest(), "total")
+            lines.append(f"{digest} {' '.join(case)}")
+    lines.append(f"{total.hexdigest()} total")
+    if args.check:
+        return check(lines, args.check)
+    if args.write:
+        args.write.write_text("\n".join(stamp() + lines) + "\n")
+    else:
+        print(*lines, sep="\n")
     return 0
 
 
