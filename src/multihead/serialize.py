@@ -3,8 +3,9 @@
 Floats are rendered with 17 significant digits so every emitted value parses
 back to the identical IEEE-754 double, which makes re-emission byte-stable.
 A float array's text is formed in numpy, each value followed by its own
-separator byte, a block of values at a time; a grid's axis values are
-formatted once each.
+separator byte, a block of values at a time; a grid point's x, y and value
+texts form one record, each axis value formatted once.  A block of records
+becomes text in one pass that deletes the NUL bytes around the texts.
 """
 
 from __future__ import annotations
@@ -87,17 +88,23 @@ def fmt(value: float) -> str:
 #   17 digits) and the rare S that round up to 1e17 (the double 1e-14 is one).
 # * Text.  Each value fills six little-endian uint64 words (48 bytes): sign,
 #   "0.000" and the lead digit, four 4-digit groups with a point after every
-#   digit, then "e+ddd", and in its last byte the separator the caller sets.
-#   A keep-mask indexed by (sign, point position or exponent width, last
-#   nonzero digit) selects the bytes of the value's text and its separator.
-#   An exact-path value's CPython text is written into its own record, with
-#   its own mask row, so one np.compress and one decode give the block's text.
+#   digit, then "e+ddd", which ends in byte 44, and a last byte left for the
+#   caller's separator.  A keep-mask indexed by (sign, point position or
+#   exponent width, last nonzero digit) marks the bytes of the value's text,
+#   and every other byte is set to NUL (_float_records).  An exact-path
+#   value's CPython text is written, NUL-padded, into its own record.  No
+#   kept byte is NUL, so one bytes.translate that deletes NULs, and one
+#   decode, give a block's text.
 # * Separators.  render_csv's are "," and "\n" themselves.  A render_json
 #   float array marks value i with chr(j + 1), where j axes close after it;
 #   one str.replace per marker expands it into brackets, ",\n" and indent.
-#   Grids split their values' text on a space (_float_texts), since every
-#   grid row carries its own x and y text.  render_json collects a payload's
-#   pieces, grid blocks included, in one list and joins it once.
+#   A grid point is one record of three slots: its x text, after the row
+#   separator and before the value separator; its y text, before the value
+#   separator; and the first 45 bytes of its value's record.  Each axis
+#   value is formatted once, NUL-padded to its axis' widest slot, and the
+#   slots are broadcast over a block's rows and columns.  render_json
+#   collects a payload's pieces, grid blocks included, in one list and joins
+#   it once.
 _BLOCK = 1 << 14
 _MAGNITUDE = (1e-250, 1e250)  # |v| the double-double product covers
 _EXP_OFFSET = 260  # offset of exponent e in the exponent-word table
@@ -106,6 +113,7 @@ _TIE = 2.0**-46
 _D_MIN = 10**16
 _D_END = 10**17
 _WIDTH = 48  # bytes per value in the text buffer
+_TEXT = 45  # a record's text bytes: the exponent ends in byte 44, and no text is longer
 _MODES = 23  # fixed notation at exponents -4..16, exponent with 2 or 3 digits
 
 
@@ -176,8 +184,7 @@ def _text_tables() -> tuple:
     keep |= fixed & (x < 0) & ((col == 1) | (col == 2) | ((col >= 3) & (col < 2 - x)))
     keep |= digit & (k <= np.where(fixed & (x >= 0), np.maximum(last, x), last))
     keep |= point & np.where(fixed, (x >= 0) & (k == x), k == 0) & (k < last)
-    keep |= ~fixed & (col >= 40) & (col < 45) & ((col != 42) | (mode == _MODES - 1))
-    keep |= col == _WIDTH - 1
+    keep |= ~fixed & (col >= 40) & (col < _TEXT) & ((col != 42) | (mode == _MODES - 1))
     return lead, groups, group_zeros, exponents, keep
 
 
@@ -217,8 +224,12 @@ def _records(negative: np.ndarray, e: np.ndarray, d: np.ndarray) -> tuple:
     return words.view(np.uint8), keep.take((negative * _MODES + mode) * 17 + 16 - zeros, axis=0)
 
 
-def _float_block(v: np.ndarray, seps) -> str:
-    """The text of one block of float64 values, each followed by its separator byte."""
+def _float_records(v: np.ndarray) -> np.ndarray:
+    """Each float64 value's 48-byte record: its text, every other byte NUL.
+
+    The text lies within the first _TEXT bytes; the last byte is left NUL
+    for the caller's separator.
+    """
     a = np.abs(v)
     fast = (a >= _MAGNITUDE[0]) & (a < _MAGNITUDE[1])  # NaN fails both
     zero = a == 0.0
@@ -229,12 +240,23 @@ def _float_block(v: np.ndarray, seps) -> str:
     e[zero], d[zero] = 0, 0  # the digits of 0 at e = 0 read "0"
     fast |= zero
     text, keep = _records(np.signbit(v), e, d)
-    text[:, -1] = seps
+    text *= keep
     exact = np.flatnonzero(~fast)
     texts = np.array(_exact_texts(v[exact]), dtype=f"S{_WIDTH - 1}")
     text[exact, :-1] = texts.view(np.uint8).reshape(exact.size, _WIDTH - 1)
-    keep[exact, :-1] = np.arange(_WIDTH - 1) < np.char.str_len(texts)[:, None]
-    return str(np.compress(keep.ravel(), text), "ascii")
+    return text
+
+
+def _kept_text(buffer: np.ndarray) -> str:
+    """The buffer's bytes with every NUL deleted, as text."""
+    return buffer.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _float_block(v: np.ndarray, seps) -> str:
+    """The text of one block of float64 values, each followed by its separator byte."""
+    text = _float_records(v)
+    text[:, -1] = seps
+    return _kept_text(text)
 
 
 def _float_pieces(flat: np.ndarray, seps: np.ndarray, literals=()) -> list:
@@ -296,24 +318,41 @@ class _Line:
     value: object
 
 
+def _axis_slots(texts: list) -> np.ndarray:
+    """The texts as rows of a NUL-padded uint8 array, one row per text."""
+    slots = np.array(texts, dtype="S")
+    return slots.view(np.uint8).reshape(len(texts), slots.itemsize)
+
+
 def _grid_pieces(grid: GridRows, head: str, mid: str, sep: str, tail: str, out: list) -> None:
     """Append head, then the rows "x mid y mid value" joined by sep, then tail, to out.
 
-    Each axis value is formatted once.  The rows are built a block of y
-    values at a time: one template of the block's rows with their x and y
-    text in place, filled with the text of the block's values.
+    Each axis value is formatted once, into its slot: sep, x and mid for x,
+    y and mid for y.  A block of at most _BLOCK points is one uint8 array of
+    records, each its point's x slot, y slot and value text; the slots are
+    broadcast over rows and columns, and one NUL-deleting pass turns the
+    block into text.  A block is whole rows, or a _BLOCK-point part of one
+    row where a row is longer.
     """
-    xs = [_FLOAT_SLOT % x for x in grid.xs.tolist()]
-    step = max(1, _BLOCK // len(xs))
+    x_slots = _axis_slots([sep + _FLOAT_SLOT % x + mid for x in grid.xs.tolist()])
+    y_slots = _axis_slots([_FLOAT_SLOT % y + mid for y in grid.ys.tolist()])
+    (nx, wx), (ny, wy) = x_slots.shape, y_slots.shape
+    rows, cols = max(1, _BLOCK // nx), min(nx, _BLOCK)
     out.append(head)
-    for start in range(0, len(grid.ys), step):
-        lines = []
-        for y in grid.ys[start : start + step].tolist():
-            y_part = mid + _FLOAT_SLOT % y + mid + "%s"
-            lines.append((y_part + sep).join(xs) + y_part)
-        values = _float_texts(grid.values[start : start + step])
-        out += [sep.join(lines) % tuple(values), sep]
-    out[-1] = tail
+    for r0 in range(0, ny, rows):
+        r1 = min(r0 + rows, ny)
+        for c0 in range(0, nx, cols):
+            c1 = min(c0 + cols, nx)
+            v = np.asarray(grid.values[r0:r1, c0:c1], dtype=np.float64).ravel()
+            block = np.empty((r1 - r0, c1 - c0, wx + wy + _TEXT), np.uint8)
+            block[:, :, :wx] = x_slots[c0:c1]
+            block[:, :, wx : wx + wy] = y_slots[r0:r1, None]
+            records = _float_records(v).reshape(r1 - r0, c1 - c0, _WIDTH)
+            block[:, :, wx + wy :] = records[:, :, :_TEXT]
+            if r0 == c0 == 0:
+                block[0, 0, : len(sep)] = 0  # the first point follows head, not sep
+            out.append(_kept_text(block))
+    out.append(tail)
 
 
 def render_grid_csv(header: str, grid: GridRows) -> str:

@@ -506,6 +506,64 @@ def test_special_values_in_grid_rows(nx, ny):
         assert render_json(grid, indent) == reference_render_json(rows, indent)
 
 
+# Axis values whose texts run from 1 to 24 characters.
+AXIS_VALUES = [0.0, -0.0, 1.0, -7.0, 0.5, -3.96, 1e-300, -2.2250738585072014e-308, 1e22, math.pi]
+GRID_SHAPES = [(1, 1), (1, 3), (1, serialize._BLOCK + 3), (2, 3), (7, 5), (128, 129),
+               (serialize._BLOCK // 3, 4), (serialize._BLOCK - 1, 2), (serialize._BLOCK, 2),
+               (serialize._BLOCK + 1, 2), (2 * serialize._BLOCK + 5, 1)]
+
+
+def grid_block_ends(nx, ny):
+    """The (iy, ix) of the first and last point of each of the grid emitter's blocks."""
+    rows, cols = max(1, serialize._BLOCK // nx), min(nx, serialize._BLOCK)
+    return [(iy, ix) for r0 in range(0, ny, rows) for c0 in range(0, nx, cols)
+            for iy, ix in ((r0, c0), (min(r0 + rows, ny) - 1, min(c0 + cols, nx) - 1))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(GRID_SHAPES) | st.tuples(st.integers(1, 40), st.integers(1, 12)),
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    layout=st.sampled_from(["contiguous", "transposed", "strided"]),
+)
+def test_grid_rows_render_as_their_row_loop(shape, seed, dtype, layout):
+    # Blocks of whole rows, and rows longer than a block cut into parts; the
+    # values of every block's first and last point take CPython's text.
+    nx, ny = shape
+    rng = np.random.default_rng(seed)
+    xs, ys = (rng.choice(AXIS_VALUES + list(rng.standard_normal(4)), n) for n in (nx, ny))
+    grid_values = rng.standard_normal((ny, nx)) * np.exp(rng.uniform(-80.0, 80.0, (ny, nx)))
+    for k, point in enumerate(grid_block_ends(nx, ny)):
+        grid_values[point] = EXACT_PATH[k % len(EXACT_PATH)]
+    grid_values = grid_values.astype(dtype)
+    if layout == "transposed":
+        grid_values = np.ascontiguousarray(grid_values.T).T
+    elif layout == "strided":
+        grid_values = np.repeat(grid_values, 2, axis=1)[:, ::2]
+    grid = GridRows(xs, ys, grid_values)
+    rows = [[x, y, float(grid_values[iy, ix])] for iy, y in enumerate(ys.tolist())
+            for ix, x in enumerate(xs.tolist())]
+    assert render_grid_csv("x,y,w", grid) == "x,y,w\n" + "".join(
+        f"{reference_fmt(x)},{reference_fmt(y)},{reference_fmt(w)}\n" for x, y, w in rows)
+    for indent in range(4):
+        assert render_json(grid, indent) == reference_render_json(rows, indent)
+
+
+@pytest.mark.parametrize("nx,ny", [(2 * serialize._BLOCK + 5, 2), (3, serialize._BLOCK + 1)])
+def test_no_grid_block_holds_more_than_a_block_of_values(monkeypatch, nx, ny):
+    sizes = []
+    float_records = serialize._float_records
+
+    def counting(values):
+        sizes.append(values.size)
+        return float_records(values)
+
+    monkeypatch.setattr(serialize, "_float_records", counting)
+    render_grid_csv("x,y,w", GridRows(np.zeros(nx), np.zeros(ny), np.zeros((ny, nx))))
+    assert max(sizes) <= serialize._BLOCK and sum(sizes) == nx * ny
+
+
 def test_default_grid_sends_almost_nothing_down_the_exact_path(capsys, monkeypatch):
     sent = []
     exact_texts = serialize._exact_texts
@@ -583,3 +641,35 @@ def test_csv_refuses_integers_a_double_cannot_hold():
             render_csv("i", np.array([big]))
     text = render_csv("i", np.array([-(2**53), 0, 2**53]))
     assert text == "i\n-9007199254740992\n0\n9007199254740992\n"
+
+
+def keep_table_key(v):
+    """(sign, mode, last nonzero digit) of '%.17g' % v: the key of its keep-mask row."""
+    mantissa, exponent = ("%.16e" % abs(v)).split("e")
+    x = int(exponent)
+    mode = x + 4 if -4 <= x < 17 else 21 if abs(x) < 100 else 22
+    return math.copysign(1.0, v) < 0, mode, len(mantissa.replace(".", "").rstrip("0") or "0") - 1
+
+
+def test_a_nul_never_stands_for_a_kept_byte():
+    # The block's text is its records with every NUL deleted, so a NUL inside a
+    # value's text would vanish without an error.  Digit patterns of 1 to 17
+    # digits at every exponent, and many at each fixed-notation exponent,
+    # reach every (sign, mode, last digit) key of the keep table.
+    rng = np.random.default_rng(17)
+    values = []
+    for k in range(1, 18):
+        for digits in ("12345678901234567"[:k], "9" * k):
+            values += [float(f"{digits}e{e - k + 1}") for e in range(-330, 311)]
+        for _ in range(40):
+            last = rng.integers(1, 10)  # k digits: a leading 1 where k > 1, a nonzero last one
+            digits = str(rng.integers(10 ** (k - 1), 2 * 10 ** (k - 1)) // 10 * 10 + last)
+            values += [float(f"{digits}e{x - k + 1}") for x in range(-4, 17)]
+    values = with_negatives(values + EXACT_PATH + SPECIAL)
+    keys = {keep_table_key(v) for v in values.tolist() if math.isfinite(v)}
+    assert len(keys) == 2 * serialize._MODES * 17
+    records = serialize._float_records(values)
+    texts = [reference_fmt(v) for v in values.tolist()]
+    assert not records[:, -1].any()  # the separator's byte is left to the caller
+    assert np.count_nonzero(records[:, :-1], axis=1).tolist() == [len(t) for t in texts]
+    assert records.tobytes().translate(None, b"\0") == "".join(texts).encode()

@@ -14,18 +14,21 @@ with the stamp lines that differ, and exits 1 if any case does.
 
 The matrix covers ``roots``, ``stats``, ``fock`` and ``wigner`` in each of
 their formats on small grids, ``sweep`` for all five quantities and
-``validate``, over N in {1, 2, 3, 4, 6, 12}, both families and amplitudes
-from 0 and -0@1 up to 60@0.7 and 1e100; ``validate`` again over 288 states
-(r in {0, 0.05, 1, sqrt 2, 3, 10, 30, 60} x theta in {0, 0.7, 3}); far-out
-``wigner`` grids; the cat Wigner grids at r = 1e100 and 1e200 whose fringe
-phase outruns double precision; and one argv for each of the exit codes 1, 2
-and 3.  Long
-sweeps (``--r-max 25`` at the default step, past the Mandel Q crossings and
-the squeezing edges) and ``fock --max-m 130`` (17,161 elements) make the
-emitters span more than one formatter block.  A
-warning is captured as "Category: message" on stderr, without its file and
-line, so moving a source line does not change a digest.  The tool itself
-uses only the standard library, and numpy for the stamp.
+``validate``, over N in {1, 2, 3, 4, 6, 12}, both families and amplitudes from
+0 and -0@1 up to 60@0.7 and 1e100; ``validate`` over 288 states (r in {0,
+0.05, 1, sqrt 2, 3, 10, 30, 60} x theta in {0, 0.7, 3}); far-out ``wigner``
+grids; the edge matrix of ``tests/test_cli.py`` (N in {1, 2, 12, 4097} x r in
+{0, 1e-300, 1e100, 1e200}, every command: 264 distinct argvs, 102 of them
+exit-3 refusals), which holds the cat Wigner grids at r = 1e100 and 1e200
+whose fringe phase outruns double precision; and one argv for each of the exit
+codes 1, 2 and 3.  Long sweeps (``--r-max 25`` at the default step, past the
+Mandel Q crossings and the squeezing edges), ``fock --max-m 130`` (17,161
+elements), the default 201 x 201 ``wigner`` grid (three formatter blocks) and
+a 17000 x 2 one (one row over two blocks) make the emitters span more than one
+formatter block.  An argv the matrix repeats runs once, where it first
+appears.  A warning is captured as "Category: message" on stderr, without its
+file and line, so moving a source line does not change a digest.  The tool
+itself uses only the standard library, and numpy for the stamp.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ AMPLITUDES = ("0", "-0@1", "0.05@1.1", "1+1i", "1.4142135623730951@0.7", "3@3", 
 VALIDATE_MODULI = ("0", "0.05", "1", "1.4142135623730951", "3", "10", "30", "60")
 QUANTITIES = ("mean-photon", "mandel-q", "var-x1", "var-x2", "parity")
 SMALL_GRID = ("--nx", "4", "--ny", "3")
+# tests/test_cli.py's edge matrix; 4097 is one head past roots.HEADS_MAX.
+EDGE_HEADS = (1, 2, 12, 4097)
+EDGE_MODULI = ("0", "1e-300", "1e100", "1e200")
 FAR_OUT = (("--x-min=1e160", "--x-max=2e160"), ("--y-min=-1e200", "--y-max=1e200"))
 
 
@@ -95,12 +101,34 @@ def cases():
         for family in FAMILIES:
             for span in FAR_OUT:
                 yield ("wigner", *spec(alpha, n, family), "--nx", "3", "--ny", "2", *span)
-    # The cat Wigner's fringe gap (tests/test_cli.py's FRINGE_GAP cases).
-    for alpha, n in (("1e100", 2), ("1e200", 2), ("1e200", 12)):
-        yield ("wigner", *spec(alpha, n, "coherent"), "--nx", "2", "--ny", "2")
+    # The default 201 x 201 grid spans three formatter blocks; one 17000-point row, two.
+    for family, alpha, n in (("incoherent", "1+1i", 3), ("coherent", "3@0.7", 12)):
+        for fmt in ("csv", "json"):
+            yield ("wigner", *spec(alpha, n, family), "--format", fmt)
+    for fmt in ("csv", "json"):
+        yield ("wigner", *spec("1+1i", 2, "coherent"), "--nx", "17000", "--ny", "2",
+               "--format", fmt)
+    yield from edge_cases()
     yield ("validate", *spec("1+1i", 2, "coherent"), "--tol", "1e-300")  # exit 1
     yield ("stats", *spec("1", 0, "coherent"))  # exit 2
     yield ("roots", "--alpha", "1", "--heads", "4097")  # exit 3
+
+
+def edge_cases():
+    """The argvs of tests/test_cli.py's edge_cases(), in its order."""
+    for n in EDGE_HEADS:
+        for r in EDGE_MODULI:
+            yield ("roots", "--alpha", r, "--heads", str(n))
+            for family in FAMILIES:
+                s = ("--alpha", r, "--heads", str(n), "--family", family)
+                yield ("stats", *s)
+                yield ("wigner", *s, "--nx", "2", "--ny", "2")
+                yield ("fock", *s, "--max-m", "2")
+                yield ("validate", *s)
+                r_max = float(r) or 1e-300  # r = 0 sweeps up to 1e-300 instead
+                for quantity in QUANTITIES:
+                    yield ("sweep", "--heads", str(n), "--family", family, "--quantity", quantity,
+                           "--r-max", repr(r_max), "--step", repr(r_max / 2))
 
 
 def _short_warning(message, category, *_):
@@ -170,7 +198,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = _short_warning
-        for case in cases():
+        for case in dict.fromkeys(cases()):
             record = json.dumps(run(cli.main, case)).encode()
             digest = hashlib.sha256(record).hexdigest()
             total.update(digest.encode())
