@@ -2,10 +2,10 @@
 
 Floats are rendered with 17 significant digits so every emitted value parses
 back to the identical IEEE-754 double, which makes re-emission byte-stable.
-A float array's text is formed in numpy, each value followed by its own
-separator byte, a block of values at a time; a grid point's x, y and value
-texts form one record, each axis value formatted once.  A block of records
-becomes text in one pass that deletes the NUL bytes around the texts.
+Every float output is a table whose points are formed in numpy as byte
+records, a block of points at a time: a column slot, a row slot and the
+value's text.  A block of records becomes text in one pass that deletes the
+NUL bytes around the texts.
 """
 
 from __future__ import annotations
@@ -88,23 +88,25 @@ def fmt(value: float) -> str:
 #   17 digits) and the rare S that round up to 1e17 (the double 1e-14 is one).
 # * Text.  Each value fills six little-endian uint64 words (48 bytes): sign,
 #   "0.000" and the lead digit, four 4-digit groups with a point after every
-#   digit, then "e+ddd", which ends in byte 44, and a last byte left for the
-#   caller's separator.  A keep-mask indexed by (sign, point position or
-#   exponent width, last nonzero digit) marks the bytes of the value's text,
-#   and every other byte is set to NUL (_float_records).  An exact-path
-#   value's CPython text is written, NUL-padded, into its own record.  No
-#   kept byte is NUL, so one bytes.translate that deletes NULs, and one
-#   decode, give a block's text.
-# * Separators.  render_csv's are "," and "\n" themselves.  A render_json
-#   float array marks value i with chr(j + 1), where j axes close after it;
-#   one str.replace per marker expands it into brackets, ",\n" and indent.
-#   A grid point is one record of three slots: its x text, after the row
-#   separator and before the value separator; its y text, before the value
-#   separator; and the first 45 bytes of its value's record.  Each axis
-#   value is formatted once, NUL-padded to its axis' widest slot, and the
-#   slots are broadcast over a block's rows and columns.  render_json
-#   collects a payload's pieces, grid blocks included, in one list and joins
-#   it once.
+#   digit, then "e+ddd", which ends in byte 44.  A keep-mask indexed by
+#   (sign, point position or exponent width, last nonzero digit) marks the
+#   bytes of the value's text, and every other byte is set to NUL
+#   (_float_records).  An exact-path value's CPython text is written,
+#   NUL-padded, into its own record's first _TEXT bytes.  No kept byte is
+#   NUL, so one bytes.translate that deletes NULs, and one decode, give a
+#   block's text.
+# * Tables.  Every float output is an (R, C) table whose point (i, j) is one
+#   record: column slot j, row slot i, then the first 45 bytes of its
+#   value's record.  The slots hold the text around the values, each
+#   NUL-padded to its axis' widest slot and broadcast over a block's rows
+#   and columns (_table_pieces).  render_csv's column slots are "\n" and
+#   ",".  A render_json float array of one or two axes has the list path's
+#   between-row and within-row texts as column slots.  A grid's column slot
+#   holds the point separator, x and the value separator, its row slot y
+#   and the value separator, so each axis value is formatted once.  The
+#   head stands in for the first point's column slot.  render_json collects
+#   a payload's pieces, table blocks included, in one list and joins it
+#   once.
 _BLOCK = 1 << 14
 _MAGNITUDE = (1e-250, 1e250)  # |v| the double-double product covers
 _EXP_OFFSET = 260  # offset of exponent e in the exponent-word table
@@ -227,8 +229,7 @@ def _records(negative: np.ndarray, e: np.ndarray, d: np.ndarray) -> tuple:
 def _float_records(v: np.ndarray) -> np.ndarray:
     """Each float64 value's 48-byte record: its text, every other byte NUL.
 
-    The text lies within the first _TEXT bytes; the last byte is left NUL
-    for the caller's separator.
+    The text lies within the first _TEXT bytes; the bytes after them are NUL.
     """
     a = np.abs(v)
     fast = (a >= _MAGNITUDE[0]) & (a < _MAGNITUDE[1])  # NaN fails both
@@ -242,8 +243,8 @@ def _float_records(v: np.ndarray) -> np.ndarray:
     text, keep = _records(np.signbit(v), e, d)
     text *= keep
     exact = np.flatnonzero(~fast)
-    texts = np.array(_exact_texts(v[exact]), dtype=f"S{_WIDTH - 1}")
-    text[exact, :-1] = texts.view(np.uint8).reshape(exact.size, _WIDTH - 1)
+    texts = np.array(_exact_texts(v[exact]), dtype=f"S{_TEXT}")
+    text[exact, :_TEXT] = texts.view(np.uint8).reshape(exact.size, _TEXT)
     return text
 
 
@@ -252,50 +253,68 @@ def _kept_text(buffer: np.ndarray) -> str:
     return buffer.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _float_block(v: np.ndarray, seps) -> str:
-    """The text of one block of float64 values, each followed by its separator byte."""
-    text = _float_records(v)
-    text[:, -1] = seps
-    return _kept_text(text)
+def _axis_slots(texts: list) -> np.ndarray:
+    """The texts as rows of a NUL-padded uint8 array, one row per text."""
+    slots = np.array(texts, dtype="S")
+    return slots.view(np.uint8).reshape(len(texts), slots.itemsize)
 
 
-def _float_pieces(flat: np.ndarray, seps: np.ndarray, literals=()) -> list:
-    """The text of each _BLOCK of the values, each value followed by its separator.
+def _table_pieces(values, col_slots: np.ndarray, row_slots, head: str, tail: str,
+                  out: list) -> None:
+    """Append head, the points of the (R, C) float table ``values``, then tail, to out.
 
-    ``literals`` holds (separator, text) pairs, replaced in each block in order.
+    Point (i, j) reads as col_slots[j], row_slots[i] and the value's text,
+    the slots being _axis_slots arrays, and row_slots None where the rows
+    have none; head stands in for the first point's column slot.  A block
+    of at most _BLOCK points is one uint8 array of records, column slot, row
+    slot and value text, with the slots broadcast over its rows and columns;
+    one NUL-deleting pass turns it into text.  A block is whole rows, or a
+    _BLOCK-point part of one row where a row is longer.
     """
-    pieces = []
-    for start in range(0, flat.size, _BLOCK):
-        text = _float_block(flat[start : start + _BLOCK], seps[start : start + _BLOCK])
-        for sep, literal in literals:
-            text = text.replace(sep, literal)
-        pieces.append(text)
-    return pieces
+    n_rows, n_cols = values.shape
+    if row_slots is None:
+        row_slots = np.empty((n_rows, 0), np.uint8)
+    wc, wr = col_slots.shape[1], row_slots.shape[1]
+    rows, cols = max(1, _BLOCK // n_cols), min(n_cols, _BLOCK)
+    out.append(head)
+    for r0 in range(0, n_rows, rows):
+        r1 = min(r0 + rows, n_rows)
+        for c0 in range(0, n_cols, cols):
+            c1 = min(c0 + cols, n_cols)
+            v = np.asarray(values[r0:r1, c0:c1], dtype=np.float64)
+            block = np.empty((*v.shape, wc + wr + _TEXT), np.uint8)
+            block[:, :, :wc] = col_slots[c0:c1]
+            block[:, :, wc : wc + wr] = row_slots[r0:r1, None]
+            records = _float_records(v.ravel()).reshape(*v.shape, _WIDTH)
+            block[:, :, wc + wr :] = records[:, :, :_TEXT]
+            if r0 == c0 == 0:
+                block[0, 0, :wc] = 0  # the first point follows head
+            out.append(_kept_text(block))
+    out.append(tail)
 
 
 def _float_texts(values: np.ndarray) -> list:
     """[_FLOAT_SLOT % v for v in values.ravel().tolist()], byte for byte."""
     flat = np.asarray(values, dtype=np.float64).ravel()
     out = []
-    for start in range(0, flat.size, _BLOCK):
-        out += _float_block(flat[start : start + _BLOCK], ord(" ")).split(" ")
-        out.pop()  # the empty text after the block's last separator
-    return out
+    _table_pieces(flat[:, None], _axis_slots([" "]), None, "", "", out)
+    return "".join(out).split(" ") if flat.size else []
 
 
 def render_csv(header: str, *columns: np.ndarray) -> str:
     """Header line, then a line per row of the 1-D columns: floats as fmt(), ints as ints.
 
-    The columns are interleaved into one float64 array whose values carry
-    their own separators, "," within a row and "\\n" at its end.  An integer
-    column must lie within +-2^53, where "%.17g" of its double reads as "%d".
+    The columns form one float64 table whose column slots are "\n", ending
+    the line before, and ",".  An integer column must lie within +-2^53,
+    where "%.17g" of its double reads as "%d".
     """
     if any(c.dtype.kind in "iu" and np.any((c < -(2**53)) | (c > 2**53)) for c in columns):
         raise ValueError("integer columns must lie within +-2^53")
     table = np.column_stack(columns).astype(np.float64, copy=False)
-    seps = np.full(table.shape, ord(","), np.uint8)
-    seps[:, -1] = ord("\n")
-    return "".join([header + "\n", *_float_pieces(table.ravel(), seps.ravel())])
+    seps = _axis_slots(["\n"] + [","] * (table.shape[1] - 1))
+    out = []
+    _table_pieces(table, seps, None, header + "\n", "\n" if len(table) else "", out)
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -318,61 +337,40 @@ class _Line:
     value: object
 
 
-def _axis_slots(texts: list) -> np.ndarray:
-    """The texts as rows of a NUL-padded uint8 array, one row per text."""
-    slots = np.array(texts, dtype="S")
-    return slots.view(np.uint8).reshape(len(texts), slots.itemsize)
-
-
-def _grid_pieces(grid: GridRows, head: str, mid: str, sep: str, tail: str, out: list) -> None:
+def _grid_pieces(grid: GridRows, head: str, sep: str, mid: str, tail: str, out: list) -> None:
     """Append head, then the rows "x mid y mid value" joined by sep, then tail, to out.
 
-    Each axis value is formatted once, into its slot: sep, x and mid for x,
-    y and mid for y.  A block of at most _BLOCK points is one uint8 array of
-    records, each its point's x slot, y slot and value text; the slots are
-    broadcast over rows and columns, and one NUL-deleting pass turns the
-    block into text.  A block is whole rows, or a _BLOCK-point part of one
-    row where a row is longer.
+    The grid is the table of its values, with column slots sep, x and mid
+    and row slots y and mid, so each axis value is formatted once.
     """
     x_slots = _axis_slots([sep + _FLOAT_SLOT % x + mid for x in grid.xs.tolist()])
     y_slots = _axis_slots([_FLOAT_SLOT % y + mid for y in grid.ys.tolist()])
-    (nx, wx), (ny, wy) = x_slots.shape, y_slots.shape
-    rows, cols = max(1, _BLOCK // nx), min(nx, _BLOCK)
-    out.append(head)
-    for r0 in range(0, ny, rows):
-        r1 = min(r0 + rows, ny)
-        for c0 in range(0, nx, cols):
-            c1 = min(c0 + cols, nx)
-            v = np.asarray(grid.values[r0:r1, c0:c1], dtype=np.float64).ravel()
-            block = np.empty((r1 - r0, c1 - c0, wx + wy + _TEXT), np.uint8)
-            block[:, :, :wx] = x_slots[c0:c1]
-            block[:, :, wx : wx + wy] = y_slots[r0:r1, None]
-            records = _float_records(v).reshape(r1 - r0, c1 - c0, _WIDTH)
-            block[:, :, wx + wy :] = records[:, :, :_TEXT]
-            if r0 == c0 == 0:
-                block[0, 0, : len(sep)] = 0  # the first point follows head, not sep
-            out.append(_kept_text(block))
-    out.append(tail)
+    _table_pieces(grid.values, x_slots, y_slots, head + fmt(grid.xs[0]) + mid, tail, out)
 
 
 def render_grid_csv(header: str, grid: GridRows) -> str:
     """render_csv(header, x, y, value) of the grid's rows, each axis value formatted once."""
     out = []
-    _grid_pieces(grid, header + "\n", ",", "\n", "\n", out)
+    _grid_pieces(grid, header + "\n", "\n", ",", "\n", out)
     return "".join(out)
 
 
 @functools.cache
 def _array_literals(ndim: int, indent: int) -> tuple:
-    """(head, [(separator, text)]) of render_json's float arrays of 1 to 8 axes.
+    """(head, between, within, tail): render_json's texts of a float array of 1 or 2 axes.
 
-    Value i carries the separator chr(j + 1), where j trailing axes close
-    after it.  Its text is what the list path writes after value 2^j - 1 of
-    a 2 x ... x 2 array of ints, which closes j axes too.  The separators
-    reach chr(9) at most, a byte that no value's text or literal holds.
+    They are cut from the list path's text of a 2 x ... x 2 array of ints:
+    the text before its first value, between its rows (for one axis, its
+    values), between the values of a row, and after its last value.
     """
-    between = re.split(r"\d+", render_json(np.arange(2**ndim).reshape((2,) * ndim), indent))
-    return between[0], [(chr(j + 1), between[2**j]) for j in range(ndim + 1)]
+    texts = re.split(r"\d+", render_json(np.arange(2**ndim).reshape((2,) * ndim), indent))
+    return texts[0], texts[2 ** (ndim - 1)], texts[1], texts[-1]
+
+
+def _check_finite(*arrays) -> None:
+    """Refuse a non-finite float: JSON has no text for it."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("JSON cannot hold a non-finite float")
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -381,7 +379,8 @@ def render_json(obj, indent: int = 0) -> str:
     Complex values are emitted as {"re": ..., "im": ...} objects.  A numpy
     array reads exactly as its .tolist() would, and GridRows as the list of
     its [x, y, value] rows.  Any other dataclass reads as the dict of its
-    fields, in field order, and an enum member as its value.  The text is
+    fields, in field order, and an enum member as its value.  A NaN or an
+    infinity raises ValueError: JSON has no text for it.  The text is
     collected piece by piece and joined once, so a large member is copied
     once.
     """
@@ -398,14 +397,14 @@ def _json_pieces(obj, indent: int, out: list) -> None:
         _json_pieces(obj.value, indent, out)
         out.append("\n")
     elif isinstance(obj, GridRows):
-        head, ((_, mid), (_, sep), (_, tail)) = _array_literals(2, indent)
-        _grid_pieces(obj, head, mid, sep, tail, out)
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.size and 0 < obj.ndim < 9:
-        seps = np.ones(obj.size, np.uint8)
-        for stride in np.cumprod(obj.shape[::-1]).tolist():
-            seps[stride - 1 :: stride] += 1
-        head, literals = _array_literals(obj.ndim, indent)
-        out += [head, *_float_pieces(obj.ravel(), seps, literals)]
+        _check_finite(obj.xs, obj.ys, obj.values)
+        _grid_pieces(obj, *_array_literals(2, indent), out)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2) and obj.size:
+        _check_finite(obj)
+        head, between, within, tail = _array_literals(obj.ndim, indent)
+        table = obj.reshape(len(obj), -1)
+        seps = _axis_slots([between] + [within] * (table.shape[1] - 1))
+        _table_pieces(table, seps, None, head, tail, out)
     elif isinstance(obj, np.ndarray):
         _json_pieces(obj.tolist(), indent, out)
     elif obj is None:
@@ -415,6 +414,7 @@ def _json_pieces(obj, indent: int, out: list) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
+        _check_finite(obj)
         out.append(fmt(obj))
     elif isinstance(obj, complex):
         _json_pieces({"re": float(obj.real), "im": float(obj.imag)}, indent, out)

@@ -364,35 +364,39 @@ def test_each_error_type_carries_its_exit_code(capsys, monkeypatch, error, code)
     assert capsys.readouterr() == ("", "error: stop\n")
 
 
-EDGE_HEADS = (1, 2, 12, HEADS_MAX + 1)
-EDGE_MODULI = ("0", "1e-300", "1e100", "1e200")
+def load_cli_digest():
+    """tools/cli_digest.py as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+cli_digest = load_cli_digest()
 FRINGE_GAP = pytest.mark.xfail(
     strict=True,
     reason="known gap: the coherent Wigner's fringe phase outruns double precision at "
     "large r (InternalConsistencyError, or an overflowing exp)",
 )
+FRINGE_GAP_IDS = {"wigner-coherent-2-1e100", "wigner-coherent-2-1e200", "wigner-coherent-12-1e200"}
 
 
 def edge_cases():
-    for n in EDGE_HEADS:
-        for r in EDGE_MODULI:
-            yield pytest.param(("roots", "--alpha", r, "--heads", str(n)), id=f"roots-{n}-{r}")
-            for family in ("incoherent", "coherent"):
-                for command in SPEC_COMMANDS:
-                    gap = (command, family, n, r) in {
-                        ("wigner", "coherent", 2, "1e100"),
-                        ("wigner", "coherent", 2, "1e200"),
-                        ("wigner", "coherent", 12, "1e200"),
-                    }
-                    yield pytest.param(
-                        spec_argv(command, r, n, family),
-                        id=f"{command}-{family}-{n}-{r}",
-                        marks=[FRINGE_GAP] if gap else [],
-                    )
-                for quantity in ("mean-photon", "mandel-q", "var-x1", "var-x2", "parity"):
-                    yield pytest.param(
-                        sweep_argv(quantity, r, n, family), id=f"sweep-{quantity}-{family}-{n}-{r}"
-                    )
+    """The digest tool's edge matrix, N in {1, 2, 12, HEADS_MAX + 1} x four r, each argv once.
+
+    An id reads command[-quantity][-family]-N-r; a sweep's r is its --r-max,
+    so r = 0, which sweeps up to 1e-300, is the case of r = 1e-300.
+    """
+    assert cli_digest.EDGE_HEADS[-1] == HEADS_MAX + 1
+    moduli = {float(r): r for r in cli_digest.EDGE_MODULI}
+    for argv in dict.fromkeys(cli_digest.edge_cases()):
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        r = opts.get("--alpha") or moduli[float(opts["--r-max"])]
+        parts = (argv[0], opts.get("--quantity"), opts.get("--family"), opts["--heads"], r)
+        case_id = "-".join(part for part in parts if part)
+        marks = [FRINGE_GAP] if case_id in FRINGE_GAP_IDS else []
+        yield pytest.param(argv, id=case_id, marks=marks)
 
 
 def far_out_grids():
@@ -571,9 +575,6 @@ def test_output_matches_the_committed_digests(capsys, monkeypatch):
     # Every case of tools/cli_digest.py against tests/data/cli_digest.txt; a
     # mismatch lists the changed cases and how this environment's stamp differs.
     root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("cli_digest", root / "tools" / "cli_digest.py")
-    cli_digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cli_digest)
     monkeypatch.setattr(sys, "path", list(sys.path))
     manifest = root / "tests" / "data" / "cli_digest.txt"
     code = cli_digest.main(["--src", str(root / "src"), "--check", str(manifest)])

@@ -232,6 +232,13 @@ def reference_fock(alpha, heads, family, max_m, fmt_name):
 
 
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e300, 0.1]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def finite_only(values):
+    """The values with each non-finite one replaced by 0."""
+    values = np.asarray(values)
+    return np.where(np.isfinite(values), values, 0.0).astype(values.dtype)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -247,16 +254,30 @@ SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014
     indent=st.integers(0, 3),
 )
 def test_array_renders_as_its_list(arr, indent):
+    # JSON has no text for NaN or an infinity, so an array holding one is
+    # refused; its finite values render as their list.
+    if not np.isfinite(arr).all():
+        for obj in (arr, arr.tolist()):
+            with pytest.raises(ValueError):
+                render_json(obj, indent)
+        arr = finite_only(arr)
     want = reference_render_json(arr.tolist(), indent)
     assert render_json(arr, indent) == want
     assert render_json(arr.tolist(), indent) == want
 
 
 def test_array_special_values_and_non_float_arrays():
-    arr = np.array(SPECIAL).reshape(3, 3)
+    arr = finite_only(SPECIAL).reshape(3, 3)
     assert render_json(arr) == reference_render_json(arr.tolist())
     for other in (np.arange(4).reshape(2, 2), np.array([1 + 2j, -0.5j]), np.array(2.5)):
         assert render_json(other, 1) == reference_render_json(other.tolist(), 1)
+    for bad in NON_FINITE:
+        refused = [bad, [1.0, bad], {"v": bad}, complex(0.0, bad), np.array(bad),
+                   np.array([[1.0, bad]]), np.array([1.0, bad], np.float32),
+                   np.full((2, 2, 2), bad), np.array([1j, bad])]
+        for obj in refused:
+            with pytest.raises(ValueError):
+                render_json(obj)
 
 
 def cli_output(capsys, *argv):
@@ -501,9 +522,19 @@ def test_special_values_in_grid_rows(nx, ny):
     csv_want = "x,y,w\n" + "".join(f"{reference_fmt(x)},{reference_fmt(y)},{reference_fmt(w)}\n"
                                    for x, y, w in rows)
     assert render_grid_csv("x,y,w", grid) == csv_want
-    rows = [[x, y, float(w)] for x, y, w in rows]
+    # JSON refuses NaN and the infinities, on either axis or among the values.
+    xs, ys, values = finite_only(xs), finite_only(ys), finite_only(values)
+    for bad in NON_FINITE:
+        last = values.copy()
+        last[-1, -1] = bad
+        for refused in (GridRows(xs, ys, last), GridRows(np.append(xs[:-1], bad), ys, values),
+                        GridRows(xs, np.append(ys[:-1], bad), values)):
+            with pytest.raises(ValueError):
+                render_json(refused)
+    rows = [[x, y, float(values[iy, ix])] for iy, y in enumerate(ys.tolist())
+            for ix, x in enumerate(xs.tolist())]
     for indent in (0, 2):
-        assert render_json(grid, indent) == reference_render_json(rows, indent)
+        assert render_json(GridRows(xs, ys, values), indent) == reference_render_json(rows, indent)
 
 
 # Axis values whose texts run from 1 to 24 characters.
@@ -513,11 +544,23 @@ GRID_SHAPES = [(1, 1), (1, 3), (1, serialize._BLOCK + 3), (2, 3), (7, 5), (128, 
                (serialize._BLOCK + 1, 2), (2 * serialize._BLOCK + 5, 1)]
 
 
-def grid_block_ends(nx, ny):
-    """The (iy, ix) of the first and last point of each of the grid emitter's blocks."""
-    rows, cols = max(1, serialize._BLOCK // nx), min(nx, serialize._BLOCK)
-    return [(iy, ix) for r0 in range(0, ny, rows) for c0 in range(0, nx, cols)
-            for iy, ix in ((r0, c0), (min(r0 + rows, ny) - 1, min(c0 + cols, nx) - 1))]
+def table_block_ends(n_rows, n_cols):
+    """The (i, j) of the first and last point of each block of an (n_rows, n_cols) table.
+
+    Every float output is such a table: a grid's values (iy, ix), a CSV's
+    columns and a JSON float array of two axes, or of one as a single column.
+    """
+    rows, cols = max(1, serialize._BLOCK // n_cols), min(n_cols, serialize._BLOCK)
+    return [(i, j) for r0 in range(0, n_rows, rows) for c0 in range(0, n_cols, cols)
+            for i, j in ((r0, c0), (min(r0 + rows, n_rows) - 1, min(c0 + cols, n_cols) - 1))]
+
+
+def with_exact_path_at(values, points, exact):
+    """A copy of the table ``values`` with exact-path values, in turn, at the points."""
+    values = np.array(values, dtype=float)
+    for k, point in enumerate(points):
+        values[point] = exact[k % len(exact)]
+    return values
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -533,19 +576,22 @@ def test_grid_rows_render_as_their_row_loop(shape, seed, dtype, layout):
     nx, ny = shape
     rng = np.random.default_rng(seed)
     xs, ys = (rng.choice(AXIS_VALUES + list(rng.standard_normal(4)), n) for n in (nx, ny))
-    grid_values = rng.standard_normal((ny, nx)) * np.exp(rng.uniform(-80.0, 80.0, (ny, nx)))
-    for k, point in enumerate(grid_block_ends(nx, ny)):
-        grid_values[point] = EXACT_PATH[k % len(EXACT_PATH)]
-    grid_values = grid_values.astype(dtype)
-    if layout == "transposed":
-        grid_values = np.ascontiguousarray(grid_values.T).T
-    elif layout == "strided":
-        grid_values = np.repeat(grid_values, 2, axis=1)[:, ::2]
-    grid = GridRows(xs, ys, grid_values)
-    rows = [[x, y, float(grid_values[iy, ix])] for iy, y in enumerate(ys.tolist())
-            for ix, x in enumerate(xs.tolist())]
+    values = rng.standard_normal((ny, nx)) * np.exp(rng.uniform(-80.0, 80.0, (ny, nx)))
+
+    def grid_rows(exact):
+        grid_values = with_exact_path_at(values, table_block_ends(ny, nx), exact).astype(dtype)
+        if layout == "transposed":
+            grid_values = np.ascontiguousarray(grid_values.T).T
+        elif layout == "strided":
+            grid_values = np.repeat(grid_values, 2, axis=1)[:, ::2]
+        rows = [[x, y, float(grid_values[iy, ix])] for iy, y in enumerate(ys.tolist())
+                for ix, x in enumerate(xs.tolist())]
+        return GridRows(xs, ys, grid_values), rows
+
+    grid, rows = grid_rows(EXACT_PATH)
     assert render_grid_csv("x,y,w", grid) == "x,y,w\n" + "".join(
         f"{reference_fmt(x)},{reference_fmt(y)},{reference_fmt(w)}\n" for x, y, w in rows)
+    grid, rows = grid_rows(FINITE_EXACT_PATH)  # JSON refuses the rest
     for indent in range(4):
         assert render_json(grid, indent) == reference_render_json(rows, indent)
 
@@ -573,7 +619,7 @@ def test_default_grid_sends_almost_nothing_down_the_exact_path(capsys, monkeypat
         return exact_texts(values)
 
     monkeypatch.setattr(serialize, "_exact_texts", counting)
-    render_json(np.array(SPECIAL))
+    render_csv("v", np.array(SPECIAL))
     assert sum(sent) >= 5  # the patched helper is the one the emitters call
     sent.clear()
     for fmt_name in ("csv", "json"):
@@ -586,31 +632,32 @@ def test_default_grid_sends_almost_nothing_down_the_exact_path(capsys, monkeypat
 # 1e16), infinities, NaN and a subnormal take CPython's text; signed zeros
 # take the fast path's special case.
 EXACT_PATH = [1.0, 0.01, 0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]
-
-
-def with_exact_path_at_block_ends(values):
-    """values, flattened, with EXACT_PATH values in the first and last slot of every block."""
-    flat = np.array(values, dtype=float).ravel()
-    ends = [i for start in range(0, flat.size, serialize._BLOCK)
-            for i in (start, min(start + serialize._BLOCK, flat.size) - 1)]
-    flat[ends] = [EXACT_PATH[k % len(EXACT_PATH)] for k in range(len(ends))]
-    return flat.reshape(np.shape(values))
+FINITE_EXACT_PATH = [v for v in EXACT_PATH if math.isfinite(v)]
 
 
 @pytest.mark.parametrize(
     "shape",
     [(2, 3, 2, 2), (1, 1, 1, 5), (3, 2, 4, 1), (2,) * 8, (2,) * 9, (2 * serialize._BLOCK,),
-     (2, serialize._BLOCK), (4, 64, serialize._BLOCK // 128), (3, 2, 2, serialize._BLOCK // 4)],
+     (2, serialize._BLOCK), (3, serialize._BLOCK + 1), (serialize._BLOCK // 3 + 1, 3),
+     (4, 64, serialize._BLOCK // 128), (3, 2, 2, serialize._BLOCK // 4)],
     ids=str,
 )
 def test_arrays_with_exact_path_values_at_block_ends_render_as_their_lists(shape):
-    # Eight axes use separators up to chr(9); nine take the list path.  In the
-    # last four shapes every block ends where one or more axes close, so its
-    # last separator expands to closing brackets.
+    # An array of one or two axes is a table of blocks of whole rows, or of
+    # parts of a row longer than a block; a block's first value follows the
+    # text between two rows and its last one precedes it, or the tail.
+    # Arrays of more axes take the list path.
     rng = np.random.default_rng(sum(shape))
-    arr = with_exact_path_at_block_ends(rng.standard_normal(shape) * 1e5)
+    values = rng.standard_normal(shape) * 1e5
+    table = values.reshape(shape[0], -1)
+    arr = with_exact_path_at(table, table_block_ends(*table.shape), FINITE_EXACT_PATH)
+    arr = arr.reshape(shape)
     for indent in range(4):
         assert render_json(arr, indent) == reference_render_json(arr.tolist(), indent)
+    for bad in NON_FINITE:  # JSON refuses the other exact-path values
+        arr.flat[-1] = bad
+        with pytest.raises(ValueError):
+            render_json(arr)
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (2, 0, 4), (2, 3, 0), (1, 2, 3, 0)], ids=str)
@@ -622,10 +669,13 @@ def test_arrays_with_an_empty_axis_render_as_their_lists(shape):
 
 @pytest.mark.parametrize("columns", [1, 2, 3])
 def test_csv_blocks_with_exact_path_values_at_their_ends(columns):
-    # The columns interleave row by row, so the table's flat blocks are the formatter's.
+    # The block ends of the table of the columns alone, and of the table with
+    # an index column first, whose points in that column are the index.
     rows = 2 * serialize._BLOCK // columns + 5
-    table = with_exact_path_at_block_ends(
-        np.random.default_rng(columns).standard_normal((rows, columns))
+    ends = table_block_ends(rows, columns)
+    ends += [(i, j - 1) for i, j in table_block_ends(rows, columns + 1) if j]
+    table = with_exact_path_at(
+        np.random.default_rng(columns).standard_normal((rows, columns)), ends, EXACT_PATH
     )
     want = "".join(",".join(reference_fmt(v) for v in row) + "\n" for row in table.tolist())
     assert render_csv("v", *table.T) == "v\n" + want
@@ -670,6 +720,6 @@ def test_a_nul_never_stands_for_a_kept_byte():
     assert len(keys) == 2 * serialize._MODES * 17
     records = serialize._float_records(values)
     texts = [reference_fmt(v) for v in values.tolist()]
-    assert not records[:, -1].any()  # the separator's byte is left to the caller
+    assert not records[:, serialize._TEXT :].any()  # no text reaches past _TEXT bytes
     assert np.count_nonzero(records[:, :-1], axis=1).tolist() == [len(t) for t in texts]
     assert records.tobytes().translate(None, b"\0") == "".join(texts).encode()

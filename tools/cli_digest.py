@@ -17,18 +17,19 @@ their formats on small grids, ``sweep`` for all five quantities and
 ``validate``, over N in {1, 2, 3, 4, 6, 12}, both families and amplitudes from
 0 and -0@1 up to 60@0.7 and 1e100; ``validate`` over 288 states (r in {0,
 0.05, 1, sqrt 2, 3, 10, 30, 60} x theta in {0, 0.7, 3}); far-out ``wigner``
-grids; the edge matrix of ``tests/test_cli.py`` (N in {1, 2, 12, 4097} x r in
-{0, 1e-300, 1e100, 1e200}, every command: 264 distinct argvs, 102 of them
-exit-3 refusals), which holds the cat Wigner grids at r = 1e100 and 1e200
-whose fringe phase outruns double precision; and one argv for each of the exit
-codes 1, 2 and 3.  Long sweeps (``--r-max 25`` at the default step, past the
-Mandel Q crossings and the squeezing edges), ``fock --max-m 130`` (17,161
-elements), the default 201 x 201 ``wigner`` grid (three formatter blocks) and
-a 17000 x 2 one (one row over two blocks) make the emitters span more than one
-formatter block.  An argv the matrix repeats runs once, where it first
-appears.  A warning is captured as "Category: message" on stderr, without its
-file and line, so moving a source line does not change a digest.  The tool
-itself uses only the standard library, and numpy for the stamp.
+grids; the edge matrix, which ``tests/test_cli.py`` runs too (N in {1, 2, 12,
+4097} x r in {0, 1e-300, 1e100, 1e200}, every command: 264 distinct argvs,
+102 of them exit-3 refusals), which holds the cat Wigner grids at r = 1e100
+and 1e200 whose fringe phase outruns double precision; and one argv for each
+of the exit codes 1, 2 and 3.  Long sweeps (``--r-max 25`` at the default
+step, past the Mandel Q crossings and the squeezing edges, and a 20,001-sample
+``--r-max 200``), ``fock --max-m 130`` (17,161 elements), the default 201 x
+201 ``wigner`` grid (three formatter blocks) and a 17000 x 2 one (one row over
+two blocks) make the emitters span more than one formatter block.  An argv
+the matrix repeats runs once, where it first appears.  A warning is captured
+as "Category: message" on stderr, without its file and line, so moving a
+source line does not change a digest.  The tool itself uses only the standard
+library, and numpy for the stamp.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ AMPLITUDES = ("0", "-0@1", "0.05@1.1", "1+1i", "1.4142135623730951@0.7", "3@3", 
 VALIDATE_MODULI = ("0", "0.05", "1", "1.4142135623730951", "3", "10", "30", "60")
 QUANTITIES = ("mean-photon", "mandel-q", "var-x1", "var-x2", "parity")
 SMALL_GRID = ("--nx", "4", "--ny", "3")
-# tests/test_cli.py's edge matrix; 4097 is one head past roots.HEADS_MAX.
+# The edge matrix, which tests/test_cli.py also runs; 4097 is one head past roots.HEADS_MAX.
 EDGE_HEADS = (1, 2, 12, 4097)
 EDGE_MODULI = ("0", "1e-300", "1e100", "1e200")
 FAR_OUT = (("--x-min=1e160", "--x-max=2e160"), ("--y-min=-1e200", "--y-max=1e200"))
@@ -93,6 +94,10 @@ def cases():
                 for fmt in ("json", "csv"):
                     yield ("sweep", "--heads", str(n), "--family", family, "--quantity", quantity,
                            "--r-max", "25", "--format", fmt)
+    # 20,001 samples: a samples table of several formatter blocks.
+    for fmt in ("json", "csv"):
+        yield ("sweep", "--heads", "3", "--family", "coherent", "--quantity", "mandel-q",
+               "--r-max", "200", "--format", fmt)
     for family in FAMILIES:
         for fmt in ("json", "csv"):
             yield ("fock", *spec("10@0.7", 2, family), "--max-m", "130", "--format", fmt)
@@ -115,7 +120,7 @@ def cases():
 
 
 def edge_cases():
-    """The argvs of tests/test_cli.py's edge_cases(), in its order."""
+    """Every command at the edges of N and r; tests/test_cli.py runs each argv once."""
     for n in EDGE_HEADS:
         for r in EDGE_MODULI:
             yield ("roots", "--alpha", r, "--heads", str(n))
