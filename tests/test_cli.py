@@ -385,8 +385,9 @@ FRINGE_GAP_IDS = {"wigner-coherent-2-1e100", "wigner-coherent-2-1e200", "wigner-
 def edge_cases():
     """The digest tool's edge matrix, N in {1, 2, 12, HEADS_MAX + 1} x four r, each argv once.
 
-    An id reads command[-quantity][-family]-N-r; a sweep's r is its --r-max,
-    so r = 0, which sweeps up to 1e-300, is the case of r = 1e-300.
+    An id reads command[-quantity][-family]-N-r; a sweep's r is its --r-max.
+    The tool sweeps r = 0 up to 1e-300, the same argv as r = 1e-300, so the
+    sweep ids of r = 0 here pass --r-max 0 itself, which the CLI refuses.
     """
     assert cli_digest.EDGE_HEADS[-1] == HEADS_MAX + 1
     moduli = {float(r): r for r in cli_digest.EDGE_MODULI}
@@ -397,6 +398,9 @@ def edge_cases():
         case_id = "-".join(part for part in parts if part)
         marks = [FRINGE_GAP] if case_id in FRINGE_GAP_IDS else []
         yield pytest.param(argv, id=case_id, marks=marks)
+        if argv[0] == "sweep" and r == "1e-300":
+            i = argv.index("--r-max") + 1
+            yield pytest.param(argv[:i] + ("0",) + argv[i + 1:], id=case_id[: -len(r)] + "0")
 
 
 def far_out_grids():
