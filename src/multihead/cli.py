@@ -23,6 +23,17 @@ from .sweeps import Quantity, SweepTemplate
 
 GRID_POINT_CAP = 4_000_000
 
+_MMAP_THRESHOLD = 32 << 20
+
+
+class _Mallinfo2(ctypes.Structure):
+    """glibc's ``struct mallinfo2``; ``fordblks`` is the free heap in bytes."""
+
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
 # glibc maps each block above its mmap threshold afresh and returns freed heap
 # tops above its trim threshold.  Left adaptive, both start low and rise only
 # as large blocks are freed, so they depend on what was imported and run
@@ -31,20 +42,36 @@ GRID_POINT_CAP = 4_000_000
 _libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
 if _libc is not None:
     _libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _libc.mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
     _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
     _libc.malloc_trim.argtypes = (ctypes.c_size_t,)
+    if hasattr(_libc, "mallinfo2"):  # glibc >= 2.33
+        _libc.mallinfo2.argtypes = ()
+        _libc.mallinfo2.restype = _Mallinfo2
+
+# The smallest free-heap count seen since the last trim, or the count just after it.
+_free_floor = 0
 
 
+# Below the mmap threshold, a command's freed blocks stay on the heap, up to
+# one output's size (32 MB at 601 x 601), through whatever the process does
+# next; the fixed trim threshold above returns only a free heap top.  Handing
+# back a default grid's 5-11 MiB would only make the next command fault the
+# same pages in again, so the heap is trimmed only once the free count has
+# grown past the floor by more than the mmap threshold.  glibc's count keeps
+# the pages a trim released, hence the floor rather than a fixed cut-off.
 def _return_free_heap() -> None:
-    """Hand glibc's free heap pages back, as the fixed trim threshold above does not.
-
-    A grid's text is built from blocks below the mmap threshold; freed after
-    the join, they would stay resident, up to one output's size (32 MB at
-    601 x 601), through whatever the process does next.
-    """
-    if _libc is not None:
+    """Hand glibc's free heap pages back once a command has freed more than a large block."""
+    global _free_floor
+    mallinfo2 = getattr(_libc, "mallinfo2", None)
+    if mallinfo2 is None:
+        return
+    free = mallinfo2().fordblks
+    if free - _free_floor > _MMAP_THRESHOLD:
         _libc.malloc_trim(0)
+        _free_floor = mallinfo2().fordblks
+    else:
+        _free_floor = min(_free_floor, free)
 
 
 EXIT_OK = 0
@@ -64,8 +91,11 @@ def _spec_from_args(args) -> StateSpec:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -137,7 +167,6 @@ def cmd_wigner(args) -> int:
     else:
         grid = {k: getattr(args, k) for k in ("x_min", "x_max", "y_min", "y_max", "nx", "ny")}
         _emit_json({"spec": spec, "grid": grid, "rows": rows}, args.out)
-    _return_free_heap()  # the emitter's freed blocks; see the mallopt settings
     return EXIT_OK
 
 
@@ -264,6 +293,8 @@ def main(argv=None) -> int:
     except MultiheadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        _return_free_heap()
 
 
 if __name__ == "__main__":

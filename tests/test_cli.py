@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -364,6 +365,16 @@ def test_each_error_type_carries_its_exit_code(capsys, monkeypatch, error, code)
     assert capsys.readouterr() == ("", "error: stop\n")
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_out_path_that_cannot_be_opened_exits_2(capsys, tmp_path, where):
+    path = tmp_path / "missing" / "x" if where == "missing-directory" else tmp_path
+    code = main(["roots", "--alpha", "1", "--heads", "2", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in captured.err
+
+
 def load_cli_digest():
     """tools/cli_digest.py as a module."""
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
@@ -520,6 +531,100 @@ class TestStartup:
         code, out = run(capsys, "wigner", "--alpha", "1+1i", "--heads", "2", "--family",
                         "coherent", "--nx", "3", "--ny", "2")
         assert (code, calls, out.count("\n")) == (0, [True], 7)
+
+
+class FakeLibc:
+    """A libc whose free-heap count is set by hand; malloc_trim only counts."""
+
+    def __init__(self, free=0):
+        self.free, self.trims = free, 0
+
+    def mallinfo2(self):
+        return types.SimpleNamespace(fordblks=self.free)
+
+    def malloc_trim(self, pad):
+        self.trims += 1
+
+
+class NoMallinfo2(FakeLibc):
+    """A glibc older than 2.33."""
+
+    mallinfo2 = property()
+
+
+class TestReturnFreeHeap:
+    """The heap is trimmed only when a command has freed more than the mmap threshold."""
+
+    def test_trims_once_per_growth_past_the_threshold(self, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(cli, "_libc", libc)
+        monkeypatch.setattr(cli, "_free_floor", 0)
+        mib, threshold = 1 << 20, cli._MMAP_THRESHOLD
+        trims = []
+        # Default grids; a large one; the count stays high after the trim, and
+        # falls; growth of exactly the threshold, then of one byte more.
+        for free in (8 * mib, 12 * mib, 45 * mib, 45 * mib, 50 * mib, 40 * mib,
+                     40 * mib + threshold, 40 * mib + threshold + 1, 45 * mib + threshold):
+            libc.free = free
+            cli._return_free_heap()
+            trims.append(libc.trims)
+        assert trims == [0, 0, 1, 1, 1, 1, 1, 2, 2]
+
+    def test_a_libc_without_mallinfo2_never_trims(self, monkeypatch):
+        libc = NoMallinfo2(free=1 << 40)
+        monkeypatch.setattr(cli, "_libc", libc)
+        monkeypatch.setattr(cli, "_free_floor", 0)
+        for _ in range(3):
+            cli._return_free_heap()
+        assert libc.trims == 0
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("roots", "--alpha", "1", "--heads", "2"), 0),
+            (spec_argv("stats", "1+1i", 2, "coherent"), 0),
+            (spec_argv("wigner", "1+1i", 2, "coherent"), 0),
+            (spec_argv("fock", "1+1i", 2, "coherent"), 0),
+            (spec_argv("validate", "1+1i", 2, "coherent"), 0),
+            (sweep_argv("mandel-q", "1", 2, "coherent"), 0),
+            (spec_argv("validate", "1+1i", 2, "coherent") + ("--tol", "1e-300"), 1),
+            (spec_argv("stats", "1", 0, "coherent"), 2),
+            (("roots", "--alpha", "1", "--heads", str(HEADS_MAX + 1)), 3),
+        ],
+        ids=lambda v: v if isinstance(v, int) else v[0],
+    )
+    def test_main_returns_the_free_heap_once_per_command(self, capsys, monkeypatch, argv, code):
+        calls = []
+        monkeypatch.setattr(cli, "_return_free_heap", lambda: calls.append(True))
+        assert (main(list(argv)), calls) == (code, [True])
+
+    @pytest.mark.skipif(not hasattr(cli._libc, "mallinfo2"), reason="glibc >= 2.33 only")
+    def test_a_large_grid_trims_and_default_grids_do_not(self):
+        # A fresh interpreter, so the floor starts from this sequence alone.
+        code = (
+            "import os, multihead.cli as cli\n"
+            "libc, trims = cli._libc, []\n"
+            "class Counting:\n"
+            "    def mallinfo2(self):\n"
+            "        return libc.mallinfo2()\n"
+            "    def malloc_trim(self, pad):\n"
+            "        trims.append(pad)\n"
+            "        return libc.malloc_trim(pad)\n"
+            "cli._libc = Counting()\n"
+            "wigner = ['wigner', '--alpha', '1+1i', '--heads', '2', '--family', 'coherent',\n"
+            "          '--out', os.devnull]\n"
+            "seen = []\n"
+            "for extra in ([], ['--nx', '601', '--ny', '601', '--format', 'json'], [], []):\n"
+            "    assert cli.main(wigner + extra) == 0\n"
+            "    seen.append(len(trims))\n"
+            "print(seen)\n"
+        )
+        src = str(Path(multihead.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.splitlines()[-1] == "[0, 1, 1, 1]"
 
 
 REUSE_SEQUENCE = (

@@ -20,15 +20,18 @@ their formats on small grids, ``sweep`` for all five quantities and
 grids; the edge matrix, which ``tests/test_cli.py`` runs too (N in {1, 2, 12,
 4097} x r in {0, 1e-300, 1e100, 1e200}, every command: 264 distinct argvs,
 102 of them exit-3 refusals), which holds the cat Wigner grids at r = 1e100
-and 1e200 whose fringe phase outruns double precision; and one argv for each
-of the exit codes 1, 2 and 3.  Long sweeps (``--r-max 25`` at the default
-step, past the Mandel Q crossings and the squeezing edges, and a 20,001-sample
-``--r-max 200``), ``fock --max-m 130`` (17,161 elements), the default 201 x
-201 ``wigner`` grid (three formatter blocks) and a 17000 x 2 one (one row over
-two blocks) make the emitters span more than one formatter block.  An argv
-the matrix repeats runs once, where it first appears.  A warning is captured
-as "Category: message" on stderr, without its file and line, so moving a
-source line does not change a digest.  The tool itself uses only the standard
+and 1e200 whose fringe phase outruns double precision; one argv for each of
+the exit codes 1, 2 and 3; and one whose ``--out`` cannot be opened.  Long
+sweeps (``--r-max 25`` at the default step, past the Mandel Q crossings and
+the squeezing edges, and a 20,001-sample ``--r-max 200``), ``fock --max-m
+130`` (17,161 elements), the default 201 x 201 ``wigner`` grid (three
+formatter blocks) and a 17000 x 2 one (one row over two blocks) make the
+emitters span more than one formatter block.  An argv the matrix repeats runs
+once, where it first appears.  A warning is captured as "Category: message"
+on stderr, without its file and line, so moving a source line does not change
+a digest.  An exception that escapes ``main`` is that case's outcome,
+recorded as "Type: message" in place of the exit code, so one crashing case
+does not end the run.  The tool itself uses only the standard
 library, and numpy for the stamp.
 """
 
@@ -117,6 +120,7 @@ def cases():
     yield ("validate", *spec("1+1i", 2, "coherent"), "--tol", "1e-300")  # exit 1
     yield ("stats", *spec("1", 0, "coherent"))  # exit 2
     yield ("roots", "--alpha", "1", "--heads", "4097")  # exit 3
+    yield ("roots", "--alpha", "1", "--heads", "2", "--out", "/nonexistent/dir/x")
 
 
 def edge_cases():
@@ -147,6 +151,8 @@ def run(main, argv) -> tuple:
             code = main(list(argv))
         except SystemExit as exc:  # argparse refusals
             code = exc.code
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
     return code, out.getvalue(), err.getvalue()
 
 
