@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._special import log_factorial, xlogy
 from .errors import (
     CapacityError,
     InternalConsistencyError,
@@ -239,13 +240,11 @@ def fock_element(spec: StateSpec, m, n):
     over integer arrays, with S_0 computed once per call; scalar indices
     give a complex.
     """
-    # Imported here, not at module level: no other closed form needs scipy,
-    # and loading scipy.special would be most of every CLI command's start-up.
-    from scipy.special import gammaln, xlogy
-
     m, n = np.asarray(m), np.asarray(n)
     if np.any(m < 0) or np.any(n < 0):
         raise InvalidInputError("Fock indices must be nonnegative")
+    if np.any(m % 1 != 0) or np.any(n % 1 != 0):  # NaN included
+        raise InvalidInputError("Fock indices must be integers")
     alpha, n_heads = spec.alpha, spec.n_heads
     mu = head_occupation(alpha.r, n_heads)
     if spec.is_coherent:
@@ -255,7 +254,7 @@ def fock_element(spec: StateSpec, m, n):
         allowed = (m - n) % n_heads == 0
         scale = 1.0
     # xlogy(0, 0) = 0 leaves p_00 = 1 at r = 0, and every other element 0.
-    log_mag = xlogy((m + n) / n_heads, alpha.r) - mu - 0.5 * (gammaln(m + 1) + gammaln(n + 1))
+    log_mag = xlogy((m + n) / n_heads, alpha.r) - mu - 0.5 * (log_factorial(m) + log_factorial(n))
     phase = np.exp(1j * (m - n) * alpha.theta_p / n_heads)
     value = np.where(allowed, scale * np.exp(log_mag) * phase, 0.0j)
     return complex(value) if value.ndim == 0 else value

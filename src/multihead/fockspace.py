@@ -3,10 +3,8 @@
 Everything here is built from ladder-operator actions and displacement
 matrix elements in the photon-number basis, deliberately avoiding the
 head-sum formulas of :mod:`multihead.closed_form` so the two paths can
-cross-validate each other.
-
-scipy.special is imported inside the functions that call it, so importing
-this module, and the CLI with it, loads no scipy.
+cross-validate each other.  ln k!, x ln y and the Poisson tails come from
+:mod:`multihead._special`, on numpy and libm alone.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._special import log_factorial, poisson_tail, poisson_tails, xlogy
 from .errors import CapacityError, CutoffInsufficientError, TruncationError
 from .roots import PolarAmplitude, head_occupation, nth_roots
 from .states import StateSpec
@@ -54,21 +53,18 @@ def choose_cutoff(alpha: PolarAmplitude, n_heads: int, eps: float = EPS_DEFAULT)
     is supported there) and padded with a 4N safety margin for operator
     applications; the result never drops below CUTOFF_MIN.
     """
-    from scipy.special import pdtrc
-
     if not (0.0 < eps < 1.0):
         raise TruncationError(f"eps must lie in (0, 1), got {eps}")
     mean = head_occupation(alpha.r, n_heads)
     d = max(1, int(math.ceil(mean)))
     # Bernstein's Poisson tail bound, P(X >= mean + sqrt(2 mean L) + L/3) <= e^(-L) with
-    # L = -ln(eps), ends the candidate levels; one pdtrc call takes them all.
+    # L = -ln(eps), ends the candidate levels; one call sums the tails of them all.
     log_eps = -math.log(eps)
     last = min(mean + math.sqrt(2.0 * mean * log_eps) + log_eps / 3.0 + 3.0, CUTOFF_MAX)
-    levels = np.arange(d, max(d, int(last)) + 1, dtype=float)
-    fits = pdtrc(levels - 1.0, mean) < eps
+    fits = poisson_tails(d, max(d, int(last)) - d + 1, mean) < eps
     if not np.any(fits):
         raise CapacityError(f"cutoff for mean occupation {mean:.3g} exceeds {CUTOFF_MAX}")
-    d = int(levels[np.argmax(fits)])
+    d += int(np.argmax(fits))
     d = ((d + n_heads - 1) // n_heads) * n_heads + 4 * n_heads
     d = max(d, CUTOFF_MIN)
     if d > CUTOFF_MAX:
@@ -84,17 +80,14 @@ def build_coherent(gamma: complex, cutoff: int, eps: float = EPS_DEFAULT) -> Foc
     Poisson mass at m >= cutoff, which 1 - ||c||^2 cannot resolve below
     rounding.
     """
-    from scipy.special import gammaln, pdtrc
-
     m = np.arange(cutoff)
     if gamma == 0:
         c = (m == 0).astype(complex)
     else:
         x = abs(gamma)
-        log_c = m * math.log(x) - x * x / 2.0 - 0.5 * gammaln(m + 1)
+        log_c = m * math.log(x) - x * x / 2.0 - 0.5 * log_factorial(m)
         c = np.exp(log_c + 1j * m * cmath.phase(gamma))
-    # pdtrc(k, mu) is the Poisson(mu) mass above k; cutoff 0 keeps no level at all.
-    tail = float(pdtrc(cutoff - 1, abs(gamma) ** 2)) if cutoff > 0 else 1.0
+    tail = poisson_tail(cutoff, abs(gamma) ** 2)  # cutoff 0 keeps no level at all: tail 1
     if not tail < eps:
         raise TruncationError(
             f"cutoff {cutoff} leaves tail mass {tail:.3e} for |gamma|^2 = {abs(gamma)**2:.3g}"
@@ -208,11 +201,9 @@ def _displacement_diagonals(radii: np.ndarray, cutoff: int):
     Comput. Phys. Commun. 184, 1234 (2013)), for every radius at once, in
     three rotating buffers: a yielded array is overwritten two steps later.
     """
-    from scipy.special import gammaln, xlogy
-
     x = radii**2
     d = np.arange(cutoff, dtype=float)[:, None]
-    f = np.exp(xlogy(d / 2.0, x) - x / 2.0 - 0.5 * gammaln(d + 1))
+    f = np.exp(xlogy(d / 2.0, x) - x / 2.0 - 0.5 * log_factorial(np.arange(cutoff))[:, None])
     shifted = np.arange(2 * cutoff, dtype=float)[:, None] - x  # row k holds k - x
     prev, new, scale = np.zeros_like(f), np.empty_like(f), np.zeros((cutoff, 1))
     for p in range(cutoff):

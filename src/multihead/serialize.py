@@ -103,8 +103,10 @@ def fmt(value: float) -> str:
 #   ",".  A render_json float array of one or two axes has the list path's
 #   between-row and within-row texts as column slots.  A grid's column slot
 #   holds the point separator, x and the value separator, its row slot y
-#   and the value separator, so each axis value is formatted once.  The
-#   head stands in for the first point's column slot.  render_json collects
+#   and the value separator, so each axis value is formatted once: its text
+#   is its record's kept bytes moved left (_left_texts), and NULs pad it to
+#   the axis' longest before the value separator.  The head stands in for
+#   the first point's column slot.  render_json collects
 #   a payload's pieces, table blocks included, in one list and joins it
 #   once.
 _BLOCK = 1 << 14
@@ -116,6 +118,7 @@ _D_MIN = 10**16
 _D_END = 10**17
 _WIDTH = 48  # bytes per value in the text buffer
 _TEXT = 45  # a record's text bytes: the exponent ends in byte 44, and no text is longer
+_TEXT_MAX = 24  # the longest text, "-2.2250738585072014e-308"
 _MODES = 23  # fixed notation at exponents -4..16, exponent with 2 or 3 digits
 
 
@@ -187,7 +190,12 @@ def _text_tables() -> tuple:
     keep |= digit & (k <= np.where(fixed & (x >= 0), np.maximum(last, x), last))
     keep |= point & np.where(fixed, (x >= 0) & (k == x), k == 0) & (k < last)
     keep |= ~fixed & (col >= 40) & (col < _TEXT) & ((col != 42) | (mode == _MODES - 1))
-    return lead, groups, group_zeros, exponents, keep
+    # Each key's kept columns in order, then column _WIDTH - 1 (always NUL);
+    # the last row, for the exact path's left-aligned texts, is 0.._TEXT_MAX-1.
+    kept = np.argsort(~keep, axis=1, kind="stable")[:, :_TEXT_MAX]
+    lefts = np.where(np.arange(_TEXT_MAX) < keep.sum(axis=1)[:, None], kept, _WIDTH - 1)
+    lefts = np.vstack([lefts, np.arange(_TEXT_MAX)])
+    return lead, groups, group_zeros, exponents, keep, lefts
 
 
 def _exact_texts(values: np.ndarray) -> list:
@@ -208,8 +216,8 @@ def _significands(a: np.ndarray) -> tuple:
 
 
 def _records(negative: np.ndarray, e: np.ndarray, d: np.ndarray) -> tuple:
-    """(text, keep): each value's 48-byte record and the mask of its text's bytes."""
-    lead_words, group_words, group_zeros, exponent_words, keep = _text_tables()
+    """(text, key): each value's 48-byte record and the keep-mask row of its text's bytes."""
+    lead_words, group_words, group_zeros, exponent_words = _text_tables()[:4]
     lead, rest = np.divmod(d, _D_MIN)
     high, low = np.divmod(rest, 10**8)
     groups = np.empty((d.size, 4), np.int32)
@@ -223,7 +231,7 @@ def _records(negative: np.ndarray, e: np.ndarray, d: np.ndarray) -> tuple:
     words[:, 0] = lead_words[lead]
     words[:, 1:5] = group_words[groups]
     words[:, 5] = exponent_words[e + _EXP_OFFSET]
-    return words.view(np.uint8), keep.take((negative * _MODES + mode) * 17 + 16 - zeros, axis=0)
+    return words.view(np.uint8), (negative * _MODES + mode) * 17 + 16 - zeros
 
 
 def _float_records(v: np.ndarray) -> np.ndarray:
@@ -231,6 +239,11 @@ def _float_records(v: np.ndarray) -> np.ndarray:
 
     The text lies within the first _TEXT bytes; the bytes after them are NUL.
     """
+    return _keyed_records(v)[0]
+
+
+def _keyed_records(v: np.ndarray) -> tuple:
+    """(_float_records(v), key): key picks each record's row of _text_tables' lefts."""
     a = np.abs(v)
     fast = (a >= _MAGNITUDE[0]) & (a < _MAGNITUDE[1])  # NaN fails both
     zero = a == 0.0
@@ -240,12 +253,14 @@ def _float_records(v: np.ndarray) -> np.ndarray:
     d[~fast] = _D_MIN
     e[zero], d[zero] = 0, 0  # the digits of 0 at e = 0 read "0"
     fast |= zero
-    text, keep = _records(np.signbit(v), e, d)
-    text *= keep
+    text, key = _records(np.signbit(v), e, d)
+    keep = _text_tables()[4]
+    text *= keep.take(key, axis=0)
     exact = np.flatnonzero(~fast)
     texts = np.array(_exact_texts(v[exact]), dtype=f"S{_TEXT}")
     text[exact, :_TEXT] = texts.view(np.uint8).reshape(exact.size, _TEXT)
-    return text
+    key[exact] = len(keep)
+    return text, key
 
 
 def _kept_text(buffer: np.ndarray) -> str:
@@ -337,14 +352,43 @@ class _Line:
     value: object
 
 
+def _left_texts(values: np.ndarray) -> np.ndarray:
+    """Each value's text at the left of a NUL-padded row of _TEXT_MAX bytes.
+
+    The texts are cut from their records _BLOCK values at a time: a key's row
+    of _text_tables' lefts lists its kept columns in order.
+    """
+    lefts = _text_tables()[5]
+    texts = np.empty((values.size, _TEXT_MAX), np.uint8)
+    for start in range(0, values.size, _BLOCK):
+        records, key = _keyed_records(values[start : start + _BLOCK])
+        texts[start : start + key.size] = np.take_along_axis(records, lefts[key], axis=1)
+    return texts
+
+
+def _value_slots(texts: np.ndarray, before: str, after: str) -> np.ndarray:
+    """Rows of before, a text of _left_texts, NULs and after, cut to the longest
+    text: the NUL-deleting pass reads each row as before + text + after."""
+    width = int(np.flatnonzero(texts.any(axis=0))[-1]) + 1
+    head, end = np.frombuffer(before.encode(), np.uint8), np.frombuffer(after.encode(), np.uint8)
+    slots = np.empty((len(texts), head.size + width + end.size), np.uint8)
+    slots[:, : head.size] = head
+    slots[:, head.size : head.size + width] = texts[:, :width]
+    slots[:, head.size + width :] = end
+    return slots
+
+
 def _grid_pieces(grid: GridRows, head: str, sep: str, mid: str, tail: str, out: list) -> None:
     """Append head, then the rows "x mid y mid value" joined by sep, then tail, to out.
 
     The grid is the table of its values, with column slots sep, x and mid
-    and row slots y and mid, so each axis value is formatted once.
+    and row slots y and mid, so each axis value is formatted once, both axes
+    in one pass.
     """
-    x_slots = _axis_slots([sep + _FLOAT_SLOT % x + mid for x in grid.xs.tolist()])
-    y_slots = _axis_slots([_FLOAT_SLOT % y + mid for y in grid.ys.tolist()])
+    texts = _left_texts(np.concatenate([grid.xs, grid.ys]).astype(np.float64, copy=False))
+    x_slots = _value_slots(texts[: grid.xs.size], sep, mid)
+    y_slots = _value_slots(texts[grid.xs.size :], "", mid)
+    del texts  # _TEXT_MAX bytes a value, no longer needed while the table is emitted
     _table_pieces(grid.values, x_slots, y_slots, head + fmt(grid.xs[0]) + mid, tail, out)
 
 

@@ -115,3 +115,19 @@ class TestIndexArrays:
         s = StateSpec(ALPHA, 2, Family.COHERENT)
         with pytest.raises(InvalidInputError):
             fock_element(s, np.array([0, -1]), 0)
+
+    def test_integral_float_indices_read_as_integers(self):
+        s = StateSpec(ALPHA, 2, Family.INCOHERENT)
+        assert fock_element(s, 4.0, np.float64(2)) == fock_element(s, 4, 2)
+        assert pnd(s, np.array([0.0, 3.0])).tolist() == pnd(s, np.array([0, 3])).tolist()
+        for bad in (2.5, math.nan):
+            with pytest.raises(InvalidInputError, match="integers"):
+                fock_element(s, bad, 0)
+
+    def test_indices_past_int64_give_an_element(self):
+        # 10**19 arrives as uint64 and 1e20 as float; ln k! is evaluated in
+        # float for them, and the element underflows to 0.
+        s = StateSpec(ALPHA, 1, Family.INCOHERENT)
+        for big in (10**19, 1e20, np.array([10**19], dtype=np.uint64)):
+            assert np.all(fock_element(s, big, 0) == 0)
+            assert np.all(pnd(s, big) == 0)

@@ -171,7 +171,9 @@ class TestBuildCoherent:
         with pytest.raises(TruncationError):
             build_coherent(5.0, 40)
 
-    def test_tail_bound_equals_poisson_sf_bits(self):
+    def test_tail_bound_agrees_with_poisson_sf(self):
+        # The tail is summed in multihead._special, not taken from scipy, so it
+        # agrees to a tolerance (3.0e-13 at worst on this grid), not bit for bit.
         checked = 0
         for n, r, eps in POISSON_GRID:
             alpha = PolarAmplitude(r, 0.3)
@@ -181,7 +183,8 @@ class TestBuildCoherent:
                 continue
             for g in nth_roots(alpha, n):
                 tail = build_coherent(g, cutoff, eps).tail_bound
-                assert tail == float(poisson.sf(cutoff - 1, abs(g) ** 2)), (n, r, eps, g)
+                want = float(poisson.sf(cutoff - 1, abs(g) ** 2))
+                assert tail == pytest.approx(want, rel=1e-11, abs=0.0), (n, r, eps, g)
                 checked += 1
         assert checked > 100
 

@@ -611,21 +611,34 @@ def test_no_grid_block_holds_more_than_a_block_of_values(monkeypatch, nx, ny):
 
 
 def test_default_grid_sends_almost_nothing_down_the_exact_path(capsys, monkeypatch):
-    sent = []
-    exact_texts = serialize._exact_texts
+    # The axes take the same formatter as the values: what the value blocks
+    # send and what the axes send (through _left_texts) are counted apart.
+    sent, axes_sent, in_axes = [], [], []
+    exact_texts, left_texts = serialize._exact_texts, serialize._left_texts
 
     def counting(values):
-        sent.append(values.size)
+        (axes_sent if in_axes else sent).extend(values.tolist())
         return exact_texts(values)
 
+    def axes(values):
+        in_axes.append(True)
+        try:
+            return left_texts(values)
+        finally:
+            in_axes.pop()
+
     monkeypatch.setattr(serialize, "_exact_texts", counting)
+    monkeypatch.setattr(serialize, "_left_texts", axes)
     render_csv("v", np.array(SPECIAL))
-    assert sum(sent) >= 5  # the patched helper is the one the emitters call
+    assert len(sent) >= 5  # the patched helper is the one the emitters call
     sent.clear()
     for fmt_name in ("csv", "json"):
         cli_output(capsys, "wigner", "--alpha", "3@0.4", "--heads", "2", "--family", "coherent",
                    "--format", fmt_name)
-    assert sum(sent) <= 4  # of 2 x 40401 values
+    assert len(sent) <= 4  # of 2 x 40401 values
+    # Of 2 x 402 axis values, only each axis' -1 and 1 (17-digit significand
+    # exactly 1e16) take the exact path.
+    assert sorted(axes_sent) == [-1.0] * 4 + [1.0] * 4
 
 
 # Values at the formatter's edges: 1.0 and 0.01 (17-digit significand exactly
@@ -700,11 +713,10 @@ def keep_table_key(v):
     return math.copysign(1.0, v) < 0, mode, len(mantissa.replace(".", "").rstrip("0") or "0") - 1
 
 
-def test_a_nul_never_stands_for_a_kept_byte():
-    # The block's text is its records with every NUL deleted, so a NUL inside a
-    # value's text would vanish without an error.  Digit patterns of 1 to 17
-    # digits at every exponent, and many at each fixed-notation exponent,
-    # reach every (sign, mode, last digit) key of the keep table.
+def every_key_values():
+    """Digit patterns of 1 to 17 digits at every exponent, and many at each
+    fixed-notation exponent, which reach every (sign, mode, last digit) key
+    of the keep table, then the exact-path and special values; with negatives."""
     rng = np.random.default_rng(17)
     values = []
     for k in range(1, 18):
@@ -714,7 +726,13 @@ def test_a_nul_never_stands_for_a_kept_byte():
             last = rng.integers(1, 10)  # k digits: a leading 1 where k > 1, a nonzero last one
             digits = str(rng.integers(10 ** (k - 1), 2 * 10 ** (k - 1)) // 10 * 10 + last)
             values += [float(f"{digits}e{x - k + 1}") for x in range(-4, 17)]
-    values = with_negatives(values + EXACT_PATH + SPECIAL)
+    return with_negatives(values + EXACT_PATH + SPECIAL)
+
+
+def test_a_nul_never_stands_for_a_kept_byte():
+    # The block's text is its records with every NUL deleted, so a NUL inside a
+    # value's text would vanish without an error.
+    values = every_key_values()
     keys = {keep_table_key(v) for v in values.tolist() if math.isfinite(v)}
     assert len(keys) == 2 * serialize._MODES * 17
     records = serialize._float_records(values)
@@ -722,3 +740,18 @@ def test_a_nul_never_stands_for_a_kept_byte():
     assert not records[:, serialize._TEXT :].any()  # no text reaches past _TEXT bytes
     assert np.count_nonzero(records[:, :-1], axis=1).tolist() == [len(t) for t in texts]
     assert records.tobytes().translate(None, b"\0") == "".join(texts).encode()
+
+
+@pytest.mark.parametrize("before, after", [("\n", ","), ("", ",\n      "), ("\n    ],\n    [\n      ", "")])
+def test_value_slots_hold_each_text_left_aligned(before, after):
+    # A grid axis slot is before, the value's text, NULs, then after at the
+    # column past the longest text: the NUL-deleting pass reads before + text + after.
+    values = every_key_values()
+    assert values.size > 2 * serialize._BLOCK
+    slots = serialize._value_slots(serialize._left_texts(values), before, after)
+    texts = [reference_fmt(v).encode() for v in values.tolist()]
+    width = max(map(len, texts))
+    assert slots.shape == (values.size, len(before) + width + len(after))
+    padded = [before.encode() + t + bytes(width - len(t)) + after.encode() for t in texts]
+    assert slots.tobytes() == b"".join(padded)
+
