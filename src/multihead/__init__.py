@@ -22,6 +22,7 @@ from .closed_form import (
     pnd,
     quadrature_variances,
     wigner,
+    wigner_grid,
 )
 from .compare import ValidationReport, validate_spec
 from .errors import (
@@ -65,6 +66,7 @@ __all__ = [
     "fock_element",
     "pnd",
     "wigner",
+    "wigner_grid",
     "parity",
     "FockVector",
     "choose_cutoff",

@@ -159,9 +159,10 @@ def cmd_wigner(args) -> int:
         raise CapacityError(f"grid exceeds {GRID_POINT_CAP} points")
     xs = np.linspace(args.x_min, args.x_max, args.nx)
     ys = np.linspace(args.y_min, args.y_max, args.ny)
-    # y-major rows; the complex grid is freed before emission.
-    values = closed_form.wigner(spec, (xs + 1j * ys[:, None]) / math.sqrt(2.0))
-    rows = GridRows(xs, ys, np.asarray(values, dtype=float))
+    # The quadratures x, y are sqrt(2) Re beta and sqrt(2) Im beta; rows are y-major.
+    # The bound is dropped at once, so it is not held through emission.
+    values = closed_form.wigner_grid(spec, xs / math.sqrt(2.0), ys / math.sqrt(2.0))[0]
+    rows = GridRows(xs, ys, values)
     if args.format == "csv":
         _emit(render_grid_csv("x,y,w", rows), args.out)
     else:

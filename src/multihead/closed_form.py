@@ -10,6 +10,9 @@ double sum over head pairs reduces to N times one circulant head sum
 Sums that are physically real are checked for an imaginary residue below
 ``RESIDUE_TOL`` before the imaginary part is discarded; a larger residue
 raises InternalConsistencyError because it can only come from a formula bug.
+The Wigner function sums real parts of centred head-pair terms instead, and
+bounds each value's rounding error: a bound above ``RESIDUE_TOL`` raises
+CapacityError, since there the fringe phase outruns double precision.
 """
 
 from __future__ import annotations
@@ -28,17 +31,19 @@ from .errors import (
     InvalidInputError,
     UndefinedStatisticError,
 )
-from .roots import PolarAmplitude, check_head_count, head_occupation, nth_roots, root_modulus
+from .roots import PolarAmplitude, check_head_count, head_occupation, root_modulus
 from .states import StateSpec
 
 RESIDUE_TOL = 1e-10
 TWO_OVER_PI = 2.0 / math.pi
 
-# Up to this mu = |g|^2 the factored cat Wigner's factors are normal doubles:
-# |U| <= e^mu, and |C| >= e^(-2 mu) stays above the smallest normal, e^(-708).
-WIGNER_FACTOR_MU_MAX = 350.0
-# Complex values in one block's U (2 MiB); a block holds this many over N points.
-_WIGNER_BLOCK = 1 << 17
+# Unit roundoff, and the ulps of its exponent's sizes that bound a Wigner pair
+# term's rounding error: each of R = r^(1/N), the angle, its cosine and sine
+# and each product adds at most one or two.
+_U = np.finfo(float).eps / 2.0
+_ULPS = 16.0
+# Factors per axis array in one chunk of Wigner pairs (8 MiB of doubles).
+_PAIR_POINTS = 1 << 20
 
 
 def _require_real(value, what: str):
@@ -270,78 +275,185 @@ def pnd(spec: StateSpec, m):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _cat_wigner_sum(beta: np.ndarray, heads: np.ndarray, log_overlaps: np.ndarray) -> np.ndarray:
-    """sum_kj U_kp C_kj conj(U_jp) at the 1-D points beta, one block of points at a time.
+def _sin_pi(num, den: int) -> np.ndarray:
+    """sin(pi * num / den) for integer num, the argument folded into [0, pi/2].
 
-    U_kp = exp(2 conj(beta_p) g_k - |beta_p|^2) and C_kj = exp(L_(k-j) - 2 conj(g_j) g_k)
-    factor the pair term exp(L_(k-j) - 2 (conj(g_j) - conj(beta_p)) (g_k - beta_p)), so
-    N exps per point replace N^2.  A point's value depends on that point alone, so
-    blocking does not change its bits.
+    The fold keeps each value within a few ulps of its own size, and makes it
+    exactly 0 wherever num / den is an integer.
     """
-    n = len(heads)
-    # Built in place, row by row: C is the one N x N array (268 MB at N = 4096).
-    c = np.multiply.outer(heads, -2.0 * heads.conj())
-    for k in range(n):
-        c[k] += log_overlaps[(k - np.arange(n)) % n]
-    np.exp(c, out=c)
-    total = np.empty(beta.shape, dtype=complex)
-    step = max(1, _WIGNER_BLOCK // n)
-    for start in range(0, beta.size, step):
-        b = beta[start : start + step]
-        with np.errstate(over="ignore"):
-            sq = b.real * b.real + b.imag * b.imag
-        b = b.conj()
-        b[np.isinf(sq)] = 0.0  # U is 0 there; this keeps 2 g conj(beta) finite
-        u = np.multiply.outer(2.0 * heads, b)
-        u -= sq
-        np.exp(u, out=u)
-        # einsum, not @: at N <= 12 a BLAS call costs more than it saves.
-        v = np.einsum("kj,kp->jp", c, u)
-        total[start : start + step] = np.einsum("jp,jp->p", v, u.conj())
+    q = np.asarray(num) % (2 * den)
+    sign = np.where(q < den, 1.0, -1.0)
+    q = q % den
+    return sign * np.sin(np.pi * np.minimum(q, den - q) / den)
+
+
+def _pairs(spec: StateSpec) -> tuple:
+    """Head indices (k, j) of the Wigner sum's pairs: k <= j for the cat, k = j for the mixture."""
+    if spec.is_coherent:
+        return np.triu_indices(spec.n_heads)
+    k = np.arange(spec.n_heads)
+    return k, k
+
+
+def _pair_table(spec: StateSpec, k: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Rows weight, Re m, Im m, Re d, Im d and mu sin 2 delta of the head pairs (k, j), k <= j.
+
+    With midpoint m = (g_k + g_j)/2, difference d = g_k - g_j and
+    delta = pi (k - j)/N, the pair's term of the Wigner sum is exactly
+
+        exp(-2|beta - m|^2 + i(2 Im(conj(beta) d) - mu sin 2 delta)),
+
+    of modulus at most 1 at every mu.  m and d are R e^(i(theta + pi(k + j))/N)
+    times cos delta and 2i sin delta, never a difference of rounded heads, and
+    each sine and cosine that vanishes is exactly 0.  Pair (j, k) is the
+    conjugate of pair (k, j), so a pair off the diagonal weighs 2; every weight
+    carries (2/pi)/N_c, and (2/pi)/N for the mixture, which is the diagonal
+    pairs alone.
+    """
+    n = spec.n_heads
+    mu = head_occupation(spec.alpha.r, n)  # CapacityError where |g|^2 overflows
+    rho = root_modulus(spec.alpha, n)
+    s = k - j
+    angle = (spec.alpha.theta_p + np.pi * (k + j)) / n
+    re, im = rho * np.cos(angle), rho * np.sin(angle)
+    cos_d, sin_d = _sin_pi(n + 2 * s, 2 * n), _sin_pi(s, n)  # cos x = sin(pi/2 + x)
+    scale = TWO_OVER_PI / (normalization(spec.alpha, n) if spec.is_coherent else n)
+    weight = np.where(s == 0, scale, 2.0 * scale)
+    return np.array([
+        weight, re * cos_d, im * cos_d, -2.0 * sin_d * im, 2.0 * sin_d * re,
+        mu * (2.0 * sin_d * cos_d),
+    ])
+
+
+def _check_bound(spec: StateSpec, bound: np.ndarray) -> None:
+    """Refuse values whose error bound exceeds RESIDUE_TOL: their fringe phases are lost."""
+    worst = float(np.max(bound, initial=0.0))
+    if not worst <= RESIDUE_TOL:  # NaN too
+        raise CapacityError(
+            f"Wigner value error bound {worst:.3e} exceeds {RESIDUE_TOL:g}: the fringe phase "
+            f"outruns double precision at r = {spec.alpha.r:.4g}, N = {spec.n_heads}"
+        )
+
+
+def _live_pairs(table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The pairs whose envelope is not 0 at every point of either axis; the rest add exactly 0."""
+    return _envelopes(table[1], xs)[1].any(axis=1) & _envelopes(table[2], ys)[1].any(axis=1)
+
+
+def _envelopes(centre: np.ndarray, coords: np.ndarray) -> tuple:
+    """t = coords - centre and the envelope exp(-2 t^2), per pair (row) and coordinate."""
+    with np.errstate(over="ignore"):  # far out t^2 is inf and the envelope 0
+        t = coords - centre[:, None]
+        return t, np.exp(-2.0 * t * t)
+
+
+def _pair_factors(table: np.ndarray, xs, ys, sum_growth: float) -> tuple:
+    """Row stacks (a, b) of W and (c, e) of its error bound over the pairs of table.
+
+    Each pair term splits by axis into
+
+        P(x) = exp(-2(x - Re m)^2 + i(2x Im d - mu sin 2 delta)),
+        Q(y) = exp(-2(y - Im m)^2 - 2iy Re d),
+
+    each of modulus at most 1, and W(x + iy) = sum w (Re P Re Q - Im P Im Q)
+    = sum_q a[q, y] b[q, x], two rows per pair; the bound is sum_q c[q, y] e[q, x].
+    """
+    weight, mx, my, dx, dy, turn = table[:, :, None]
+    (tx, ex), (ty, ey) = _envelopes(table[1], xs), _envelopes(table[2], ys)
+    size_m, size_d = 4.0 * np.hypot(mx, my), 2.0 * np.hypot(dx, dy)
+    # Each phase is 0 where its envelope is.  An inf or NaN in a phase or a
+    # bound comes with an inf or NaN bound at that value, which is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = np.abs(turn) + size_d * np.abs(xs) + size_m * np.abs(tx) + tx * tx + 1.0
+        fy = size_d * np.abs(ys) + size_m * np.abs(ty) + ty * ty
+        fx = ex * np.where(ex > 0.0, _ULPS * fx + sum_growth, 0.0)
+        fy = ey * np.where(ey > 0.0, _ULPS * fy, 0.0)
+        px = np.where(ex > 0.0, xs * (2.0 * dy) - turn, 0.0)
+        py = np.where(ey > 0.0, ys * (-2.0 * dx), 0.0)
+        wy = weight * ey
+        return (
+            (np.concatenate([wy * np.cos(py), -wy * np.sin(py)]),
+             np.concatenate([ex * np.cos(px), ex * np.sin(px)])),
+            (np.concatenate([_U * wy, _U * weight * fy]), np.concatenate([fx, ex])),
+        )
+
+
+def _grid_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_q a[q, y] b[q, x], each value's terms added in row order.
+
+    einsum, not @: a threaded BLAS call costs more than these small products.
+    Past one value, einsum adds the rows in order (a single value it sums as
+    a dot product, in another order).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("qy,qx->yx", a, b)
+
+
+def _point_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_q a[q, p] b[q, p], added in row order, as _grid_sum adds them."""
+    total = np.zeros(a.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in a * b:
+            total += row
     return total
+
+
+def wigner_grid(spec: StateSpec, xs, ys) -> tuple:
+    """W at the grid points beta = x + iy, with a bound on each value's rounding error.
+
+    Returns (values, bound), each of shape (len(ys), len(xs)).  The N(N+1)/2
+    pair terms of _pair_table split by axis (see _pair_factors), so the grid
+    takes N(N+1)/2 (nx + ny) complex exps where its points would take N^2
+    each, and W is one real einsum over N(N+1) rows.  A pair whose envelope
+    underflows to 0 at every point of either axis adds exactly 0 and is
+    dropped.  The pairs are taken in chunks of at most _PAIR_POINTS factors
+    per axis array.
+
+    The bound weights each pair's envelope by _ULPS ulps of the sizes its
+    exponent is formed from: mu |sin 2 delta| + 2|d|(|x| + |y|) for the phase,
+    4|m|(|x - Re m| + |y - Im m|) + |beta - m|^2 for the envelope, and 1 for
+    the exps, plus sqrt(n) ulps for the sum of n terms, its typical growth.
+    Where it exceeds RESIDUE_TOL, CapacityError.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise InvalidInputError("phase-space points must be finite")
+    values = np.zeros((ys.size, xs.size))
+    bound = np.zeros((ys.size, xs.size))
+    k, j = _pairs(spec)
+    step = max(1, _PAIR_POINTS // max(1, xs.size + ys.size))
+    for start in range(0, k.size, step):
+        table = _pair_table(spec, k[start : start + step], j[start : start + step])
+        table = table[:, _live_pairs(table, xs, ys)]
+        terms, errors = _pair_factors(table, xs, ys, math.sqrt(2 * k.size))
+        values += _grid_sum(*terms)
+        bound += _grid_sum(*errors)
+    _check_bound(spec, bound)
+    return values, bound
 
 
 def wigner(spec: StateSpec, beta):
     """Wigner function at phase-space point(s) beta (complex scalar or array).
 
-    Sum of N displaced Gaussians for the incoherent family; for the
-    coherent family the N^2 head-pair sum adds interference terms whose
-    imaginary parts must cancel below tolerance.  Up to mu = |g|^2 =
-    ``WIGNER_FACTOR_MU_MAX`` the pair sum is one (points x N)(N x N)
-    contraction; past it every pair term takes its own exp.
+    The pair sum of wigner_grid at each point, with the same bits as a grid
+    through that point: the points are taken in blocks of at most
+    _PAIR_POINTS / (N(N+1)/2), each over all pairs.  Values whose error bound
+    exceeds RESIDUE_TOL raise CapacityError.
     """
     beta = np.asarray(beta, dtype=complex)
     if not np.all(np.isfinite(beta)):
         raise InvalidInputError("phase-space points must be finite")
-    alpha, n_heads = spec.alpha, spec.n_heads
-    head_occupation(alpha.r, n_heads)  # CapacityError where |g|^2 overflows
-    heads = nth_roots(alpha, n_heads)
-    if not spec.is_coherent:
-        total = np.zeros(beta.shape, dtype=float)
-        for g in heads:
-            with np.errstate(over="ignore"):  # far out the square is inf and the term 0
-                total += np.exp(-2.0 * np.abs(g - beta) ** 2)
-        out = TWO_OVER_PI * total / n_heads
-    else:
-        # |g|^2 as the heads carry it; r^(2/N) differs from it in the last bit.
-        mu = root_modulus(alpha, n_heads) ** 2
-        log_overlaps = _log_overlaps(mu, n_heads)
-        if mu <= WIGNER_FACTOR_MU_MAX:
-            total = _cat_wigner_sum(beta.ravel(), np.array(heads), log_overlaps).reshape(beta.shape)
-        else:
-            # One exp per term: its modulus is exp(-2|beta - (g1 + g2)/2|^2) <= 1,
-            # while the overlap and the pair factor alone under- and overflow.
-            # Far out the product overflows and its exp is 0, as in the mixture.
-            total = np.zeros(beta.shape, dtype=complex)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k1, g1 in enumerate(heads):
-                    for k2, g2 in enumerate(heads):
-                        total += np.exp(
-                            log_overlaps[(k1 - k2) % n_heads]
-                            - 2.0 * (np.conj(g2) - np.conj(beta)) * (g1 - beta)
-                        )
-        n_c = normalization(alpha, n_heads)
-        out = TWO_OVER_PI * _require_real(total, "Wigner value") / n_c
-    if out.ndim == 0:
-        return float(out)
-    return out
+    x, y = beta.real.ravel(), beta.imag.ravel()
+    values = np.empty(x.size)
+    bound = np.empty(x.size)
+    table = _pair_table(spec, *_pairs(spec))
+    step = max(1, _PAIR_POINTS // table.shape[1])
+    for start in range(0, x.size, step):
+        xs, ys = x[start : start + step], y[start : start + step]
+        terms, errors = _pair_factors(
+            table[:, _live_pairs(table, xs, ys)], xs, ys, math.sqrt(2 * table.shape[1]))
+        values[start : start + step] = _point_sum(*terms)
+        bound[start : start + step] = _point_sum(*errors)
+    _check_bound(spec, bound)
+    values = values.reshape(beta.shape)
+    return float(values) if values.ndim == 0 else values

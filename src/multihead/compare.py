@@ -64,7 +64,7 @@ def validate_spec(spec: StateSpec, tol: float = TOL_DEFAULT) -> ValidationReport
     analytic_pnd = closed_form.pnd(spec, np.arange(_PND_MAX + 1))
     report.diffs["pnd"] = float(np.max(np.abs(analytic_pnd - diag)))
 
-    analytic_w = np.asarray(closed_form.wigner(spec, _WIGNER_POINTS), dtype=float)
+    analytic_w, _ = closed_form.wigner_grid(spec, _WIGNER_AXIS, _WIGNER_AXIS)
     oracle_w = fockspace.oracle_wigner_grid(state, _WIGNER_POINTS)
     report.diffs["wigner"] = float(np.max(np.abs(analytic_w - oracle_w)))
 

@@ -385,12 +385,6 @@ def load_cli_digest():
 
 
 cli_digest = load_cli_digest()
-FRINGE_GAP = pytest.mark.xfail(
-    strict=True,
-    reason="known gap: the coherent Wigner's fringe phase outruns double precision at "
-    "large r (InternalConsistencyError, or an overflowing exp)",
-)
-FRINGE_GAP_IDS = {"wigner-coherent-2-1e100", "wigner-coherent-2-1e200", "wigner-coherent-12-1e200"}
 
 
 def edge_cases():
@@ -407,8 +401,7 @@ def edge_cases():
         r = opts.get("--alpha") or moduli[float(opts["--r-max"])]
         parts = (argv[0], opts.get("--quantity"), opts.get("--family"), opts["--heads"], r)
         case_id = "-".join(part for part in parts if part)
-        marks = [FRINGE_GAP] if case_id in FRINGE_GAP_IDS else []
-        yield pytest.param(argv, id=case_id, marks=marks)
+        yield pytest.param(argv, id=case_id)
         if argv[0] == "sweep" and r == "1e-300":
             i = argv.index("--r-max") + 1
             yield pytest.param(argv[:i] + ("0",) + argv[i + 1:], id=case_id[: -len(r)] + "0")
@@ -421,7 +414,7 @@ def far_out_grids():
             argv = ("wigner", "--alpha", "1+1i", "--heads", "3", "--family", family,
                     "--nx", "3", "--ny", "2", *span)
             yield pytest.param(argv, id=f"wigner-{family}-3-{span[0][2:]}")
-    # Past mu = 350 the cat runs its N^2 pair loop, where the product overflows.
+    # The cat at mu = 1000, whose centred pairs all underflow on this grid.
     argv = ("wigner", "--alpha", "1000", "--heads", "2", "--family", "coherent",
             "--nx", "2", "--ny", "2", "--x-min=1e160", "--x-max=2e160")
     yield pytest.param(argv, id="wigner-coherent-2-pair-loop-1e160")

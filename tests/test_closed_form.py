@@ -19,12 +19,17 @@ from multihead import (
     parity,
     quadrature_variances,
     wigner,
+    wigner_grid,
 )
 from multihead.closed_form import (
     TWO_OVER_PI,
-    WIGNER_FACTOR_MU_MAX,
+    _grid_sum,
     _head_sums,
+    _live_pairs,
     _log_overlaps,
+    _pair_factors,
+    _pair_table,
+    _pairs,
     _require_real,
 )
 from multihead.fockspace import oracle_wigner_grid
@@ -342,12 +347,12 @@ def reference_cat_wigner(s, beta):
     return TWO_OVER_PI * _require_real(total, "Wigner value") / normalization(s.alpha, n)
 
 
-# mu = r^(2/N) on both sides of the bound; None stands for r = 1e-3.
+# mu = r^(2/N), on both sides of 350; None stands for r = 1e-3.
 CAT_MU = [None, 1e-3, 0.5, 3.5, 30.0, 120.0, 340.0, 360.0, 1000.0]
 
 
-class TestFactoredCatWigner:
-    """Up to WIGNER_FACTOR_MU_MAX the cat's pair sum is a (P x N)(N x N) contraction."""
+class TestCatWignerPairTable:
+    """The centred pair sum, at points and on grids, against the plain N^2 pair loop."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12])
     @pytest.mark.parametrize("mu", CAT_MU)
@@ -359,13 +364,29 @@ class TestFactoredCatWigner:
         grid = (axis + 1j * axis[:, None]).ravel()
         midpoints = ((heads + heads[:, None]) / 2.0).ravel()
         points = np.concatenate([grid, heads, midpoints])
-        diff = np.max(np.abs(wigner(s, points) - reference_cat_wigner(s, points)))
-        assert diff <= 64 * np.finfo(float).eps * (1.0 + mu)
-        if mu > WIGNER_FACTOR_MU_MAX:
-            assert diff == 0.0  # past the bound the pair loop is the only path
+        tol = 64 * np.finfo(float).eps * (1.0 + mu)
+        assert np.max(np.abs(wigner(s, points) - reference_cat_wigner(s, points))) <= tol
+        values, _ = wigner_grid(s, axis, axis)
+        assert np.max(np.abs(values.ravel() - reference_cat_wigner(s, grid))) <= tol
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n, r", [(2, 1600.0), (3, 64000.0), (12, 40.0**12)])
+    def test_pruning_is_exact(self, n, r, family):
+        # Heads 40 apart: on a grid around head 0 most pairs' envelopes underflow to 0.
+        s = StateSpec(PolarAmplitude(r, 0.7), n, family)
+        g0 = nth_roots(s.alpha, n)[0]
+        xs, ys = g0.real + np.linspace(-3.0, 3.0, 31), g0.imag + np.linspace(-3.0, 3.0, 23)
+        table = _pair_table(s, *_pairs(s))
+        dropped = ~_live_pairs(table, xs, ys)
+        assert 0 < np.count_nonzero(dropped) < dropped.size
+        # The unpruned sum, over every pair.
+        terms, errors = _pair_factors(table, xs, ys, math.sqrt(2 * dropped.size))
+        values, bound = wigner_grid(s, xs, ys)
+        assert values.tobytes() == _grid_sum(*terms).tobytes()
+        assert bound.tobytes() == _grid_sum(*errors).tobytes()
 
     @pytest.mark.parametrize("n", [2, 12])
-    def test_blocking_leaves_every_bit(self, n):
+    def test_a_point_has_the_same_bits_in_any_array(self, n):
         s = StateSpec(PolarAmplitude(2.0, 0.7), n, Family.COHERENT)
         axis = np.linspace(-4.0, 4.0, 601) / math.sqrt(2.0)
         grid = axis + 1j * axis[:, None]
@@ -375,11 +396,25 @@ class TestFactoredCatWigner:
         assert np.array_equal(wigner(s, grid[450:]), values[450:])
 
     @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_row_blocks_and_points_have_the_bits_of_the_whole_grid(self, n, family):
+        s = StateSpec(PolarAmplitude(30.0, 0.7), n, family)
+        axis = np.linspace(-6.0, 6.0, 241)
+        values, bound = wigner_grid(s, axis, axis)
+        for rows in (slice(0, 60), slice(60, 200), slice(200, 241)):
+            block = wigner_grid(s, axis, axis[rows])
+            assert block[0].tobytes() == values[rows].tobytes()
+            assert block[1].tobytes() == bound[rows].tobytes()
+        assert wigner(s, axis + 1j * axis[:, None]).tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("beta", [1e160, 1e200j, 1.7e308, -1e307 + 1e154j])
     def test_far_out_points_are_zero(self, family, beta):
         # |beta|^2 overflows there; no warning escapes and no NaN comes back.
         s = StateSpec(PolarAmplitude.from_cartesian(1.0, 1.0), 3, family)
         assert wigner(s, np.array([beta, 0.0]))[0] == 0.0
+        values, bound = wigner_grid(s, np.array([beta.real, 0.0]), np.array([beta.imag, 0.0]))
+        assert values[0, 0] == bound[0, 0] == 0.0 and values[1, 1] > 0.0
 
 
 class TestEmptyInput:
@@ -389,6 +424,8 @@ class TestEmptyInput:
     def test_wigner(self, family):
         out = wigner(spec(3, family), np.empty(0, dtype=complex))
         assert out.shape == (0,) and out.dtype == float
+        values, bound = wigner_grid(spec(3, family), np.empty(0), np.linspace(-1.0, 1.0, 4))
+        assert values.shape == bound.shape == (4, 0)
 
     @pytest.mark.parametrize("quantity", list(Quantity))
     @pytest.mark.parametrize("family", list(Family))

@@ -165,8 +165,9 @@ def reference_json(payload):
 def reference_wigner(alpha, heads, family, fmt_name, nx, ny, x_range=(-4.0, 4.0),
                      y_range=(-4.0, 4.0)):
     spec = StateSpec(parse_amplitude(alpha), heads, Family.parse(family))
-    xx, yy = np.meshgrid(np.linspace(*x_range, nx), np.linspace(*y_range, ny))
-    values = np.asarray(closed_form.wigner(spec, (xx + 1j * yy) / math.sqrt(2.0)), dtype=float)
+    xs, ys = np.linspace(*x_range, nx), np.linspace(*y_range, ny)
+    xx, yy = np.meshgrid(xs, ys)
+    values, _ = closed_form.wigner_grid(spec, xs / math.sqrt(2.0), ys / math.sqrt(2.0))
     if fmt_name == "csv":
         lines = ["x,y,w"]
         for iy in range(ny):

@@ -19,10 +19,11 @@ their formats on small grids, ``sweep`` for all five quantities and
 0.05, 1, sqrt 2, 3, 10, 30, 60} x theta in {0, 0.7, 3}); far-out ``wigner``
 grids; the edge matrix, which ``tests/test_cli.py`` runs too (N in {1, 2, 12,
 4097} x r in {0, 1e-300, 1e100, 1e200}, every command: 264 distinct argvs,
-102 of them exit-3 refusals), which holds the cat Wigner grids at r = 1e100
-and 1e200 whose fringe phase outruns double precision; one argv for each of
-the exit codes 1, 2 and 3; and one whose ``--out`` cannot be opened.  Long
-sweeps (``--r-max 25`` at the default step, past the Mandel Q crossings and
+104 of them exit-3 refusals, among them the two-head cat Wigner grids at
+r = 1e100 and 1e200, whose fringe phases outrun double precision); one argv
+for each of the exit codes 1, 2 and 3; one whose ``--out`` cannot be opened;
+and, far past mu = 350, the two-head cat's default ``wigner`` grid at r = 9e5
+and its ``validate`` at r = 1600.  Long sweeps (``--r-max 25`` at the default step, past the Mandel Q crossings and
 the squeezing edges, and a 20,001-sample ``--r-max 200``), ``fock --max-m
 130`` (17,161 elements), the default 201 x 201 ``wigner`` grid (three
 formatter blocks) and a 17000 x 2 one (one row over two blocks) make the
@@ -104,7 +105,7 @@ def cases():
     for family in FAMILIES:
         for fmt in ("json", "csv"):
             yield ("fock", *spec("10@0.7", 2, family), "--max-m", "130", "--format", fmt)
-    # Far-out points: |beta|^2 overflows; mu = 1000 runs the cat's N^2 pair loop.
+    # Far-out points: |beta|^2 overflows, for a cat at mu = 2 and at mu = 1000.
     for alpha, n in (("1+1i", 3), ("1000", 2)):
         for family in FAMILIES:
             for span in FAR_OUT:
@@ -121,6 +122,9 @@ def cases():
     yield ("stats", *spec("1", 0, "coherent"))  # exit 2
     yield ("roots", "--alpha", "1", "--heads", "4097")  # exit 3
     yield ("roots", "--alpha", "1", "--heads", "2", "--out", "/nonexistent/dir/x")
+    # The two-head cat far past mu = 350: its default grid at mu = 9e5, and validate's at 1600.
+    yield ("wigner", "--alpha", "9e5", "--heads", "2", "--family", "coherent")
+    yield ("validate", "--alpha", "1600", "--heads", "2", "--family", "coherent")
 
 
 def edge_cases():
