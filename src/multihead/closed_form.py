@@ -65,7 +65,10 @@ def _log_overlaps(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
     """
     omega = np.exp(2j * np.pi * np.arange(n_heads) / n_heads)
     shift = np.where(turn * omega.real == 1.0, 0.0, turn * omega - 1.0)
-    return np.multiply.outer(mu, shift)
+    # The real part mu (turn cos - 1) is <= 0, so where it overflows it is
+    # -inf, and its exponential is exactly 0; the imaginary part is at most mu.
+    with np.errstate(over="ignore"):
+        return np.multiply.outer(mu, shift)
 
 
 def _head_sums(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
@@ -184,6 +187,8 @@ def _quadrature_variances(spec: StateSpec, r) -> tuple[np.ndarray, np.ndarray]:
     Re<a>^2 = r^2 cos(2 theta) are formed from that modulus and angle exactly
     as <n> and Re<a^2> are, so a coherent state's brackets cancel to 0.
     Real arithmetic only, so an array of moduli rounds exactly like a scalar.
+    A variance that overflows a double, though its moments do not, raises
+    CapacityError, as a moment does.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sums = _state_sums(spec, r)
@@ -193,7 +198,11 @@ def _quadrature_variances(spec: StateSpec, r) -> tuple[np.ndarray, np.ndarray]:
         a_sq = np.asarray(r, dtype=float) ** 2.0
         spread = spread - a_sq
         cross = cross - a_sq * math.cos(2.0 * spec.alpha.theta_p)
-    return (spread + cross) + 0.5, (spread - cross) + 0.5
+    with np.errstate(over="ignore"):
+        variances = (spread + cross) + 0.5, (spread - cross) + 0.5
+    if not all(np.all(np.isfinite(v)) for v in variances):
+        raise CapacityError(f"quadrature variance overflows at r = {np.max(r):.4g}")
+    return variances
 
 
 def _parity(spec: StateSpec, r) -> np.ndarray:
@@ -201,7 +210,8 @@ def _parity(spec: StateSpec, r) -> np.ndarray:
     n = spec.n_heads
     mu = head_occupation(np.asarray(r, dtype=float), n)
     if not spec.is_coherent:
-        return np.exp(-2.0 * mu)
+        with np.errstate(over="ignore"):  # -2 mu overflows only to -inf, whose exp is 0
+            return np.exp(-2.0 * mu)
     return _head_sums(mu, n, turn=-1.0)[..., 0] / _head_sums(mu, n)[..., 0]
 
 

@@ -67,19 +67,22 @@ def fmt(value: float) -> str:
 #
 # CPython's float formatter takes the slow bignum path of Gay's dtoa for every
 # 17-digit value, so the arrays are converted here instead, _BLOCK values at a
-# time, to the same bytes:
+# time, to the same bytes.  Every per-value quantity is a contiguous 1-D
+# array, and every table lookup a take from a 1-D table (or of whole rows):
 #
 # * Exponent.  e = floor(log10 |v|) is within one of the decimal exponent,
 #   and D below is taken once, at that e.  It is the exponent wherever
 #   1e16 < D < 1e17: one too high gives D <= 1e16 and one too low D >= 1e17.
+#   Every table over e is indexed by e + _EXP_OFFSET.
 # * Significand.  D = round-half-even(S), from the double-double product of
 #   |v| and 10^q = hi + lo + delta, q = 16 - e, |delta| <= 2^-106 hi: with
-#   Veltkamp's split of |v| and hi, Dekker's p + pl = |v| hi is exact (for
-#   |v| in [1e-250, 1e250) no step overflows and no partial product
-#   underflows), and S = p + R with R = pl + |v| lo + |v| delta.  Where
-#   S < 2^57, p is an integer (S > 2^53), |pl| <= 8, |v lo| <= 16 and
-#   |v delta| <= 2^-49, so r = fl(pl + fl(|v| lo)) has |r - R| <= 3 * 2^-49
-#   < 2^-47, and D = p + rint(r) unless r lies within _TIE of a half-integer.
+#   Veltkamp's split of |v| and hi (hi's is tabled with hi and lo), Dekker's
+#   p + pl = |v| hi is exact (for |v| in [1e-250, 1e250) no step overflows
+#   and no partial product underflows), and S = p + R with
+#   R = pl + |v| lo + |v| delta.  Where S < 2^57, p is an integer (S > 2^53),
+#   |pl| <= 8, |v lo| <= 16 and |v delta| <= 2^-49, so r = fl(pl + fl(|v| lo))
+#   has |r - R| <= 3 * 2^-49 < 2^-47, and D = p + rint(r) unless r lies
+#   within _TIE of a half-integer.
 # * Exact path.  _exact_texts formats whatever the pass leaves undecided:
 #   true ties (2^-25), r near a tie, +-inf, NaN, subnormals, every nonzero
 #   |v| outside [1e-250, 1e250), where the split could overflow or lo
@@ -88,13 +91,14 @@ def fmt(value: float) -> str:
 #   17 digits) and the rare S that round up to 1e17 (the double 1e-14 is one).
 # * Text.  Each value fills six little-endian uint64 words (48 bytes): sign,
 #   "0.000" and the lead digit, four 4-digit groups with a point after every
-#   digit, then "e+ddd", which ends in byte 44.  A keep-mask indexed by
-#   (sign, point position or exponent width, last nonzero digit) marks the
-#   bytes of the value's text, and every other byte is set to NUL
-#   (_float_records).  An exact-path value's CPython text is written,
-#   NUL-padded, into its own record's first _TEXT bytes.  No kept byte is
-#   NUL, so one bytes.translate that deletes NULs, and one decode, give a
-#   block's text.
+#   digit, then "e+ddd", which ends in byte 44.  The digits are taken by
+#   floor division by constants.  A keep-mask row of six words, indexed by
+#   (sign, point position or exponent width, last nonzero digit), holds 0xFF
+#   in the bytes of the value's text and 0x00 elsewhere, and the AND of the
+#   words with it sets every other byte to NUL (_float_records).  An
+#   exact-path value's CPython text is written, NUL-padded, into its own
+#   record's first _TEXT bytes.  No kept byte is NUL, so one translate that
+#   deletes NULs, and one decode, give a block's text.
 # * Tables.  Every float output is an (R, C) table whose point (i, j) is one
 #   record: column slot j, row slot i, then the first 45 bytes of its
 #   value's record.  The slots hold the text around the values, each
@@ -106,12 +110,12 @@ def fmt(value: float) -> str:
 #   and the value separator, so each axis value is formatted once: its text
 #   is its record's kept bytes moved left (_left_texts), and NULs pad it to
 #   the axis' longest before the value separator.  The head stands in for
-#   the first point's column slot.  render_json collects
-#   a payload's pieces, table blocks included, in one list and joins it
-#   once.
+#   the first point's column slot.  A table's blocks are built in one
+#   reused buffer, and render_json collects a payload's pieces, table
+#   blocks included, in one list and joins it once.
 _BLOCK = 1 << 14
 _MAGNITUDE = (1e-250, 1e250)  # |v| the double-double product covers
-_EXP_OFFSET = 260  # offset of exponent e in the exponent-word table
+_EXP_OFFSET = 260  # offset of exponent e in the tables over e
 _SPLITTER = 134217729.0  # 2^27 + 1
 _TIE = 2.0**-46
 _D_MIN = 10**16
@@ -122,7 +126,6 @@ _TEXT_MAX = 24  # the longest text, "-2.2250738585072014e-308"
 _MODES = 23  # fixed notation at exponents -4..16, exponent with 2 or 3 digits
 
 
-@functools.cache
 def _pow10(q: int) -> tuple:
     """(hi, lo): hi the double nearest 10^q, lo the double nearest 10^q - hi."""
     if q >= 0:
@@ -142,41 +145,29 @@ def _split(a: np.ndarray) -> tuple:
     return high, a - high
 
 
-def _scaled(a: np.ndarray, e: np.ndarray) -> tuple:
-    """(p, r), a * 10^(16 - e) = p + r to within 2^-47 where it is below 2^57."""
-    q = 16 - e
-    q0 = int(q.min())
-    hi, lo = np.array([_pow10(k) for k in range(q0, int(q.max()) + 1)]).T
-    hi, lo = hi[q - q0], lo[q - q0]
-    p = a * hi
-    ah, al = _split(a)
-    hh, hl = _split(hi)
-    return p, (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
-
-
-def _rounded(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """p + rint(r) as int64; p is an integer wherever the result is kept."""
-    return p.astype(np.int64) + np.rint(r).astype(np.int64)
-
-
 def _words(texts: list) -> np.ndarray:
     return np.frombuffer("".join(texts).encode(), "<u8")
 
 
 @functools.cache
 def _text_tables() -> tuple:
-    """The text step's tables, built on first use.
+    """The kernel's tables, built on first use.
 
-    Words of "-0.000" and each lead digit, of each 4-digit group with its
-    points, and of each exponent; each group's trailing zero count; and the
-    keep-mask of each (sign, mode, last nonzero digit) key.
+    Over e: hi, lo, hi's split halves, the exponent words and the key of
+    each mode with no digit dropped.  Words of "-0.000" and each lead digit
+    and of each 4-digit group with its points; each group's trailing zero
+    count; the keep-mask words of each (sign, mode, last nonzero digit) key,
+    and each key's kept columns in order.
     """
+    e = np.arange(-_EXP_OFFSET, _EXP_OFFSET)
+    hi, lo = (np.array(t) for t in zip(*(_pow10(16 - k) for k in e.tolist())))
+    exponents = _words([f"e{k:+04d}   " for k in e.tolist()])
+    mode_keys = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22)) * 17 + 16
     lead = _words([f"-0.000{i}." for i in range(10)])
     pairs = np.frombuffer("".join(f"{i // 10}.{i % 10}." for i in range(100)).encode(), "<u4")
     groups = (pairs[:, None] | pairs.astype(np.uint64) << 32).ravel()
     pair_zeros = np.array([2] + [int(i % 10 == 0) for i in range(1, 100)], np.int8)
     group_zeros = np.where(np.arange(100) == 0, 2 + pair_zeros[:, None], pair_zeros).ravel()
-    exponents = _words([f"e{e:+04d}   " for e in range(-_EXP_OFFSET, _EXP_OFFSET)])
     key = np.arange(2 * _MODES * 17)[:, None]
     negative, mode, last = key // (_MODES * 17), key // 17 % _MODES, key % 17
     x = mode - 4  # the decimal exponent where it is below 17: fixed notation
@@ -195,43 +186,13 @@ def _text_tables() -> tuple:
     kept = np.argsort(~keep, axis=1, kind="stable")[:, :_TEXT_MAX]
     lefts = np.where(np.arange(_TEXT_MAX) < keep.sum(axis=1)[:, None], kept, _WIDTH - 1)
     lefts = np.vstack([lefts, np.arange(_TEXT_MAX)])
-    return lead, groups, group_zeros, exponents, keep, lefts
+    keep = np.where(keep, np.uint8(255), np.uint8(0)).view("<u8")
+    return (hi, lo, *_split(hi), exponents, mode_keys, lead, groups, group_zeros, keep, lefts)
 
 
 def _exact_texts(values: np.ndarray) -> list:
     """The values the fast path cannot decide, formatted by CPython."""
     return [_FLOAT_SLOT % v for v in values.tolist()]
-
-
-def _significands(a: np.ndarray) -> tuple:
-    """(e, D, decided) for magnitudes in [1e-250, 1e250).
-
-    D is the 17-digit significand at the decimal exponent e wherever
-    ``decided`` holds.
-    """
-    e = np.floor(np.log10(a)).astype(np.int64)
-    p, r = _scaled(a, e)
-    d = _rounded(p, r)
-    return e, d, (d > _D_MIN) & (d < _D_END) & (np.abs(r - np.floor(r) - 0.5) > _TIE)
-
-
-def _records(negative: np.ndarray, e: np.ndarray, d: np.ndarray) -> tuple:
-    """(text, key): each value's 48-byte record and the keep-mask row of its text's bytes."""
-    lead_words, group_words, group_zeros, exponent_words = _text_tables()[:4]
-    lead, rest = np.divmod(d, _D_MIN)
-    high, low = np.divmod(rest, 10**8)
-    groups = np.empty((d.size, 4), np.int32)
-    groups[:, 0], groups[:, 1] = np.divmod(high, 10**4)
-    groups[:, 2], groups[:, 3] = np.divmod(low, 10**4)
-    z = group_zeros[groups]
-    nil = groups == 0
-    zeros = z[:, 3] + nil[:, 3] * (z[:, 2] + nil[:, 2] * (z[:, 1] + nil[:, 1] * z[:, 0]))
-    mode = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
-    words = np.empty((d.size, _WIDTH // 8), np.uint64)
-    words[:, 0] = lead_words[lead]
-    words[:, 1:5] = group_words[groups]
-    words[:, 5] = exponent_words[e + _EXP_OFFSET]
-    return words.view(np.uint8), (negative * _MODES + mode) * 17 + 16 - zeros
 
 
 def _float_records(v: np.ndarray) -> np.ndarray:
@@ -244,28 +205,49 @@ def _float_records(v: np.ndarray) -> np.ndarray:
 
 def _keyed_records(v: np.ndarray) -> tuple:
     """(_float_records(v), key): key picks each record's row of _text_tables' lefts."""
+    his, los, highs, lows, exponents, mode_keys, lead_words, group_words, group_zeros, keep = (
+        _text_tables()[:10])
     a = np.abs(v)
     fast = (a >= _MAGNITUDE[0]) & (a < _MAGNITUDE[1])  # NaN fails both
     zero = a == 0.0
     a[~fast] = 2.0  # any value that needs no second pass
-    e, d, decided = _significands(a)
-    fast &= decided
+    i = np.floor(np.log10(a)).astype(np.intp)
+    i += _EXP_OFFSET
+    p = a * his.take(i)
+    ah, al = _split(a)
+    hh, hl = highs.take(i), lows.take(i)
+    r = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * los.take(i)
+    d = p.astype(np.int64) + np.rint(r).astype(np.int64)  # p is an integer where d is kept
+    fast &= (d > _D_MIN) & (d < _D_END) & (np.abs(r - np.floor(r) - 0.5) > _TIE)
     d[~fast] = _D_MIN
-    e[zero], d[zero] = 0, 0  # the digits of 0 at e = 0 read "0"
+    d[zero] = 0  # the digits of 0 at e = 0 (|v| = 2 above) read "0"
     fast |= zero
-    text, key = _records(np.signbit(v), e, d)
-    keep = _text_tables()[4]
-    text *= keep.take(key, axis=0)
+    lead = d // _D_MIN
+    d -= lead * _D_MIN
+    high = d // 10**8
+    d -= high * 10**8
+    g0, g2 = high // 10**4, d // 10**4
+    groups = (g0, high - g0 * 10**4, g2, d - g2 * 10**4)
+    words = np.empty((v.size, _WIDTH // 8), np.uint64)  # each take fills a 1-D array first
+    words[:, 0] = lead_words.take(lead)
+    for k, g in enumerate(groups, 1):
+        words[:, k] = group_words.take(g)
+    words[:, 5] = exponents.take(i)
+    zeros = group_zeros.take(groups[3])  # trailing zeros of the 16 digits after the lead
+    nil = groups[3] == 0
+    for g in groups[2::-1]:
+        zeros += nil * group_zeros.take(g)
+        nil &= g == 0
+    key = mode_keys.take(i)
+    key -= zeros
+    key += np.signbit(v) * (_MODES * 17)
+    words &= keep.take(key, axis=0)
+    text = words.view(np.uint8)
     exact = np.flatnonzero(~fast)
     texts = np.array(_exact_texts(v[exact]), dtype=f"S{_TEXT}")
     text[exact, :_TEXT] = texts.view(np.uint8).reshape(exact.size, _TEXT)
     key[exact] = len(keep)
     return text, key
-
-
-def _kept_text(buffer: np.ndarray) -> str:
-    """The buffer's bytes with every NUL deleted, as text."""
-    return buffer.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _axis_slots(texts: list) -> np.ndarray:
@@ -281,39 +263,38 @@ def _table_pieces(values, col_slots: np.ndarray, row_slots, head: str, tail: str
     Point (i, j) reads as col_slots[j], row_slots[i] and the value's text,
     the slots being _axis_slots arrays, and row_slots None where the rows
     have none; head stands in for the first point's column slot.  A block
-    of at most _BLOCK points is one uint8 array of records, column slot, row
-    slot and value text, with the slots broadcast over its rows and columns;
-    one NUL-deleting pass turns it into text.  A block is whole rows, or a
-    _BLOCK-point part of one row where a row is longer.
+    of at most _BLOCK points is laid out in one buffer, reused for every
+    block, as records of column slot, row slot and value text, with the
+    slots broadcast over its rows and columns; one NUL-deleting pass turns
+    it into text.  A block is whole rows, or a _BLOCK-point part of one row
+    where a row is longer.  The column slots of whole-row blocks are written
+    once, and again after the head's block.
     """
     n_rows, n_cols = values.shape
     if row_slots is None:
         row_slots = np.empty((n_rows, 0), np.uint8)
     wc, wr = col_slots.shape[1], row_slots.shape[1]
     rows, cols = max(1, _BLOCK // n_cols), min(n_cols, _BLOCK)
+    buffer = bytearray(min(rows, n_rows) * cols * (wc + wr + _TEXT))
+    whole = np.frombuffer(buffer, np.uint8)
     out.append(head)
     for r0 in range(0, n_rows, rows):
         r1 = min(r0 + rows, n_rows)
         for c0 in range(0, n_cols, cols):
             c1 = min(c0 + cols, n_cols)
             v = np.asarray(values[r0:r1, c0:c1], dtype=np.float64)
-            block = np.empty((*v.shape, wc + wr + _TEXT), np.uint8)
-            block[:, :, :wc] = col_slots[c0:c1]
+            size = v.size * (wc + wr + _TEXT)
+            block = whole[:size].reshape(*v.shape, -1)
+            if cols < n_cols or r0 <= rows:  # whole rows: the first block and the one after
+                block[:, :, :wc] = col_slots[c0:c1]
+            if r0 == c0 == 0:
+                block[0, 0, :wc] = 0  # the first point follows head
             block[:, :, wc : wc + wr] = row_slots[r0:r1, None]
             records = _float_records(v.ravel()).reshape(*v.shape, _WIDTH)
             block[:, :, wc + wr :] = records[:, :, :_TEXT]
-            if r0 == c0 == 0:
-                block[0, 0, :wc] = 0  # the first point follows head
-            out.append(_kept_text(block))
+            text = buffer if size == len(buffer) else buffer[:size]
+            out.append(text.translate(None, b"\0").decode("ascii"))
     out.append(tail)
-
-
-def _float_texts(values: np.ndarray) -> list:
-    """[_FLOAT_SLOT % v for v in values.ravel().tolist()], byte for byte."""
-    flat = np.asarray(values, dtype=np.float64).ravel()
-    out = []
-    _table_pieces(flat[:, None], _axis_slots([" "]), None, "", "", out)
-    return "".join(out).split(" ") if flat.size else []
 
 
 def render_csv(header: str, *columns: np.ndarray) -> str:
@@ -358,7 +339,7 @@ def _left_texts(values: np.ndarray) -> np.ndarray:
     The texts are cut from their records _BLOCK values at a time: a key's row
     of _text_tables' lefts lists its kept columns in order.
     """
-    lefts = _text_tables()[5]
+    lefts = _text_tables()[-1]
     texts = np.empty((values.size, _TEXT_MAX), np.uint8)
     for start in range(0, values.size, _BLOCK):
         records, key = _keyed_records(values[start : start + _BLOCK])

@@ -6,12 +6,13 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import pytest
 
 import multihead
-from multihead import cli, errors, serialize
+from multihead import cli, closed_form, errors, serialize
 from multihead.cli import main
 from multihead.roots import HEADS_MAX
 
@@ -388,7 +389,7 @@ cli_digest = load_cli_digest()
 
 
 def edge_cases():
-    """The digest tool's edge matrix, N in {1, 2, 12, HEADS_MAX + 1} x four r, each argv once.
+    """The digest tool's edge matrix, N in {1, 2, 12, HEADS_MAX + 1} x five r, each argv once.
 
     An id reads command[-quantity][-family]-N-r; a sweep's r is its --r-max.
     The tool sweeps r = 0 up to 1e-300, the same argv as r = 1e-300, so the
@@ -427,6 +428,38 @@ def test_edge_inputs_exit_cleanly(capsys, argv):
     out = capsys.readouterr().out
     assert code in (0, 2, 3)
     assert not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE)
+
+
+# At r = 1e308, 2 mu passes the largest double: the overlap exponents' real
+# parts overflow to -inf (their exponentials are 0), and a quadrature
+# variance can overflow though its moments do not.
+OVERFLOW_CASES = [
+    (("wigner", "--alpha", "1e308", "--heads", "2", "--family", "coherent",
+      "--nx", "2", "--ny", "2"), 3),
+    (("fock", "--alpha", "1e308", "--heads", "2", "--family", "coherent", "--max-m", "2"), 0),
+    (("sweep", "--heads", "2", "--family", "coherent", "--quantity", "parity",
+      "--r-max", "1e308", "--step", "1e306"), 0),
+    *((("sweep", "--heads", "2", "--family", family, "--quantity", quantity,
+        "--r-max", "1e308", "--step", "5e307", "--format", fmt), 3)
+      for family in ("incoherent", "coherent") for quantity in ("var-x1", "var-x2")
+      for fmt in ("json", "csv")),
+]
+
+
+@pytest.mark.parametrize("argv, want", OVERFLOW_CASES,
+                         ids=[" ".join(argv) for argv, _ in OVERFLOW_CASES])
+def test_overflow_past_the_largest_double_is_clean(capsys, argv, want):
+    # stats fills the cached head sums under errstate first, which would hide
+    # a warning from _log_overlaps, so the cache starts empty.
+    closed_form._kept_head_sums.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == want
+    assert not re.search(r"\b(inf|nan)\b", captured.out, re.IGNORECASE)
+    if want == 3:
+        assert "overflows" in captured.err or "outruns" in captured.err
 
 
 class TestEmissionIsOnePassPerArray:

@@ -4,8 +4,8 @@ The ``reference_*`` functions are the per-value emitters the package used
 before arrays were formatted in numpy: ``reference_render_json`` is the
 list path of ``render_json`` and the three ``reference_*`` CLI emitters are
 the row loops of ``multihead wigner``, ``sweep`` and ``fock``.  The CLI's
-output must equal theirs byte for byte, and ``serialize._float_texts`` must
-equal ``'%.17g' % v`` on every double.
+output must equal theirs byte for byte, and ``float_texts``, the table
+emitter's text of each value, must equal ``'%.17g' % v`` on every double.
 """
 
 import math
@@ -345,12 +345,20 @@ def test_fock_output_equals_the_row_loop(capsys, family, fmt_name):
     assert out == reference_fock("3@0.4", 3, family, 12, fmt_name)
 
 
+def float_texts(values):
+    """The table emitter's text of each value: a one-column table whose column slot is " "."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    out = []
+    serialize._table_pieces(flat[:, None], serialize._axis_slots([" "]), None, "", "", out)
+    return "".join(out).split(" ") if flat.size else []
+
+
 def assert_texts_exact(values):
-    """_float_texts(values) is '%.17g' % v of every value, compared a chunk at a time."""
+    """float_texts(values) is '%.17g' % v of every value, compared a chunk at a time."""
     values = np.asarray(values, dtype=float)
     for start in range(0, values.size, 100_000):
         chunk = values[start : start + 100_000]
-        got = serialize._float_texts(chunk)
+        got = float_texts(chunk)
         want = [reference_fmt(v) for v in chunk.tolist()]
         bad = [(w, g) for g, w in zip(got, want) if g != w]
         assert not bad, bad[:5]  # (expected, got)
@@ -411,7 +419,7 @@ def near_ties():
 
 
 class TestFloatTexts:
-    """serialize._float_texts against CPython's '%.17g', value by value."""
+    """float_texts against CPython's '%.17g', value by value."""
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(20261018)
@@ -478,8 +486,8 @@ class TestFloatTexts:
 
     def test_blocks_join_in_order(self):
         values = np.arange(7 * 7100) * 0.1  # three blocks and a part
-        assert serialize._float_texts(values.reshape(7, -1)) == [reference_fmt(v) for v in values]
-        assert serialize._float_texts(np.empty(0)) == []
+        assert float_texts(values.reshape(7, -1)) == [reference_fmt(v) for v in values]
+        assert float_texts(np.empty(0)) == []
 
 
 @pytest.mark.parametrize("shape", [(20_000,), (3000, 7), (2, 10_000), (40, 30, 20)])
@@ -756,3 +764,51 @@ def test_value_slots_hold_each_text_left_aligned(before, after):
     padded = [before.encode() + t + bytes(width - len(t)) + after.encode() for t in texts]
     assert slots.tobytes() == b"".join(padded)
 
+
+
+def random_values_with_specials(n, seed):
+    """n doubles: random bit patterns, every third one a normal spread, the specials first."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    spread = values[1::3].size
+    values[1::3] = rng.standard_normal(spread) * np.exp(rng.uniform(-30, 30, spread))
+    specials = with_negatives(EXACT_PATH + SPECIAL)
+    values[: specials.size] = specials[:n]
+    return values
+
+
+@pytest.mark.parametrize("n", [1, 5002, serialize._BLOCK + 1])
+def test_left_texts_read_as_cpython_texts(n):
+    # Each row is the value's record cut by its key, so this pins both.
+    values = random_values_with_specials(n, n)
+    texts = serialize._left_texts(values)
+    assert texts.shape == (n, serialize._TEXT_MAX)
+    want = [reference_fmt(v).encode() for v in values.tolist()]
+    assert texts.view(f"S{serialize._TEXT_MAX}").ravel().tolist() == want
+
+
+TABLE_SHAPES = {
+    "whole blocks": (3 * (serialize._BLOCK // 4), 4),
+    "a partial last block": (2 * (serialize._BLOCK // 4) + 5, 4),
+    "rows longer than a block": (3, serialize._BLOCK + 7),
+    "one column": (2 * serialize._BLOCK + 3, 1),
+    "zero rows": (0, 3),
+}
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES.values(), ids=TABLE_SHAPES.keys())
+def test_table_points_read_as_their_slots_and_texts(shape):
+    # Column and row slots that differ from column to column and row to row:
+    # a slot the reused block buffer kept from a block before would show, and
+    # only the very first point's column slot yields to the head.
+    n_rows, n_cols = shape
+    values = random_values_with_specials(n_rows * n_cols, n_cols).reshape(shape)
+    col_texts = [f"|{j}:" for j in range(n_cols)]
+    row_texts = [f"<{i}>" for i in range(n_rows)]
+    col_slots = serialize._axis_slots(col_texts)
+    row_slots = serialize._axis_slots(row_texts) if n_rows else None
+    out = []
+    serialize._table_pieces(values, col_slots, row_slots, "HEAD", "TAIL", out)
+    points = [(col_texts[j] if i or j else "") + row_texts[i] + reference_fmt(v)
+              for i, row in enumerate(values.tolist()) for j, v in enumerate(row)]
+    assert "".join(out) == "HEAD" + "".join(points) + "TAIL"

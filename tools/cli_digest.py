@@ -18,10 +18,11 @@ their formats on small grids, ``sweep`` for all five quantities and
 0 and -0@1 up to 60@0.7 and 1e100; ``validate`` over 288 states (r in {0,
 0.05, 1, sqrt 2, 3, 10, 30, 60} x theta in {0, 0.7, 3}); far-out ``wigner``
 grids; the edge matrix, which ``tests/test_cli.py`` runs too (N in {1, 2, 12,
-4097} x r in {0, 1e-300, 1e100, 1e200}, every command: 264 distinct argvs,
-104 of them exit-3 refusals, among them the two-head cat Wigner grids at
-r = 1e100 and 1e200, whose fringe phases outrun double precision); one argv
-for each of the exit codes 1, 2 and 3; one whose ``--out`` cannot be opened;
+4097} x r in {0, 1e-300, 1e100, 1e200, 1e308}, every command: 340 distinct
+argvs, 155 of them exit-3 refusals, among them the two-head cat Wigner grids
+at r = 1e100 and up, whose fringe phases outrun double precision; at
+r = 1e308, 2 mu passes the largest double); one argv for each of the exit
+codes 1, 2 and 3; one whose ``--out`` cannot be opened;
 and, far past mu = 350, the two-head cat's default ``wigner`` grid at r = 9e5
 and its ``validate`` at r = 1600.  Long sweeps (``--r-max 25`` at the default step, past the Mandel Q crossings and
 the squeezing edges, and a 20,001-sample ``--r-max 200``), ``fock --max-m
@@ -59,7 +60,7 @@ QUANTITIES = ("mean-photon", "mandel-q", "var-x1", "var-x2", "parity")
 SMALL_GRID = ("--nx", "4", "--ny", "3")
 # The edge matrix, which tests/test_cli.py also runs; 4097 is one head past roots.HEADS_MAX.
 EDGE_HEADS = (1, 2, 12, 4097)
-EDGE_MODULI = ("0", "1e-300", "1e100", "1e200")
+EDGE_MODULI = ("0", "1e-300", "1e100", "1e200", "1e308")
 FAR_OUT = (("--x-min=1e160", "--x-max=2e160"), ("--y-min=-1e200", "--y-max=1e200"))
 
 
