@@ -23,55 +23,20 @@ from .sweeps import Quantity, SweepTemplate
 
 GRID_POINT_CAP = 4_000_000
 
-_MMAP_THRESHOLD = 32 << 20
+_MALLOC_THRESHOLD = 32 << 20
 
-
-class _Mallinfo2(ctypes.Structure):
-    """glibc's ``struct mallinfo2``; ``fordblks`` is the free heap in bytes."""
-
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
-        "fordblks", "keepcost")]
-
-
-# glibc maps each block above its mmap threshold afresh and returns freed heap
-# tops above its trim threshold.  Left adaptive, both start low and rise only
-# as large blocks are freed, so they depend on what was imported and run
-# before.  Fixed at glibc's own ceilings, large grids, kernels and temporaries
-# reuse retained heap pages instead of faulting in new ones.
+# glibc maps each block above its mmap threshold afresh and, as blocks are
+# freed, returns a free heap top above its trim threshold.  Left adaptive, both
+# start low and rise only as large blocks are freed, so they depend on what was
+# imported and run before.  Fixed at one 32 MiB, large grids, kernels and
+# temporaries reuse retained heap pages instead of faulting in new ones, and a
+# free heap top past 32 MiB goes back to the system; freed blocks below a live
+# one stay on the heap for later commands to reuse.
 _libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
-if _libc is not None:
+if hasattr(_libc, "mallopt"):  # musl has none
     _libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    _libc.mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
-    _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    _libc.malloc_trim.argtypes = (ctypes.c_size_t,)
-    if hasattr(_libc, "mallinfo2"):  # glibc >= 2.33
-        _libc.mallinfo2.argtypes = ()
-        _libc.mallinfo2.restype = _Mallinfo2
-
-# The smallest free-heap count seen since the last trim, or the count just after it.
-_free_floor = 0
-
-
-# Below the mmap threshold, a command's freed blocks stay on the heap, up to
-# one output's size (32 MB at 601 x 601), through whatever the process does
-# next; the fixed trim threshold above returns only a free heap top.  Handing
-# back a default grid's 5-11 MiB would only make the next command fault the
-# same pages in again, so the heap is trimmed only once the free count has
-# grown past the floor by more than the mmap threshold.  glibc's count keeps
-# the pages a trim released, hence the floor rather than a fixed cut-off.
-def _return_free_heap() -> None:
-    """Hand glibc's free heap pages back once a command has freed more than a large block."""
-    global _free_floor
-    mallinfo2 = getattr(_libc, "mallinfo2", None)
-    if mallinfo2 is None:
-        return
-    free = mallinfo2().fordblks
-    if free - _free_floor > _MMAP_THRESHOLD:
-        _libc.malloc_trim(0)
-        _free_floor = mallinfo2().fordblks
-    else:
-        _free_floor = min(_free_floor, free)
+    _libc.mallopt(-3, _MALLOC_THRESHOLD)  # M_MMAP_THRESHOLD
+    _libc.mallopt(-1, _MALLOC_THRESHOLD)  # M_TRIM_THRESHOLD
 
 
 EXIT_OK = 0
@@ -294,8 +259,6 @@ def main(argv=None) -> int:
     except MultiheadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    finally:
-        _return_free_heap()
 
 
 if __name__ == "__main__":

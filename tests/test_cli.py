@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import types
 import warnings
 from pathlib import Path
 
@@ -423,7 +422,10 @@ def far_out_grids():
 
 @pytest.mark.parametrize("argv", list(edge_cases()) + list(far_out_grids()))
 def test_edge_inputs_exit_cleanly(capsys, argv):
-    # Tier-1 turns RuntimeWarning into an error, so a silent overflow fails here too.
+    # Tier-1 turns RuntimeWarning into an error, so a silent overflow fails here
+    # too.  The cached head sums start empty, as in a fresh process, so a warning
+    # raised while forming them shows in every command, not only the first.
+    closed_form._kept_head_sums.cache_clear()
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code in (0, 2, 3)
@@ -490,6 +492,14 @@ class TestEmissionIsOnePassPerArray:
         assert len(calls) <= 16
 
 
+def fresh_output(code):
+    """The stdout of ``code`` run in a fresh interpreter that imports this package."""
+    src = str(Path(multihead.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    return done.stdout
+
+
 class TestStartup:
     def test_no_command_loads_scipy_fractions_or_decimal(self):
         # A fresh interpreter runs all six commands: nothing that pytest or other
@@ -508,14 +518,9 @@ class TestStartup:
             "loaded += sorted({'fractions', 'decimal', '_decimal'} & set(sys.modules))\n"
             "print(loaded, codes)\n"
         )
-        src = str(Path(multihead.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert done.stdout.splitlines()[-1] == "[] [0, 0, 0, 0, 0, 0]"
+        assert fresh_output(code).splitlines()[-1] == "[] [0, 0, 0, 0, 0, 0]"
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator only")
+    @pytest.mark.skipif(not hasattr(cli._libc, "mallopt"), reason="glibc allocator only")
     def test_freed_large_arrays_are_reused_without_page_faults(self):
         # Two live 1 MiB temporaries, freed and made again: mapped afresh, each
         # round faults in ~500 zero pages; kept on the heap, it faults in none.
@@ -528,66 +533,92 @@ class TestStartup:
             "    np.exp(x * 2.0).sum()\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
-        src = str(Path(multihead.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
+        assert int(fresh_output(code).splitlines()[-1]) < 100
+
+    @pytest.mark.skipif(not hasattr(cli._libc, "mallopt"), reason="glibc allocator only")
+    def test_grids_reuse_the_heap_and_a_large_freed_heap_top_goes_back(self):
+        # A second default grid reuses the pages the first one freed.  Two
+        # 24 MiB blocks sit on the heap (each is under the mmap threshold);
+        # freed, the heap top passes the 32 MiB trim threshold and glibc hands
+        # it back at once.  Under a 64 MiB trim threshold both stay resident.
+        code = (
+            "import os, resource, numpy as np, multihead.cli as cli\n"
+            "def rss():\n"
+            "    with open('/proc/self/statm') as statm:\n"
+            "        return int(statm.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "def faults():\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "grid = ['wigner', '--alpha', '1+1i', '--heads', '2', '--family', 'coherent',\n"
+            "        '--out', os.devnull]\n"
+            "assert cli.main(grid) == 0\n"
+            "before = faults()\n"
+            "assert cli.main(grid) == 0\n"
+            "repeat = faults() - before\n"
+            "before = rss()\n"
+            "blocks = [np.ones(3 << 20) for _ in range(2)]\n"
+            "grown = rss() - before\n"
+            "del blocks\n"
+            "print(repeat, grown, rss() - before)\n"
         )
-        assert int(done.stdout.splitlines()[-1]) < 100
+        repeat, grown, kept = map(int, fresh_output(code).split())
+        assert repeat < 100
+        assert grown > 32 << 20
+        assert kept < 8 << 20
 
-    def test_wigner_hands_its_freed_heap_back(self, capsys, monkeypatch):
-        cli._return_free_heap()  # callable on every platform
-        calls = []
-        monkeypatch.setattr(cli, "_return_free_heap", lambda: calls.append(True))
-        code, out = run(capsys, "wigner", "--alpha", "1+1i", "--heads", "2", "--family",
-                        "coherent", "--nx", "3", "--ny", "2")
-        assert (code, calls, out.count("\n")) == (0, [True], 7)
-
-
-class FakeLibc:
-    """A libc whose free-heap count is set by hand; malloc_trim only counts."""
-
-    def __init__(self, free=0):
-        self.free, self.trims = free, 0
-
-    def mallinfo2(self):
-        return types.SimpleNamespace(fordblks=self.free)
-
-    def malloc_trim(self, pad):
-        self.trims += 1
+    def test_imports_on_a_libc_without_mallopt(self):
+        # musl exports no mallopt; the allocator is then left as it is.
+        code = (
+            "import ctypes, os, numpy\n"
+            "ctypes.CDLL = lambda name: object()\n"
+            "from multihead.cli import main\n"
+            "print(main(['roots', '--alpha', '1', '--heads', '2', '--out', os.devnull]))\n"
+        )
+        assert fresh_output(code) == "0\n"
 
 
-class NoMallinfo2(FakeLibc):
-    """A glibc older than 2.33."""
+class RecordingLibc:
+    """A libc that records every name looked up on it."""
 
-    mallinfo2 = property()
+    def __init__(self):
+        self.looked_up = []
+
+    def __getattr__(self, name):
+        self.looked_up.append(name)
+        return lambda *args: 0
 
 
-class TestReturnFreeHeap:
-    """The heap is trimmed only when a command has freed more than the mmap threshold."""
+class TestAllocatorPolicy:
+    """glibc's thresholds are set once, at import; no command touches the allocator."""
 
-    def test_trims_once_per_growth_past_the_threshold(self, monkeypatch):
-        libc = FakeLibc()
-        monkeypatch.setattr(cli, "_libc", libc)
-        monkeypatch.setattr(cli, "_free_floor", 0)
-        mib, threshold = 1 << 20, cli._MMAP_THRESHOLD
-        trims = []
-        # Default grids; a large one; the count stays high after the trim, and
-        # falls; growth of exactly the threshold, then of one byte more.
-        for free in (8 * mib, 12 * mib, 45 * mib, 45 * mib, 50 * mib, 40 * mib,
-                     40 * mib + threshold, 40 * mib + threshold + 1, 45 * mib + threshold):
-            libc.free = free
-            cli._return_free_heap()
-            trims.append(libc.trims)
-        assert trims == [0, 0, 1, 1, 1, 1, 1, 2, 2]
+    def test_import_sets_both_thresholds_to_one_constant(self):
+        code = (
+            "import ctypes, numpy\n"
+            "opened, calls = [], []\n"
+            "def mallopt(param, value):\n"
+            "    calls.append((param, value))\n"
+            "    return 1\n"
+            "class Libc:\n"
+            "    pass\n"
+            "Libc.mallopt = staticmethod(mallopt)\n"
+            "ctypes.CDLL = lambda name: opened.append(name) or Libc()\n"
+            "import multihead.cli as cli\n"
+            "print(opened, calls, mallopt.argtypes == (ctypes.c_int, ctypes.c_int))\n"
+        )
+        threshold = 32 << 20
+        assert cli._MALLOC_THRESHOLD == threshold
+        assert fresh_output(code) == f"[None] [(-3, {threshold}), (-1, {threshold})] True\n"
 
-    def test_a_libc_without_mallinfo2_never_trims(self, monkeypatch):
-        libc = NoMallinfo2(free=1 << 40)
-        monkeypatch.setattr(cli, "_libc", libc)
-        monkeypatch.setattr(cli, "_free_floor", 0)
-        for _ in range(3):
-            cli._return_free_heap()
-        assert libc.trims == 0
+    def test_other_platforms_leave_the_allocator_alone(self):
+        code = (
+            "import ctypes, os, sys, numpy\n"
+            "opened = []\n"
+            "ctypes.CDLL = lambda name: opened.append(name)\n"
+            "sys.platform = 'darwin'\n"
+            "import multihead.cli as cli\n"
+            "code = cli.main(['roots', '--alpha', '1', '--heads', '2', '--out', os.devnull])\n"
+            "print(cli._libc, opened, code)\n"
+        )
+        assert fresh_output(code) == "None [] 0\n"
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -604,38 +635,17 @@ class TestReturnFreeHeap:
         ],
         ids=lambda v: v if isinstance(v, int) else v[0],
     )
-    def test_main_returns_the_free_heap_once_per_command(self, capsys, monkeypatch, argv, code):
-        calls = []
-        monkeypatch.setattr(cli, "_return_free_heap", lambda: calls.append(True))
-        assert (main(list(argv)), calls) == (code, [True])
+    def test_main_leaves_the_allocator_alone(self, capsys, monkeypatch, argv, code):
+        libc = RecordingLibc()
+        monkeypatch.setattr(cli, "_libc", libc)
+        assert (main(list(argv)), libc.looked_up) == (code, [])
 
-    @pytest.mark.skipif(not hasattr(cli._libc, "mallinfo2"), reason="glibc >= 2.33 only")
-    def test_a_large_grid_trims_and_default_grids_do_not(self):
-        # A fresh interpreter, so the floor starts from this sequence alone.
-        code = (
-            "import os, multihead.cli as cli\n"
-            "libc, trims = cli._libc, []\n"
-            "class Counting:\n"
-            "    def mallinfo2(self):\n"
-            "        return libc.mallinfo2()\n"
-            "    def malloc_trim(self, pad):\n"
-            "        trims.append(pad)\n"
-            "        return libc.malloc_trim(pad)\n"
-            "cli._libc = Counting()\n"
-            "wigner = ['wigner', '--alpha', '1+1i', '--heads', '2', '--family', 'coherent',\n"
-            "          '--out', os.devnull]\n"
-            "seen = []\n"
-            "for extra in ([], ['--nx', '601', '--ny', '601', '--format', 'json'], [], []):\n"
-            "    assert cli.main(wigner + extra) == 0\n"
-            "    seen.append(len(trims))\n"
-            "print(seen)\n"
-        )
-        src = str(Path(multihead.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert done.stdout.splitlines()[-1] == "[0, 1, 1, 1]"
+    def test_a_rejected_argv_leaves_the_allocator_alone(self, capsys, monkeypatch):
+        libc = RecordingLibc()
+        monkeypatch.setattr(cli, "_libc", libc)
+        with pytest.raises(SystemExit) as exc:
+            main(["nope"])
+        assert (exc.value.code, libc.looked_up) == (2, [])
 
 
 REUSE_SEQUENCE = (

@@ -281,6 +281,23 @@ def test_array_special_values_and_non_float_arrays():
                 render_json(obj)
 
 
+def assert_same_text(got, want):
+    """got == want, exactly; a mismatch reports both lengths and the first differing offset.
+
+    pytest's own report of a failed ``==`` diffs the two strings, which takes
+    tens of seconds on the multi-megabyte outputs compared here.
+    """
+    if got == want:
+        return
+    lo, hi = 0, min(len(got), len(want))  # got[:lo] == want[:lo]; they differ at or before hi
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if got[:mid] == want[:mid] else (lo, mid - 1)
+    around = slice(max(lo - 40, 0), lo + 40)
+    pytest.fail(f"texts differ at offset {lo} (lengths {len(got)} and {len(want)}):\n"
+                f"  got:  {got[around]!r}\n  want: {want[around]!r}", pytrace=False)
+
+
 def cli_output(capsys, *argv):
     assert main(list(argv)) == 0
     return capsys.readouterr().out
@@ -313,7 +330,7 @@ def test_wigner_output_equals_the_row_loop(capsys, alpha, heads, family, nx, ny,
     grid = () if (nx, ny) == (201, 201) else grid_argv(nx, ny, x_range, y_range)
     out = cli_output(capsys, "wigner", "--alpha", alpha, "--heads", str(heads), "--family", family,
                      "--format", fmt_name, *grid)
-    assert out == reference_wigner(alpha, heads, family, fmt_name, nx, ny, x_range, y_range)
+    assert_same_text(out, reference_wigner(alpha, heads, family, fmt_name, nx, ny, x_range, y_range))
 
 
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
@@ -332,7 +349,7 @@ def test_sweep_output_equals_the_row_loop(capsys, quantity, fmt_name):
     # The two-head cat's Mandel Q is undefined at r = 0, so that sample is a gap.
     out = cli_output(capsys, "sweep", "--heads", "2", "--family", "coherent", "--quantity", quantity,
                      "--r-max", "3", "--step", "0.1", "--format", fmt_name)
-    assert out == reference_sweep(2, "coherent", quantity, 3.0, 0.1, fmt_name)
+    assert_same_text(out, reference_sweep(2, "coherent", quantity, 3.0, 0.1, fmt_name))
     if quantity == "mandel-q" and fmt_name == "csv":
         assert out.splitlines()[1].startswith("0.10000000000000001,")
 
@@ -342,7 +359,7 @@ def test_sweep_output_equals_the_row_loop(capsys, quantity, fmt_name):
 def test_fock_output_equals_the_row_loop(capsys, family, fmt_name):
     out = cli_output(capsys, "fock", "--alpha", "3@0.4", "--heads", "3", "--family", family,
                      "--max-m", "12", "--format", fmt_name)
-    assert out == reference_fock("3@0.4", 3, family, 12, fmt_name)
+    assert_same_text(out, reference_fock("3@0.4", 3, family, 12, fmt_name))
 
 
 def float_texts(values):
@@ -598,11 +615,11 @@ def test_grid_rows_render_as_their_row_loop(shape, seed, dtype, layout):
         return GridRows(xs, ys, grid_values), rows
 
     grid, rows = grid_rows(EXACT_PATH)
-    assert render_grid_csv("x,y,w", grid) == "x,y,w\n" + "".join(
-        f"{reference_fmt(x)},{reference_fmt(y)},{reference_fmt(w)}\n" for x, y, w in rows)
+    assert_same_text(render_grid_csv("x,y,w", grid), "x,y,w\n" + "".join(
+        f"{reference_fmt(x)},{reference_fmt(y)},{reference_fmt(w)}\n" for x, y, w in rows))
     grid, rows = grid_rows(FINITE_EXACT_PATH)  # JSON refuses the rest
     for indent in range(4):
-        assert render_json(grid, indent) == reference_render_json(rows, indent)
+        assert_same_text(render_json(grid, indent), reference_render_json(rows, indent))
 
 
 @pytest.mark.parametrize("nx,ny", [(2 * serialize._BLOCK + 5, 2), (3, serialize._BLOCK + 1)])
@@ -811,4 +828,4 @@ def test_table_points_read_as_their_slots_and_texts(shape):
     serialize._table_pieces(values, col_slots, row_slots, "HEAD", "TAIL", out)
     points = [(col_texts[j] if i or j else "") + row_texts[i] + reference_fmt(v)
               for i, row in enumerate(values.tolist()) for j, v in enumerate(row)]
-    assert "".join(out) == "HEAD" + "".join(points) + "TAIL"
+    assert_same_text("".join(out), "HEAD" + "".join(points) + "TAIL")
