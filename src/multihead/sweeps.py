@@ -110,25 +110,11 @@ def sweep(
     return SweepResult(quantity=quantity, template=template, samples=samples)
 
 
-def _midpoint(lo: float, hi: float) -> float:
+def _midpoint(lo, hi):
     """0.5 * (lo + hi), halving each end first only where the sum overflows."""
-    total = lo + hi
-    return 0.5 * total if math.isfinite(total) else 0.5 * lo + 0.5 * hi
-
-
-def _bisect(result, threshold, lo, hi, f_lo):
-    while hi - lo > BISECT_TOL:
-        mid = _midpoint(lo, hi)
-        if mid == lo or mid == hi:  # lo and hi are adjacent doubles, past r ~ 5e9
-            break
-        f_mid = evaluate(result.template, result.quantity, mid) - threshold
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return _midpoint(lo, hi)
+    with np.errstate(over="ignore"):
+        total = np.add(lo, hi)
+    return np.where(np.isfinite(total), 0.5 * total, 0.5 * lo + 0.5 * hi)
 
 
 def find_crossings(result: SweepResult, threshold: float) -> list[float]:
@@ -136,6 +122,7 @@ def find_crossings(result: SweepResult, threshold: float) -> list[float]:
 
     Samples within ``CROSSING_ATOL`` of the threshold count as sitting on it,
     so a quantity that is zero up to rounding noise yields no crossings.
+    Every flagged interval is halved in step, one ``evaluate`` per step.
     """
     if not math.isfinite(threshold):
         raise InvalidInputError("threshold must be finite")
@@ -146,10 +133,19 @@ def find_crossings(result: SweepResult, threshold: float) -> list[float]:
     # without forming a product that can overflow.
     off, neg = np.abs(f) > CROSSING_ATOL, f < 0.0
     flagged = np.flatnonzero(off[:-1] & off[1:] & (neg[:-1] != neg[1:]))
-    return [
-        _bisect(result, threshold, float(r[i]), float(r[i + 1]), float(f[i]))
-        for i in flagged.tolist()
-    ]
+    # lo moves only to midpoints on its own side, so its side never changes.
+    lo, hi, below = r[flagged], r[flagged + 1], neg[flagged]
+    while True:
+        mid = _midpoint(lo, hi)
+        # Past r ~ 5e9 the ends become adjacent doubles before BISECT_TOL.
+        (i,) = np.nonzero((hi - lo > BISECT_TOL) & (lo < mid) & (mid < hi))
+        if not i.size:
+            return mid.tolist()
+        values = evaluate(result.template, result.quantity, mid[i])
+        # A value on the threshold closes its interval on the midpoint.
+        same, hit = below[i] == (values < threshold), values == threshold
+        lo[i] = np.where(same | hit, mid[i], lo[i])
+        hi[i] = np.where(same & ~hit, hi[i], mid[i])
 
 
 def squeezing_window(

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -589,7 +589,10 @@ def with_exact_path_at(values, points, exact):
     return values
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# No shrinking: each shrink candidate renders whole grids again, so a
+# failure is reported as the example that was drawn.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(
     shape=st.sampled_from(GRID_SHAPES) | st.tuples(st.integers(1, 40), st.integers(1, 12)),
     seed=st.integers(0, 2**32 - 1),

@@ -4,9 +4,29 @@ import numpy as np
 import pytest
 
 from multihead import Family, Quantity, SweepTemplate, find_crossings, squeezing_window, sweep
-from multihead import sweeps
+from multihead import closed_form, sweeps
 from multihead.errors import CapacityError, InvalidInputError
 from multihead.sweeps import evaluate
+
+
+def reference_bisect(result, threshold, lo, hi, f_lo):
+    """One flagged interval refined as it was written: a scalar loop, one evaluate a step."""
+    def midpoint(lo, hi):
+        total = lo + hi
+        return 0.5 * total if math.isfinite(total) else 0.5 * lo + 0.5 * hi
+
+    while hi - lo > sweeps.BISECT_TOL:
+        mid = midpoint(lo, hi)
+        if mid == lo or mid == hi:  # lo and hi are adjacent doubles, past r ~ 5e9
+            break
+        f_mid = sweeps.evaluate(result.template, result.quantity, mid) - threshold
+        if f_mid == 0.0:
+            return mid
+        if (f_lo < 0.0) == (f_mid < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return midpoint(lo, hi)
 
 
 def reference_find_crossings(result, threshold, atol=1e-12):
@@ -19,7 +39,7 @@ def reference_find_crossings(result, threshold, atol=1e-12):
         f0, f1 = v0 - threshold, v1 - threshold
         if abs(f0) <= atol or abs(f1) <= atol or f0 * f1 >= 0.0:
             continue
-        crossings.append(sweeps._bisect(result, threshold, r0, r1, f0))
+        crossings.append(reference_bisect(result, threshold, r0, r1, f0))
     return sorted(crossings)
 
 
@@ -218,6 +238,35 @@ class TestFindCrossings:
         for lo, hi in ((0.1, 0.7), (5.23, 5.24), (1e10, 2e10), (0.0, 1.7e308)):
             assert sweeps._midpoint(lo, hi) == 0.5 * (lo + hi)
         assert sweeps._midpoint(1.7e308, 1.79e308) == 0.5 * 1.7e308 + 0.5 * 1.79e308
+
+    def test_every_open_interval_is_halved_in_one_evaluate(self, monkeypatch):
+        res = sweep(template(3, Family.COHERENT, 0.4), Quantity.MANDEL_Q, 0.0, 25.0)
+        shapes = []
+        original = sweeps.evaluate
+
+        def counting(tpl, quantity, r):
+            shapes.append(np.shape(r))
+            return original(tpl, quantity, r)
+
+        monkeypatch.setattr(sweeps, "evaluate", counting)
+        got = find_crossings(res, 0.0)
+        assert got == [5.2397158813476565, 17.151165466308598]
+        assert shapes == [(2,)] * 14
+        shapes.clear()
+        assert reference_find_crossings(res, 0.0) == got
+        assert shapes == [()] * 28
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_an_exact_zero_at_a_midpoint_is_returned(self, family):
+        # <n> = r^2 for one head, so the first midpoint sits on the threshold.
+        res = sweep(template(1, family), Quantity.MEAN_PHOTON, 1.0, 3.0, 2.0)
+        assert find_crossings(res, 4.0) == [2.0]
+
+    def test_refinement_keeps_no_head_sums(self):
+        res = sweep(template(3, Family.COHERENT, 0.4), Quantity.MANDEL_Q, 0.0, 25.0)
+        closed_form._kept_head_sums.cache_clear()
+        assert len(find_crossings(res, 0.0)) == 2
+        assert closed_form._kept_head_sums.cache_info().currsize == 0
 
     def test_parity_sweep_passes_through_common_point(self):
         for n in range(1, 7):
