@@ -36,7 +36,6 @@ from .errors import (
 )
 from .fockspace import (
     FockVector,
-    apply_annihilation_power,
     build_coherent,
     build_state,
     choose_cutoff,
@@ -75,7 +74,6 @@ __all__ = [
     "oracle_moment",
     "oracle_wigner",
     "oracle_parity",
-    "apply_annihilation_power",
     "ValidationReport",
     "validate_spec",
     "Quantity",

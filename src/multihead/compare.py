@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_form, fockspace
-from .errors import InvalidInputError
+from .errors import CutoffInsufficientError, InvalidInputError
 from .states import StateSpec
 
 TOL_DEFAULT = 1e-8
@@ -84,9 +84,21 @@ def moment_error(spec: StateSpec, state, h: int, l: int) -> float:
     return abs(analytic - fockspace.oracle_moment(state, h, l)) / max(1.0, abs(analytic))
 
 
+def _annihilation_power(state, power: int) -> np.ndarray:
+    """a^power applied to a pure state, unnormalized: level k holds the offset
+    product sqrt((k+power)!/k!) c_(k+power), and the top power levels hold 0."""
+    if power >= state.cutoff:
+        raise CutoffInsufficientError("cutoff smaller than the operator power")
+    fockspace._check_top_occupation(fockspace._populations(state), power)
+    k = np.arange(state.cutoff - power)
+    image = np.zeros_like(state.amplitudes)
+    image[k] = fockspace._lowering_factors(k, power) * state.amplitudes[k + power]
+    return image
+
+
 def eigenstate_residual(spec: StateSpec, state) -> float:
     """||a^N psi - alpha psi|| / max(1, |alpha|), relative to the eigenvalue's scale."""
-    image = fockspace.apply_annihilation_power(state, spec.n_heads).amplitudes
+    image = _annihilation_power(state, spec.n_heads)
     alpha = spec.alpha.to_complex()
     return float(np.linalg.norm(image - alpha * state.amplitudes)) / max(1.0, abs(alpha))
 

@@ -27,9 +27,6 @@ CUTOFF_MAX = 4096
 WIGNER_BETA_SQ_MAX = -0.5 * math.log(np.finfo(float).tiny)
 # Rows of rho the Wigner trace forms at a time: 4 MB at CUTOFF_MAX.
 _RHO_BLOCK = 64
-# Complex values in one block of the trace's phase stage (2 MB): a block
-# holds this many over cutoff points, all of validate's 441 up to cutoff 297.
-_POINT_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -163,17 +160,6 @@ def oracle_moment(state, h: int, l: int) -> complex:
     return complex(np.sum(_lowering_factors(k, h) * _lowering_factors(k, l) * entries))
 
 
-def apply_annihilation_power(state: FockVector, n_heads: int) -> FockVector:
-    """a^N applied to a pure state; result is unnormalized."""
-    if n_heads >= state.cutoff:
-        raise CutoffInsufficientError("cutoff smaller than the operator power")
-    _check_top_occupation(_populations(state), n_heads)
-    k = np.arange(state.cutoff - n_heads)
-    amp = np.zeros_like(state.amplitudes)
-    amp[k] = _lowering_factors(k, n_heads) * state.amplitudes[k + n_heads]
-    return FockVector(cutoff=state.cutoff, amplitudes=amp, tail_bound=state.tail_bound)
-
-
 def _displacement_points(betas) -> np.ndarray:
     """2*beta for every phase-space point, flattened; rejects points past the domain.
 
@@ -242,14 +228,15 @@ def oracle_wigner(state, beta: complex) -> float:
 def oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
     """Wigner values (2/pi) Tr[rho D(2b) Pi] on an array of phase-space points.
 
-    W = (2/pi) sum_p (-1)^p Re sum_d w_d f_p^(d) e^(i d arg 2b) rho_(p,p+d),
-    with w_0 = 1 and w_d = 2, since the d < 0 half of the trace is the
-    complex conjugate of the d > 0 half.  f_p^(d) depends on a point only
-    through |2b|, so one pass over photon number p sums the p-loop once per
-    distinct modulus, into a level x modulus array; rho is formed _RHO_BLOCK
-    rows at a time, never whole.  The points are then taken a block at a
-    time: the phases are formed once per distinct angle in the block (0.0 and
-    -0.0 give the same bits), and each point takes its row and its phase.
+    W = (2/pi) Re sum_d w_d z^d sum_p (-1)^p f_p^(d) rho_(p,p+d), with
+    z = e^(i arg 2b), w_0 = 1 and w_d = 2, since the d < 0 half of the trace
+    is the complex conjugate of the d > 0 half.  f_p^(d) depends on a point
+    only through |2b|, so one pass over photon number p sums the p-loop once
+    per distinct modulus, into a level x modulus array; rho is formed
+    _RHO_BLOCK rows at a time, never whole.  The sum over d then runs by
+    Horner's rule from the top diagonal down, each point taking its modulus'
+    element of diagonal d at each step: one complex exp per point, and
+    O(points) memory.
     """
     alpha = _displacement_points(betas)
     radii, at_radius = np.unique(np.abs(alpha), return_inverse=True)
@@ -260,17 +247,13 @@ def oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
             block = _outer_mean(rows[:, p : p + _RHO_BLOCK], rows[:, p:])
         i = p % _RHO_BLOCK
         acc[: cutoff - p] += f * ((-1) ** p * block[i, i:])[:, None]
-    d = np.arange(cutoff)
-    weights = np.where(d == 0, 1.0, 2.0)
-    values = np.empty(alpha.size)
-    step = max(1, _POINT_BLOCK // cutoff)
-    for start in range(0, alpha.size, step):
-        part = slice(start, start + step)
-        angles, at_angle = np.unique(np.angle(alpha[part]), return_inverse=True)
-        per_point = acc.T[at_radius[part]]
-        per_point *= np.exp(1j * np.multiply.outer(angles, d))[at_angle]
-        values[part] = np.sum(np.real(per_point) * weights, axis=1)
-    return (2.0 / math.pi * values).reshape(np.shape(betas))
+    acc[1:] *= 2.0
+    z = np.exp(1j * np.angle(alpha))
+    total = acc[cutoff - 1][at_radius]
+    for d in range(cutoff - 2, -1, -1):
+        total *= z
+        total += acc[d][at_radius]
+    return (2.0 / math.pi * total.real).reshape(np.shape(betas))
 
 
 def oracle_parity(state) -> float:

@@ -6,6 +6,8 @@ tests pin the recurrence against it and the batched Wigner values against
 the closed form.  ``reference_oracle_wigner_grid`` is the grid as it was
 summed before the recurrence ran once per distinct |2 beta|: one row per
 point; the de-duplicated grid must equal it bit for bit.
+``exp_phase_reference`` sums each diagonal with its own phase, where the
+oracle sums them by Horner's rule; the two must agree to rounding.
 """
 
 import math
@@ -80,14 +82,35 @@ def reference_displacement_diagonals(alpha: np.ndarray, cutoff: int):
         ) / np.sqrt((p + 1) * (p + 1 + d)), f[:, :-1]
 
 
-def reference_oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
-    """The oracle Wigner grid with the p-loop run once per point."""
-    alpha = _displacement_points(betas)
+def reference_acc(state, alpha: np.ndarray) -> np.ndarray:
+    """sum_p (-1)^p f_p^(d) rho_(p,p+d) with the p-loop run once per point: points x d."""
     cutoff, rho = state.cutoff, density_matrix(state, state.cutoff)
     acc = np.zeros((alpha.size, cutoff), dtype=complex)
     for p, f in enumerate(reference_displacement_diagonals(alpha, cutoff)):
         acc[:, : cutoff - p] += f * ((-1) ** p * rho[p, p:])
-    d = np.arange(cutoff)
+    return acc
+
+
+def reference_oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
+    """The oracle Wigner grid with the p-loop run once per point, and each
+    point's diagonals summed by Horner's rule in e^(i arg 2 beta)."""
+    alpha = _displacement_points(betas)
+    acc = reference_acc(state, alpha)
+    acc[:, 1:] *= 2.0
+    z = np.exp(1j * np.angle(alpha))
+    total = acc[:, -1].copy()
+    for d in range(state.cutoff - 2, -1, -1):
+        total *= z
+        total += acc[:, d]
+    return (2.0 / math.pi * total.real).reshape(np.shape(betas))
+
+
+def exp_phase_reference(state, betas: np.ndarray) -> np.ndarray:
+    """The oracle Wigner grid summed term by term, each diagonal d with its own
+    phase e^(i d arg 2 beta)."""
+    alpha = _displacement_points(betas)
+    acc = reference_acc(state, alpha)
+    d = np.arange(state.cutoff)
     acc *= np.exp(1j * np.multiply.outer(np.angle(alpha), d))
     values = np.sum(np.real(acc) * np.where(d == 0, 1.0, 2.0), axis=1)
     return (2.0 / math.pi * values).reshape(np.shape(betas))
@@ -227,6 +250,21 @@ def test_grid_equals_the_per_point_reference(spec, points):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()  # the signs of zeros too
 
 
+@pytest.mark.parametrize(
+    "spec, points",
+    [
+        (LARGEST_ORACLE_SPEC, _WIGNER_POINTS),
+        *[(spec, _WIGNER_POINTS) for spec in MANY_BLOCK_SPECS],
+        (StateSpec(PolarAmplitude(1600.0, 0.7), 2, Family.COHERENT), RINGS),
+    ],
+    ids=["largest-oracle", "many-blocks-pure", "many-blocks-mixture", "cat-1600-rings"],
+)
+def test_horner_sum_agrees_with_the_per_term_phases(spec, points):
+    state = oracle_state(spec)
+    diff = np.max(np.abs(oracle_wigner_grid(state, points) - exp_phase_reference(state, points)))
+    assert diff <= 1e-13, (state.cutoff, diff)
+
+
 @pytest.mark.parametrize("gammas", [[0.7 + 0.2j], [0.7 + 0.2j, -0.3j, 1.1]], ids=["pure", "mixture"])
 def test_grid_forms_no_cutoff_squared_rho(gammas):
     cutoff = 2000
@@ -243,40 +281,27 @@ def test_grid_forms_no_cutoff_squared_rho(gammas):
 
 
 @pytest.mark.parametrize("gammas", [[0.7 + 0.2j], [0.7 + 0.2j, -0.3j, 1.1]], ids=["pure", "mixture"])
-def test_phase_stage_holds_one_block_of_points(gammas):
-    # 600 points on two radii: the recurrence stays small, while one points x
-    # cutoff complex array is 19.2 MB.
+def test_phase_stage_holds_only_arrays_of_the_points(gammas):
+    # 600 points on eight distinct moduli: the recurrence stays small, while
+    # one points x cutoff complex array is 19.2 MB.
     cutoff = 2000
     rows = [build_coherent(g, cutoff).amplitudes for g in gammas]
     state = FockVector(cutoff, rows[0] if len(rows) == 1 else np.array(rows), 0.0)
     points = np.multiply.outer([0.25, 0.75], np.exp(2j * np.pi * np.arange(300) / 300)).ravel()
+    moduli = np.unique(np.abs(_displacement_points(points))).size
+    assert (points.size, moduli) == (600, 8)
     tracemalloc.start()
     try:
         oracle_wigner_grid(state, points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The stages run one after the other.  The phase stage holds at most four
-    # arrays of a block of points (its gathered rows, phase table, gathered
-    # phases and weighted real parts); forming rho holds at most three blocks
-    # of rows (the one in use, the sum being formed and one outer product).
-    point_block = fockspace._POINT_BLOCK * 16
+    # The stages run one after the other.  Forming rho holds at most three
+    # blocks of rows (the one in use, the sum being formed and one outer
+    # product) beside the level x modulus sums and the recurrence's buffers;
+    # the Horner stage holds a few arrays of the points.
     rho_block = fockspace._RHO_BLOCK * cutoff * 16
-    assert peak < 4 * point_block + 3 * rho_block, peak
-
-
-def test_grid_in_several_point_blocks_equals_the_per_point_reference(monkeypatch):
-    state = oracle_state(MANY_BLOCK_SPECS[0])
-    # A block holds 370 points at cutoff 354, so validate's 441 take two.
-    assert fockspace._POINT_BLOCK // state.cutoff < _WIGNER_POINTS.size
-    want = reference_oracle_wigner_grid(state, _WIGNER_POINTS)
-    assert oracle_wigner_grid(state, _WIGNER_POINTS).tobytes() == want.tobytes()
-    # Blocks of 7 points: the last one partial, and angles shared across blocks.
-    state = oracle_state(StateSpec(PolarAmplitude(10.0, 3.0), 3, Family.COHERENT))
-    monkeypatch.setattr(fockspace, "_POINT_BLOCK", 7 * state.cutoff)
-    for points in (_WIGNER_POINTS, RINGS, SIGNED_ZEROS):
-        want = reference_oracle_wigner_grid(state, points)
-        assert oracle_wigner_grid(state, points).tobytes() == want.tobytes()
+    assert peak < 3 * rho_block + 6 * cutoff * moduli * 16 + 4 * points.size * 16, peak
 
 
 def test_recurrence_runs_once_per_distinct_modulus(monkeypatch):

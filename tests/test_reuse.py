@@ -19,7 +19,6 @@ from multihead import (
     SweepTemplate,
     PolarAmplitude,
     StateSpec,
-    apply_annihilation_power,
     build_state,
     fock_element,
     fockspace,
@@ -34,6 +33,7 @@ from multihead import (
 )
 from multihead import closed_form
 from multihead.closed_form import _head_sums, _kept_head_sums
+from multihead.compare import _annihilation_power
 from multihead.fockspace import oracle_wigner_grid
 
 POINTS = np.array([0.0, 0.4 - 1.1j, 1.5 + 0.2j, -2.0 + 0.7j])
@@ -120,7 +120,7 @@ def test_oracle_readers_keep_nothing_on_the_state(monkeypatch, spec):
     oracle_parity(state)
     oracle_wigner_grid(state, POINTS)
     if spec.is_coherent:
-        apply_annihilation_power(state, spec.n_heads)
+        _annihilation_power(state, spec.n_heads)
     fields = {"cutoff", "amplitudes", "tail_bound", "norm_sq"}
     assert [set(vars(s)) for s in states + [state]] == [fields, fields]
 
