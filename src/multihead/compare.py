@@ -24,9 +24,12 @@ TOL_DEFAULT = 1e-8
 _CUTOFF_EPS = 1e-20
 
 # Fock block 0..20, PND 0..40, and Wigner values on a 21 x 21 grid over [-3, 3]^2.
+# k * 0.3 rounds the same for k and -k, so the axis is exactly mirror-symmetric
+# (np.linspace(-3, 3, 21) is not, in the last bit): mirrored points and x <-> y
+# swaps share |2 beta|, and the oracle's recurrence runs over 61 moduli, not 105.
 _FOCK_MAX = 20
 _PND_MAX = 40
-_WIGNER_AXIS = np.linspace(-3.0, 3.0, 21)
+_WIGNER_AXIS = np.arange(-10, 11) * 0.3
 _WIGNER_POINTS = _WIGNER_AXIS + 1j * _WIGNER_AXIS[:, None]
 
 

@@ -156,7 +156,9 @@ def oracle_moment(state, h: int, l: int) -> complex:
     """
     _check_top_occupation(_populations(state), h + l)
     rows, k = _rows(state), np.arange(state.cutoff - max(h, l))
-    entries = np.mean(rows[:, k + l] * rows[:, k + h].conj(), axis=0)
+    # Column-major, so the mean sums each level's entries contiguously (pairwise).
+    product = np.multiply(rows[:, l : l + k.size], rows[:, h : h + k.size].conj(), order="F")
+    entries = np.mean(product, axis=0)
     return complex(np.sum(_lowering_factors(k, h) * _lowering_factors(k, l) * entries))
 
 
@@ -245,8 +247,9 @@ def oracle_wigner_grid(state, betas: np.ndarray) -> np.ndarray:
     for p, f in enumerate(_displacement_diagonals(radii, cutoff)):
         if p % _RHO_BLOCK == 0:  # rho's next _RHO_BLOCK rows, from column p on
             block = _outer_mean(rows[:, p : p + _RHO_BLOCK], rows[:, p:])
+            np.negative(block[1::2], out=block[1::2])  # row i carries (-1)^(p+i) = (-1)^i
         i = p % _RHO_BLOCK
-        acc[: cutoff - p] += f * ((-1) ** p * block[i, i:])[:, None]
+        acc[: cutoff - p] += f * block[i, i:, None]
     acc[1:] *= 2.0
     z = np.exp(1j * np.angle(alpha))
     total = acc[cutoff - 1][at_radius]

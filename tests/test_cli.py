@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -710,3 +711,27 @@ def test_output_matches_the_committed_digests(capsys, monkeypatch):
     code = cli_digest.main(["--src", str(root / "src"), "--check", str(manifest)])
     out = capsys.readouterr().out
     assert code == 0, out
+
+
+def test_dumped_records_hash_to_the_printed_digests(capsys, monkeypatch, tmp_path):
+    # --dump writes case i to <i>.json; its streams, joined, give back what the digest hashes.
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    argvs = [
+        ("roots", "--alpha", "1", "--heads", "3"),
+        ("stats", "--alpha", "1", "--heads", "0", "--family", "coherent"),
+        ("wigner", "--alpha", "1", "--heads", "2", "--family", "coherent", "--nx", "2", "--ny", "2"),
+    ]
+    monkeypatch.setattr(cli_digest, "cases", lambda: iter(argvs))
+    code = cli_digest.main(["--src", str(root / "src"), "--dump", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(lines) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0.json", "1.json", "2.json"]
+    codes = []
+    for index, (argv, line) in enumerate(zip(argvs, lines)):
+        dumped = json.loads((tmp_path / f"{index}.json").read_text())
+        outcome = (dumped["code"], "".join(dumped["stdout"]), "".join(dumped["stderr"]))
+        digest = hashlib.sha256(cli_digest.record(outcome)).hexdigest()
+        assert (tuple(dumped["argv"]), line) == (argv, f"{digest} {' '.join(argv)}")
+        codes.append(dumped["code"])
+    assert codes == [0, 2, 0]

@@ -33,7 +33,7 @@ from multihead import (
     wigner,
 )
 from multihead import fockspace
-from multihead.compare import _WIGNER_POINTS
+from multihead.compare import _WIGNER_AXIS, _WIGNER_POINTS
 from multihead.fockspace import (
     WIGNER_BETA_SQ_MAX,
     _displacement_points,
@@ -315,5 +315,14 @@ def test_recurrence_runs_once_per_distinct_modulus(monkeypatch):
     monkeypatch.setattr(fockspace, "_displacement_diagonals", counting)
     state = build_coherent(0.5 + 0.5j, 32)
     oracle_wigner_grid(state, _WIGNER_POINTS)
-    # linspace(-3, 3, 21) is not exactly symmetric, so some mirror points differ in |2 beta|.
-    assert (_WIGNER_POINTS.size, rows) == (441, [105])
+    # The axis is exactly mirror-symmetric, so the 441 points fall on 61 moduli:
+    # x <-> y swaps and sign flips share |2 beta|, which would split to 105 on
+    # np.linspace(-3, 3, 21), whose mirror points can differ in the last bit.
+    assert (_WIGNER_POINTS.size, rows) == (441, [61])
+
+
+def test_validate_axis_is_exactly_mirror_symmetric():
+    assert _WIGNER_AXIS.shape == (21,)
+    assert np.array_equal(_WIGNER_AXIS, -_WIGNER_AXIS[::-1])
+    assert (_WIGNER_AXIS[0], _WIGNER_AXIS[-1]) == (-3.0, 3.0)
+    assert np.max(np.abs(_WIGNER_AXIS - np.linspace(-3.0, 3.0, 21))) <= 1e-15

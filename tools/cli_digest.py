@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest what the multihead CLI prints over a fixed matrix of commands.
 
-    tools/cli_digest.py --src DIR [--write PATH | --check PATH]
+    tools/cli_digest.py --src DIR [--write PATH | --check PATH] [--dump DIR]
 
 Imports ``multihead`` from DIR (a checkout's ``src``), runs each argv of a
 fixed matrix through ``multihead.cli.main`` in this process, and prints one
@@ -10,7 +10,10 @@ Two source trees that print the same digests print the same bytes on every
 case.  ``--write PATH`` saves those lines as a manifest, headed by an
 environment stamp (Python, numpy and the CPU SIMD features numpy reports);
 ``--check PATH`` prints each case whose digest differs from the manifest's,
-with the stamp lines that differ, and exits 1 if any case does.
+with the stamp lines that differ, and exits 1 if any case does.  ``--dump DIR``
+also writes each case to DIR/<index>.json (the index zero-padded): its argv
+and the exit code, stdout and stderr that its digest hashes, the two streams
+split into lines, so ``diff -r`` of two trees' dumps shows the lines that moved.
 
 The matrix covers ``roots``, ``stats``, ``fock`` and ``wigner`` in each of
 their formats on small grids, ``sweep`` for all five quantities and
@@ -161,6 +164,19 @@ def run(main, argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
+def record(outcome) -> bytes:
+    """The bytes a case's digest hashes: its (exit code, stdout, stderr) as JSON."""
+    return json.dumps(outcome).encode()
+
+
+def dump_text(argv, outcome) -> str:
+    """A case as --dump writes it; joining its stdout and stderr lines gives the outcome back."""
+    code, out, err = outcome
+    fields = {"argv": list(argv), "code": code, "stdout": out.splitlines(keepends=True),
+              "stderr": err.splitlines(keepends=True)}
+    return json.dumps(fields, indent=1) + "\n"
+
+
 def stamp() -> list:
     """The manifest's header: what the digests may depend on besides the source."""
     import numpy as np
@@ -205,20 +221,27 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--write", type=Path, metavar="PATH", help="save the digests as a manifest")
     mode.add_argument("--check", type=Path, metavar="PATH", help="compare with a manifest")
+    parser.add_argument("--dump", type=Path, metavar="DIR", help="write each case's outcome to DIR")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     from multihead import cli
 
+    matrix = list(dict.fromkeys(cases()))
+    width = len(str(len(matrix) - 1))
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
     lines = []
     total = hashlib.sha256()
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = _short_warning
-        for case in dict.fromkeys(cases()):
-            record = json.dumps(run(cli.main, case)).encode()
-            digest = hashlib.sha256(record).hexdigest()
+        for index, case in enumerate(matrix):
+            outcome = run(cli.main, case)
+            digest = hashlib.sha256(record(outcome)).hexdigest()
             total.update(digest.encode())
             lines.append(f"{digest} {' '.join(case)}")
+            if args.dump:
+                (args.dump / f"{index:0{width}d}.json").write_text(dump_text(case, outcome))
     lines.append(f"{total.hexdigest()} total")
     if args.check:
         return check(lines, args.check)
