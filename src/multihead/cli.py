@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, closed_form, compare, sweeps
-from .errors import CapacityError, InvalidInputError, MultiheadError, UndefinedStatisticError
+from .errors import CapacityError, InvalidInputError, MultiheadError
 from .roots import nth_roots, root_sum
 from .serialize import GridRows, _Line, parse_amplitude, render_csv, render_grid_csv, render_json
 from .states import Family, StateSpec
@@ -90,21 +90,21 @@ def cmd_roots(args) -> int:
 
 def cmd_stats(args) -> int:
     spec = _spec_from_args(args)
-    table = closed_form.moment_table(spec)
-    try:
-        mq = closed_form.mandel_q(spec)
-    except UndefinedStatisticError:
-        mq = None
-    variances = closed_form.quadrature_variances(spec)
+    # The cat's head sums, formed once and read by every statistic.
+    r = spec.alpha.r
+    sums = closed_form._state_sums(spec, r)
+    table = closed_form._moment_table(spec, sums)
+    mq = float(closed_form._mandel_q(spec, r, sums))  # NaN exactly where it is undefined
+    var_x1, var_x2 = closed_form._quadrature_variances(spec, r, sums)
     _emit_json(
         {
             "spec": spec,
             "moments": table,
-            "mean_photon": closed_form.mean_photon(spec),
-            "mandel_q": mq,
-            "var_x1": variances.var_x1,
-            "var_x2": variances.var_x2,
-            "parity": closed_form.parity(spec),
+            "mean_photon": float(closed_form._mean_photon(spec, r, sums)),
+            "mandel_q": None if math.isnan(mq) else mq,
+            "var_x1": float(var_x1),
+            "var_x2": float(var_x2),
+            "parity": float(closed_form._parity(spec, r, sums)),
         },
         args.out,
     )

@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,8 +30,8 @@ from .errors import (
     InvalidInputError,
     UndefinedStatisticError,
 )
-from .roots import PolarAmplitude, check_head_count, head_occupation, root_modulus
-from .states import StateSpec
+from .roots import PolarAmplitude, head_occupation, root_modulus
+from .states import Family, StateSpec
 
 RESIDUE_TOL = 1e-10
 TWO_OVER_PI = 2.0 / math.pi
@@ -76,20 +75,30 @@ def _head_sums(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
 
     This is N times the inverse DFT of the overlaps; ``mu`` broadcasts.  Terms
     j and N - j are complex conjugates, so every S_l is real; the imaginary
-    residue is checked here, where it arises.  A float mu's sums (np.float64
-    is one) are formed once per (mu, N, turn) and shared read-only.
+    residue is checked here, where it arises.  A state's sums at turn 1 come
+    from ``_state_sums``; the parity forms its own at turn -1.
     """
-    if isinstance(mu, float):
-        return _kept_head_sums(mu, n_heads, turn)
     sums = n_heads * np.fft.ifft(np.exp(_log_overlaps(mu, n_heads, turn)), axis=-1)
     return _require_real(sums, "head sum")
 
 
-@lru_cache(maxsize=16)
-def _kept_head_sums(mu: float, n_heads: int, turn: float) -> np.ndarray:
-    sums = _head_sums(np.asarray(mu), n_heads, turn)  # a 0-d array: not kept
-    sums.flags.writeable = False
-    return sums
+def _state_sums(spec: StateSpec, r):
+    """The coherent family's head sums S_l at the modulus or moduli r; None for the mixture.
+
+    The one place a cat's sums are formed: each public function, command and
+    sweep step forms them once per state and passes them to every formula
+    it reads, as the required ``sums`` argument.
+    """
+    if not spec.is_coherent:
+        return None
+    return _head_sums(head_occupation(r, spec.n_heads), spec.n_heads)
+
+
+def _normalization(n_heads: int, sums: np.ndarray) -> float:
+    value = float(n_heads * sums[0])
+    if value <= 0.0:
+        raise InternalConsistencyError(f"normalization must be positive, got {value}")
+    return value
 
 
 def normalization(alpha: PolarAmplitude, n_heads: int) -> float:
@@ -97,30 +106,16 @@ def normalization(alpha: PolarAmplitude, n_heads: int) -> float:
 
     Equals 1 for a single head and 2 + 2*exp(-2r) for two heads.
     """
-    check_head_count(n_heads)
-    value = float(n_heads * _head_sums(head_occupation(alpha.r, n_heads), n_heads)[0])
-    if value <= 0.0:
-        raise InternalConsistencyError(f"normalization must be positive, got {value}")
-    return value
+    spec = StateSpec(alpha, n_heads, Family.COHERENT)
+    return _normalization(n_heads, _state_sums(spec, alpha.r))
 
 
-def _state_sums(spec: StateSpec, r):
-    """The coherent family's head sums S_l at the moduli r; None for the mixture.
-
-    Called under np.errstate(over="ignore", invalid="ignore"), as _moment is.
-    """
-    if not spec.is_coherent:
-        return None
-    return _head_sums(head_occupation(np.asarray(r, dtype=float), spec.n_heads), spec.n_heads)
-
-
-def _moment(spec: StateSpec, r, h: int, l: int, sums=None) -> np.ndarray:
+def _moment(spec: StateSpec, r, h: int, l: int, sums) -> np.ndarray:
     """<a^dag^h a^l> at the moduli r, with angle, head count and family from spec.
 
     The head sums leave r^((h+l)/N) e^(i(l-h)theta/N), nonzero only when N
-    divides l - h, times S_l/S_0 for the coherent family.  A formula that
-    reads several moments passes its ``_state_sums`` once.  A moment that
-    overflows a double raises CapacityError.
+    divides l - h, times S_l/S_0 (of ``sums``) for the coherent family.  A
+    moment that overflows a double raises CapacityError.
     """
     n = spec.n_heads
     r = np.asarray(r, dtype=float)
@@ -129,7 +124,6 @@ def _moment(spec: StateSpec, r, h: int, l: int, sums=None) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         value = r ** ((h + l) / n) * cmath.exp(1j * (l - h) * spec.alpha.theta_p / n)
         if spec.is_coherent:
-            sums = _state_sums(spec, r) if sums is None else sums
             value = value * sums[..., l % n] / sums[..., 0]
     if not np.all(np.isfinite(value)):
         raise CapacityError(f"moment <a^dag^{h} a^{l}> overflows at r = {np.max(r):.4g}")
@@ -140,7 +134,7 @@ def moment(spec: StateSpec, h: int, l: int) -> complex:
     """Moment <a^dag^h a^l> of either family."""
     if h < 0 or l < 0:
         raise InvalidInputError("moment orders must be nonnegative")
-    return complex(_moment(spec, spec.alpha.r, h, l))
+    return complex(_moment(spec, spec.alpha.r, h, l, _state_sums(spec, spec.alpha.r)))
 
 
 # The (h, l) orders of the MomentTable fields, in field order.
@@ -160,27 +154,31 @@ class MomentTable:
 
 
 def moment_table(spec: StateSpec) -> MomentTable:
-    return MomentTable(*(moment(spec, h, l) for h, l in _MOMENT_ORDERS))
+    return _moment_table(spec, _state_sums(spec, spec.alpha.r))
 
 
-# Statistic formulas over an array of moduli r; angle, N and family come from spec.
+def _moment_table(spec: StateSpec, sums) -> MomentTable:
+    r = spec.alpha.r
+    return MomentTable(*(complex(_moment(spec, r, h, l, sums)) for h, l in _MOMENT_ORDERS))
 
 
-def _mean_photon(spec: StateSpec, r) -> np.ndarray:
-    return _moment(spec, r, 1, 1).real
+# Statistic formulas over an array of moduli r, with the state's _state_sums at
+# those moduli; angle, N and family come from spec.
 
 
-def _mandel_q(spec: StateSpec, r) -> np.ndarray:
+def _mean_photon(spec: StateSpec, r, sums) -> np.ndarray:
+    return _moment(spec, r, 1, 1, sums).real
+
+
+def _mandel_q(spec: StateSpec, r, sums) -> np.ndarray:
     """Mandel Q = <a^dag2 a^2>/<a^dag a> - <a^dag a>; NaN where <n> = 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = _state_sums(spec, r)
     n = _moment(spec, r, 1, 1, sums).real
     g2 = _moment(spec, r, 2, 2, sums).real
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(n == 0.0, np.nan, g2 / n - n)
 
 
-def _quadrature_variances(spec: StateSpec, r) -> tuple[np.ndarray, np.ndarray]:
+def _quadrature_variances(spec: StateSpec, r, sums) -> tuple[np.ndarray, np.ndarray]:
     """Var X1,2 = 1/2 + (<n> - |<a>|^2) +- (Re<a^2> - Re<a>^2), with the 1/2 added last.
 
     <a> = r e^(i theta) is nonzero for one head only.  Its |<a>|^2 = r^2 and
@@ -190,8 +188,6 @@ def _quadrature_variances(spec: StateSpec, r) -> tuple[np.ndarray, np.ndarray]:
     A variance that overflows a double, though its moments do not, raises
     CapacityError, as a moment does.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = _state_sums(spec, r)
     spread = _moment(spec, r, 1, 1, sums).real
     cross = _moment(spec, r, 0, 2, sums).real
     if spec.n_heads == 1:
@@ -205,23 +201,23 @@ def _quadrature_variances(spec: StateSpec, r) -> tuple[np.ndarray, np.ndarray]:
     return variances
 
 
-def _parity(spec: StateSpec, r) -> np.ndarray:
+def _parity(spec: StateSpec, r, sums) -> np.ndarray:
     """<(-1)^n>: exp(-2 mu) for the mixture, sum_j e^(-mu(1 + w^j)) / S_0 for the cat."""
     n = spec.n_heads
-    mu = head_occupation(np.asarray(r, dtype=float), n)
+    mu = head_occupation(r, n)
     if not spec.is_coherent:
         with np.errstate(over="ignore"):  # -2 mu overflows only to -inf, whose exp is 0
             return np.exp(-2.0 * mu)
-    return _head_sums(mu, n, turn=-1.0)[..., 0] / _head_sums(mu, n)[..., 0]
+    return _head_sums(mu, n, turn=-1.0)[..., 0] / sums[..., 0]
 
 
 def mean_photon(spec: StateSpec) -> float:
-    return float(_mean_photon(spec, spec.alpha.r))
+    return float(_mean_photon(spec, spec.alpha.r, _state_sums(spec, spec.alpha.r)))
 
 
 def mandel_q(spec: StateSpec) -> float:
     """Mandel Q = <a^dag2 a^2>/<a^dag a> - <a^dag a>; sign classifies the statistics."""
-    q = float(_mandel_q(spec, spec.alpha.r))
+    q = float(_mandel_q(spec, spec.alpha.r, _state_sums(spec, spec.alpha.r)))
     if math.isnan(q):  # exactly where <n> = 0
         raise UndefinedStatisticError("Mandel Q is undefined at zero amplitude")
     return q
@@ -236,13 +232,13 @@ class QuadratureVariances:
 
 
 def quadrature_variances(spec: StateSpec) -> QuadratureVariances:
-    var_x1, var_x2 = _quadrature_variances(spec, spec.alpha.r)
+    var_x1, var_x2 = _quadrature_variances(spec, spec.alpha.r, _state_sums(spec, spec.alpha.r))
     return QuadratureVariances(var_x1=float(var_x1), var_x2=float(var_x2))
 
 
 def parity(spec: StateSpec) -> float:
     """Photon-number parity <(-1)^n>, equal to pi/2 times the Wigner origin value."""
-    return float(_parity(spec, spec.alpha.r))
+    return float(_parity(spec, spec.alpha.r, _state_sums(spec, spec.alpha.r)))
 
 
 def fock_element(spec: StateSpec, m, n):
@@ -260,19 +256,24 @@ def fock_element(spec: StateSpec, m, n):
         raise InvalidInputError("Fock indices must be nonnegative")
     if np.any(m % 1 != 0) or np.any(n % 1 != 0):  # NaN included
         raise InvalidInputError("Fock indices must be integers")
+    value = _fock_element(spec, m, n, _state_sums(spec, spec.alpha.r))
+    return complex(value) if value.ndim == 0 else value
+
+
+def _fock_element(spec: StateSpec, m: np.ndarray, n: np.ndarray, sums) -> np.ndarray:
+    """p_mn at valid integer index arrays m, n, which broadcast, with the state's sums."""
     alpha, n_heads = spec.alpha, spec.n_heads
     mu = head_occupation(alpha.r, n_heads)
     if spec.is_coherent:
         allowed = (m % n_heads == 0) & (n % n_heads == 0)
-        scale = n_heads / _head_sums(mu, n_heads)[0]
+        scale = n_heads / sums[0]
     else:
         allowed = (m - n) % n_heads == 0
         scale = 1.0
     # xlogy(0, 0) = 0 leaves p_00 = 1 at r = 0, and every other element 0.
     log_mag = xlogy((m + n) / n_heads, alpha.r) - mu - 0.5 * (log_factorial(m) + log_factorial(n))
     phase = np.exp(1j * (m - n) * alpha.theta_p / n_heads)
-    value = np.where(allowed, scale * np.exp(log_mag) * phase, 0.0j)
-    return complex(value) if value.ndim == 0 else value
+    return np.where(allowed, scale * np.exp(log_mag) * phase, 0.0j)
 
 
 def pnd(spec: StateSpec, m):
@@ -305,7 +306,7 @@ def _pairs(spec: StateSpec) -> tuple:
     return k, k
 
 
-def _pair_table(spec: StateSpec, k: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _pair_table(spec: StateSpec, k: np.ndarray, j: np.ndarray, sums) -> np.ndarray:
     """Rows weight, Re m, Im m, Re d, Im d and mu sin 2 delta of the head pairs (k, j), k <= j.
 
     With midpoint m = (g_k + g_j)/2, difference d = g_k - g_j and
@@ -318,7 +319,7 @@ def _pair_table(spec: StateSpec, k: np.ndarray, j: np.ndarray) -> np.ndarray:
     each sine and cosine that vanishes is exactly 0.  Pair (j, k) is the
     conjugate of pair (k, j), so a pair off the diagonal weighs 2; every weight
     carries (2/pi)/N_c, and (2/pi)/N for the mixture, which is the diagonal
-    pairs alone.
+    pairs alone; N_c comes from the state's ``sums``.
     """
     n = spec.n_heads
     mu = head_occupation(spec.alpha.r, n)  # CapacityError where |g|^2 overflows
@@ -327,7 +328,7 @@ def _pair_table(spec: StateSpec, k: np.ndarray, j: np.ndarray) -> np.ndarray:
     angle = (spec.alpha.theta_p + np.pi * (k + j)) / n
     re, im = rho * np.cos(angle), rho * np.sin(angle)
     cos_d, sin_d = _sin_pi(n + 2 * s, 2 * n), _sin_pi(s, n)  # cos x = sin(pi/2 + x)
-    scale = TWO_OVER_PI / (normalization(spec.alpha, n) if spec.is_coherent else n)
+    scale = TWO_OVER_PI / (_normalization(n, sums) if spec.is_coherent else n)
     weight = np.where(s == 0, scale, 2.0 * scale)
     return np.array([
         weight, re * cos_d, im * cos_d, -2.0 * sin_d * im, 2.0 * sin_d * re,
@@ -428,12 +429,17 @@ def wigner_grid(spec: StateSpec, xs, ys) -> tuple:
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise InvalidInputError("phase-space points must be finite")
+    return _wigner_grid(spec, xs, ys, _state_sums(spec, spec.alpha.r))
+
+
+def _wigner_grid(spec: StateSpec, xs: np.ndarray, ys: np.ndarray, sums) -> tuple:
+    """wigner_grid at finite float axes, with the state's sums."""
     values = np.zeros((ys.size, xs.size))
     bound = np.zeros((ys.size, xs.size))
     k, j = _pairs(spec)
     step = max(1, _PAIR_POINTS // max(1, xs.size + ys.size))
     for start in range(0, k.size, step):
-        table = _pair_table(spec, k[start : start + step], j[start : start + step])
+        table = _pair_table(spec, k[start : start + step], j[start : start + step], sums)
         table = table[:, _live_pairs(table, xs, ys)]
         terms, errors = _pair_factors(table, xs, ys, math.sqrt(2 * k.size))
         values += _grid_sum(*terms)
@@ -456,7 +462,7 @@ def wigner(spec: StateSpec, beta):
     x, y = beta.real.ravel(), beta.imag.ravel()
     values = np.empty(x.size)
     bound = np.empty(x.size)
-    table = _pair_table(spec, *_pairs(spec))
+    table = _pair_table(spec, *_pairs(spec), _state_sums(spec, spec.alpha.r))
     step = max(1, _PAIR_POINTS // table.shape[1])
     for start in range(0, x.size, step):
         xs, ys = x[start : start + step], y[start : start + step]

@@ -52,38 +52,42 @@ def validate_spec(spec: StateSpec, tol: float = TOL_DEFAULT) -> ValidationReport
     cutoff = max(cutoff, _PND_MAX + 8)
     state = fockspace.build_state(spec, cutoff=cutoff)
     report = ValidationReport(spec=spec, tol=tol)
+    # The cat's head sums, formed once and read by every closed-form value below.
+    sums = closed_form._state_sums(spec, spec.alpha.r)
 
     for h, l in closed_form._MOMENT_ORDERS:
-        report.diffs[f"moment({h},{l})"] = moment_error(spec, state, h, l)
+        report.diffs[f"moment({h},{l})"] = moment_error(spec, state, h, l, sums)
 
+    # One closed-form block over the PND's levels: its top-left corner is the
+    # Fock block, and its diagonal the PND.
     rho = fockspace.density_matrix(state, _PND_MAX + 1)
-    index = np.arange(_FOCK_MAX + 1)
-    block = closed_form.fock_element(spec, index[:, None], index)
-    report.diffs["fock_block"] = float(
-        np.max(np.abs(block - rho[: _FOCK_MAX + 1, : _FOCK_MAX + 1]))
-    )
+    index = np.arange(_PND_MAX + 1)
+    block = closed_form._fock_element(spec, index[:, None], index, sums)
+    corner = slice(_FOCK_MAX + 1)
+    report.diffs["fock_block"] = float(np.max(np.abs(block[corner, corner] - rho[corner, corner])))
+    report.diffs["pnd"] = float(np.max(np.abs(np.real(np.diag(block)) - np.real(np.diag(rho)))))
 
-    diag = np.real(np.diag(rho))
-    analytic_pnd = closed_form.pnd(spec, np.arange(_PND_MAX + 1))
-    report.diffs["pnd"] = float(np.max(np.abs(analytic_pnd - diag)))
-
-    analytic_w, _ = closed_form.wigner_grid(spec, _WIGNER_AXIS, _WIGNER_AXIS)
+    analytic_w, _ = closed_form._wigner_grid(spec, _WIGNER_AXIS, _WIGNER_AXIS, sums)
     oracle_w = fockspace.oracle_wigner_grid(state, _WIGNER_POINTS)
     report.diffs["wigner"] = float(np.max(np.abs(analytic_w - oracle_w)))
 
-    report.diffs["parity"] = abs(closed_form.parity(spec) - fockspace.oracle_parity(state))
+    analytic_parity = float(closed_form._parity(spec, spec.alpha.r, sums))
+    report.diffs["parity"] = abs(analytic_parity - fockspace.oracle_parity(state))
 
     if spec.is_coherent:
         report.diffs["eigenstate_residual"] = eigenstate_residual(spec, state)
-        n_c = closed_form.normalization(spec.alpha, spec.n_heads)
+        n_c = closed_form._normalization(spec.n_heads, sums)
         report.diffs["head_sum_norm"] = abs(state.norm_sq - n_c) / max(1.0, n_c)
 
     return report
 
 
-def moment_error(spec: StateSpec, state, h: int, l: int) -> float:
-    """|closed-form - oracle <a^dag^h a^l>| / max(1, |closed-form moment|)."""
-    analytic = closed_form.moment(spec, h, l)
+def moment_error(spec: StateSpec, state, h: int, l: int, sums) -> float:
+    """|closed-form - oracle <a^dag^h a^l>| / max(1, |closed-form moment|).
+
+    ``sums`` is the state's ``closed_form._state_sums``.
+    """
+    analytic = complex(closed_form._moment(spec, spec.alpha.r, h, l, sums))
     return abs(analytic - fockspace.oracle_moment(state, h, l)) / max(1.0, abs(analytic))
 
 

@@ -70,19 +70,17 @@ def check_head_count(n_heads) -> None:
 def head_occupation(r, n_heads: int):
     """Mean photon number mu = r^(2/N) of every head, at a modulus or an array of moduli.
 
-    A float r is raised with Python's power and an array with numpy's, as the
-    callers always did; either way a mu that overflows raises CapacityError.
+    A scalar r and an array are raised with the same numpy power, so a modulus
+    has the same mu alone or in an array; a scalar r gives a Python float.  A
+    mu that overflows raises CapacityError.
     """
-    try:
-        with np.errstate(over="ignore"):
-            mu = r ** (2.0 / n_heads)
-    except OverflowError:
-        mu = math.inf
+    with np.errstate(over="ignore"):
+        mu = np.asarray(r, dtype=float) ** (2.0 / n_heads)
     if not np.all(mu < math.inf):
         raise CapacityError(
             f"head occupation r^(2/N) overflows at r = {np.max(r):.4g}, N = {n_heads}"
         )
-    return mu
+    return float(mu) if np.ndim(mu) == 0 else mu
 
 
 def root_angles(alpha: PolarAmplitude, n_heads: int):

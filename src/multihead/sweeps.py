@@ -56,8 +56,8 @@ class SweepTemplate:
 _FORMULAS = {
     Quantity.MEAN_PHOTON: closed_form._mean_photon,
     Quantity.MANDEL_Q: closed_form._mandel_q,
-    Quantity.VAR_X1: lambda spec, r: closed_form._quadrature_variances(spec, r)[0],
-    Quantity.VAR_X2: lambda spec, r: closed_form._quadrature_variances(spec, r)[1],
+    Quantity.VAR_X1: lambda spec, r, sums: closed_form._quadrature_variances(spec, r, sums)[0],
+    Quantity.VAR_X2: lambda spec, r, sums: closed_form._quadrature_variances(spec, r, sums)[1],
     Quantity.PARITY: closed_form._parity,
 }
 
@@ -67,11 +67,13 @@ def evaluate(template: SweepTemplate, quantity: Quantity, r):
 
     Mandel Q is NaN where it is undefined, at <n> = 0.  A negative or NaN
     modulus is refused before any formula runs; +inf raises CapacityError.
+    The cat's head sums at r are formed once and passed to the formula.
     """
     if not np.all(np.greater_equal(r, 0.0)):  # NaN fails it too
         raise InvalidInputError("moduli must be nonnegative numbers")
     # Any positive modulus gives the template's canonical angle; r supplies the moduli.
-    values = _FORMULAS[quantity](template.spec_at(1.0), r)
+    spec = template.spec_at(1.0)
+    values = _FORMULAS[quantity](spec, r, closed_form._state_sums(spec, r))
     return float(values) if np.ndim(r) == 0 else values
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import multihead
-from multihead import cli, closed_form, errors, serialize
+from multihead import cli, errors, serialize
 from multihead.cli import main
 from multihead.roots import HEADS_MAX
 
@@ -423,10 +423,7 @@ def far_out_grids():
 
 @pytest.mark.parametrize("argv", list(edge_cases()) + list(far_out_grids()))
 def test_edge_inputs_exit_cleanly(capsys, argv):
-    # Tier-1 turns RuntimeWarning into an error, so a silent overflow fails here
-    # too.  The cached head sums start empty, as in a fresh process, so a warning
-    # raised while forming them shows in every command, not only the first.
-    closed_form._kept_head_sums.cache_clear()
+    # Tier-1 turns RuntimeWarning into an error, so a silent overflow fails here too.
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code in (0, 2, 3)
@@ -452,9 +449,6 @@ OVERFLOW_CASES = [
 @pytest.mark.parametrize("argv, want", OVERFLOW_CASES,
                          ids=[" ".join(argv) for argv, _ in OVERFLOW_CASES])
 def test_overflow_past_the_largest_double_is_clean(capsys, argv, want):
-    # stats fills the cached head sums under errstate first, which would hide
-    # a warning from _log_overlaps, so the cache starts empty.
-    closed_form._kept_head_sums.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(list(argv))
@@ -735,3 +729,25 @@ def test_dumped_records_hash_to_the_printed_digests(capsys, monkeypatch, tmp_pat
         assert (tuple(dumped["argv"]), line) == (argv, f"{digest} {' '.join(argv)}")
         codes.append(dumped["code"])
     assert codes == [0, 2, 0]
+
+
+# Single-state commands in both families at 1+1i and at r = 30, where libm's
+# and numpy's powers round mu apart at N = 12.
+ORDER_CASES = [
+    (command, *cli_digest.spec(alpha, n, family), *extra)
+    for alpha in ("1+1i", "30@0.7")
+    for n in (3, 12)
+    for family in cli_digest.FAMILIES
+    for command, extra in (("stats", ()), ("validate", ()), ("fock", ("--max-m", "6")),
+                           ("wigner", cli_digest.SMALL_GRID))
+]
+
+
+def test_outputs_do_not_depend_on_earlier_commands():
+    # tools/cli_digest.py runs its whole matrix in one process, so module state
+    # that carried a value from one command to the next could move a digest.
+    forward = [cli_digest.run(main, argv) for argv in ORDER_CASES]
+    backward = [cli_digest.run(main, argv) for argv in ORDER_CASES[::-1]]
+    assert len(ORDER_CASES) == 32
+    assert all(code == 0 for code, _, _ in forward)
+    assert forward == backward[::-1]

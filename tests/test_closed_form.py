@@ -31,6 +31,7 @@ from multihead.closed_form import (
     _pair_table,
     _pairs,
     _require_real,
+    _state_sums,
 )
 from multihead.fockspace import oracle_wigner_grid
 from multihead.roots import nth_roots, root_modulus
@@ -376,7 +377,7 @@ class TestCatWignerPairTable:
         s = StateSpec(PolarAmplitude(r, 0.7), n, family)
         g0 = nth_roots(s.alpha, n)[0]
         xs, ys = g0.real + np.linspace(-3.0, 3.0, 31), g0.imag + np.linspace(-3.0, 3.0, 23)
-        table = _pair_table(s, *_pairs(s))
+        table = _pair_table(s, *_pairs(s), _state_sums(s, s.alpha.r))
         dropped = ~_live_pairs(table, xs, ys)
         assert 0 < np.count_nonzero(dropped) < dropped.size
         # The unpruned sum, over every pair.

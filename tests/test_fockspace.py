@@ -27,6 +27,7 @@ from multihead import (
     oracle_wigner,
     wigner,
 )
+from multihead.closed_form import _state_sums
 from multihead.compare import TOL_DEFAULT, _annihilation_power, eigenstate_residual, moment_error
 from multihead.roots import head_occupation
 from multihead.fockspace import (
@@ -338,9 +339,10 @@ class TestOracleMoment:
         exact = build_state(spec, cutoff=cutoff)
         off_spec = StateSpec(PolarAmplitude(30.0 * (1 + 1e-6)), 1, Family.INCOHERENT)
         off = build_state(off_spec, cutoff=cutoff)
+        sums = _state_sums(spec, spec.alpha.r)
         for h, l in ((1, 0), (1, 1), (2, 2)):
-            assert moment_error(spec, exact, h, l) <= TOL_DEFAULT
-            assert moment_error(spec, off, h, l) > TOL_DEFAULT
+            assert moment_error(spec, exact, h, l, sums) <= TOL_DEFAULT
+            assert moment_error(spec, off, h, l, sums) > TOL_DEFAULT
 
 
 def matrix_annihilation(cutoff):

@@ -1,11 +1,13 @@
-"""Work formed once: the head sums of a scalar mu, and of a sweep's array of mu.
+"""Work formed once per state, and nothing kept between calls.
 
-``closed_form`` keeps the head sums of each scalar (mu, N, turn) in a small
-cache.  Every quantity that reads them must return the same bits whether an
-earlier call formed them or not, in any call order, and the kept arrays must
-be read-only.  A sweep's statistic forms the sums of its array of mu once and
-passes them to each moment it reads.  The oracle keeps nothing: a
-``FockVector`` stays its four fields however often it is read.
+``closed_form._state_sums`` forms a cat's head sums; each public function,
+command and sweep step forms them once per state and passes them to every
+formula that reads them, so ``validate`` and ``stats`` form two vectors (the
+parity adds its own at turn -1), ``wigner`` and ``fock`` one, and the mixture
+none.  Nothing is kept between calls, so every quantity returns the same
+bits in any call order.  A sweep's statistic forms the sums of its array of
+mu once.  The oracle keeps nothing either: a ``FockVector`` stays its four
+fields however often it is read.
 """
 
 import random
@@ -27,16 +29,19 @@ from multihead import (
     oracle_moment,
     oracle_parity,
     parity,
+    pnd,
     sweep,
     validate_spec,
     wigner,
+    wigner_grid,
 )
 from multihead import closed_form
-from multihead.closed_form import _head_sums, _kept_head_sums
+from multihead.cli import main
 from multihead.compare import _annihilation_power
 from multihead.fockspace import oracle_wigner_grid
 
 POINTS = np.array([0.0, 0.4 - 1.1j, 1.5 + 0.2j, -2.0 + 0.7j])
+AXIS = np.linspace(-2.0, 2.0, 5)
 INDEX = np.arange(13)
 SPECS = [
     StateSpec(PolarAmplitude(2.5, 0.7), 3, Family.COHERENT),
@@ -54,14 +59,15 @@ def calls(spec, state):
         "parity": lambda: parity(spec),
         "fock_element": lambda: fock_element(spec, INDEX[:, None], INDEX),
         "wigner": lambda: wigner(spec, POINTS),
+        "wigner_grid": lambda: wigner_grid(spec, AXIS, AXIS),
+        "pnd": lambda: pnd(spec, INDEX),
         "oracle_moment": lambda: [oracle_moment(state, h, l) for h, l in ((1, 1), (0, 2), (2, 2))],
         "oracle_parity": lambda: oracle_parity(state),
     }
 
 
 def fresh(spec):
-    """A newly built state, after forgetting every kept head sum."""
-    _kept_head_sums.cache_clear()
+    """A newly built state."""
     return build_state(spec, cutoff=64)
 
 
@@ -79,30 +85,6 @@ def test_same_bits_in_any_call_order(spec):
         quantities = calls(spec, fresh(spec))
         for name in order + order:  # the second pass reads only what the first kept
             assert bits(quantities[name]()) == want[name], (order, name)
-
-
-def test_kept_head_sums_are_read_only():
-    _kept_head_sums.cache_clear()
-    sums = _head_sums(1.7, 3)
-    assert not sums.flags.writeable
-    with pytest.raises(ValueError):
-        sums[0] = 0.0
-    # An np.float64 mu is a float too and finds the same entry; turn is part of the key.
-    assert _head_sums(np.float64(1.7), 3) is sums
-    assert _head_sums(1.7, 3, turn=-1.0) is not sums
-    assert _kept_head_sums.cache_info().currsize == 2
-
-
-def test_arrays_of_mu_are_not_kept():
-    _kept_head_sums.cache_clear()
-    mu = np.array([0.3, 1.7, 9.0])
-    sums = _head_sums(mu, 3)
-    assert sums.flags.writeable
-    zero_d = _head_sums(np.asarray(1.7), 3)
-    assert zero_d.flags.writeable
-    assert _kept_head_sums.cache_info().currsize == 0
-    # Kept or not, a mu's sums have the same bits, alone or in an array.
-    assert bits(_head_sums(1.7, 3)) == bits(zero_d) == bits(sums[1])
 
 
 @pytest.mark.parametrize("spec", [SPECS[0], SPECS[3]], ids=["coherent", "incoherent"])
@@ -125,13 +107,43 @@ def test_oracle_readers_keep_nothing_on_the_state(monkeypatch, spec):
     assert [set(vars(s)) for s in states + [state]] == [fields, fields]
 
 
-@pytest.mark.parametrize("spec, formed", [(SPECS[0], 2), (SPECS[3], 0)])
-def test_validate_forms_each_head_sum_once(spec, formed):
-    # The coherent family's sums at turn 1 and turn -1; the mixture reads none.
-    _kept_head_sums.cache_clear()
+def formed_turns(monkeypatch) -> list:
+    """The turn of each head-sum vector formed from now on, in order."""
+    turns = []
+    original = closed_form._log_overlaps
+
+    def counting(mu, n_heads, turn=1.0):
+        turns.append(turn)
+        return original(mu, n_heads, turn)
+
+    monkeypatch.setattr(closed_form, "_log_overlaps", counting)
+    return turns
+
+
+# libm's and numpy's powers round this cat's mu apart: a second mu would form a third vector.
+CAT_30 = StateSpec(PolarAmplitude(30.0, 0.7), 12, Family.COHERENT)
+
+
+@pytest.mark.parametrize(
+    "spec, formed",
+    [(SPECS[0], [1.0, -1.0]), (CAT_30, [1.0, -1.0]), (SPECS[3], [])],
+    ids=["coherent", "coherent-30-12", "incoherent"],
+)
+def test_validate_forms_each_head_sum_once(monkeypatch, spec, formed):
+    # The coherent family's sums at turn 1, then the parity's at turn -1; the mixture reads none.
+    turns = formed_turns(monkeypatch)
     assert validate_spec(spec).passed
-    info = _kept_head_sums.cache_info()
-    assert (info.misses, info.hits > 0) == (formed, formed > 0)
+    assert turns == formed
+
+
+@pytest.mark.parametrize("family", ["coherent", "incoherent"])
+@pytest.mark.parametrize(
+    "command, formed", [("stats", 2), ("validate", 2), ("wigner", 1), ("fock", 1)]
+)
+def test_each_command_forms_its_head_sums_once(capsys, monkeypatch, command, formed, family):
+    turns = formed_turns(monkeypatch)
+    assert main([command, "--alpha", "1+1i", "--heads", "3", "--family", family]) == 0
+    assert len(turns) == (formed if family == "coherent" else 0)
 
 
 @pytest.mark.parametrize(

@@ -173,12 +173,16 @@ class TestHeadCount:
 
 class TestHeadOccupation:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 12])
-    def test_scalar_and_array_powers_are_kept(self, n):
-        # A float goes through Python's power and an array through numpy's, which
-        # can round differently; each caller keeps the bits it had.
+    def test_a_scalar_has_the_bits_it_has_in_an_array(self, n):
+        # One power for both: Python's float power rounds differently from
+        # numpy's for about 5 % of moduli at N = 3 and 12.
         r = np.random.default_rng(n).uniform(0.0, 100.0, 200)
-        assert [head_occupation(float(x), n) for x in r] == [float(x) ** (2.0 / n) for x in r]
-        assert np.array_equal(head_occupation(r, n), r ** (2.0 / n))
+        in_array = head_occupation(r, n)
+        assert np.array_equal(in_array, r ** (2.0 / n))
+        for x, want in zip(r, in_array):
+            for scalar in (float(x), np.float64(x), np.asarray(x)):
+                mu = head_occupation(scalar, n)
+                assert type(mu) is float and mu == want
         assert head_occupation(0.0, n) == 0.0
 
     @pytest.mark.parametrize("r,n", [(1e200, 1), (1e155, 1), (1.0e308, 1)])

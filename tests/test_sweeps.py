@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multihead import Family, Quantity, SweepTemplate, find_crossings, squeezing_window, sweep
-from multihead import closed_form, sweeps
+from multihead import sweeps
 from multihead.errors import CapacityError, InvalidInputError
 from multihead.sweeps import evaluate
 
@@ -261,12 +261,6 @@ class TestFindCrossings:
         # <n> = r^2 for one head, so the first midpoint sits on the threshold.
         res = sweep(template(1, family), Quantity.MEAN_PHOTON, 1.0, 3.0, 2.0)
         assert find_crossings(res, 4.0) == [2.0]
-
-    def test_refinement_keeps_no_head_sums(self):
-        res = sweep(template(3, Family.COHERENT, 0.4), Quantity.MANDEL_Q, 0.0, 25.0)
-        closed_form._kept_head_sums.cache_clear()
-        assert len(find_crossings(res, 0.0)) == 2
-        assert closed_form._kept_head_sums.cache_info().currsize == 0
 
     def test_parity_sweep_passes_through_common_point(self):
         for n in range(1, 7):
