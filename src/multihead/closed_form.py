@@ -10,9 +10,10 @@ double sum over head pairs reduces to N times one circulant head sum
 Sums that are physically real are checked for an imaginary residue below
 ``RESIDUE_TOL`` before the imaginary part is discarded; a larger residue
 raises InternalConsistencyError because it can only come from a formula bug.
-The Wigner function sums real parts of centred head-pair terms instead, and
-bounds each value's rounding error: a bound above ``RESIDUE_TOL`` raises
-CapacityError, since there the fringe phase outruns double precision.
+The Wigner function sums real parts of centred head-pair terms instead, in one
+pair loop that contracts them over a grid or point by point, and bounds each
+value's rounding error: a bound above ``RESIDUE_TOL`` raises CapacityError,
+since there the fringe phase outruns double precision.
 """
 
 from __future__ import annotations
@@ -389,26 +390,6 @@ def _pair_factors(table: np.ndarray, xs, ys, sum_growth: float) -> tuple:
         )
 
 
-def _grid_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_q a[q, y] b[q, x], each value's terms added in row order.
-
-    einsum, not @: a threaded BLAS call costs more than these small products.
-    Past one value, einsum adds the rows in order (a single value it sums as
-    a dot product, in another order).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.einsum("qy,qx->yx", a, b)
-
-
-def _point_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_q a[q, p] b[q, p], added in row order, as _grid_sum adds them."""
-    total = np.zeros(a.shape[1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row in a * b:
-            total += row
-    return total
-
-
 def wigner_grid(spec: StateSpec, xs, ys) -> tuple:
     """W at the grid points beta = x + iy, with a bound on each value's rounding error.
 
@@ -416,9 +397,7 @@ def wigner_grid(spec: StateSpec, xs, ys) -> tuple:
     pair terms of _pair_table split by axis (see _pair_factors), so the grid
     takes N(N+1)/2 (nx + ny) complex exps where its points would take N^2
     each, and W is one real einsum over N(N+1) rows.  A pair whose envelope
-    underflows to 0 at every point of either axis adds exactly 0 and is
-    dropped.  The pairs are taken in chunks of at most _PAIR_POINTS factors
-    per axis array.
+    underflows to 0 at every point of either axis adds exactly 0 and is dropped.
 
     The bound weights each pair's envelope by _ULPS ulps of the sizes its
     exponent is formed from: mu |sin 2 delta| + 2|d|(|x| + |y|) for the phase,
@@ -429,21 +408,27 @@ def wigner_grid(spec: StateSpec, xs, ys) -> tuple:
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise InvalidInputError("phase-space points must be finite")
-    return _wigner_grid(spec, xs, ys, _state_sums(spec, spec.alpha.r))
+    return _wigner_sum(spec, xs, ys, _state_sums(spec, spec.alpha.r))
 
 
-def _wigner_grid(spec: StateSpec, xs: np.ndarray, ys: np.ndarray, sums) -> tuple:
-    """wigner_grid at finite float axes, with the state's sums."""
-    values = np.zeros((ys.size, xs.size))
-    bound = np.zeros((ys.size, xs.size))
+def _wigner_sum(spec: StateSpec, xs: np.ndarray, ys: np.ndarray, sums, subscripts="qy,qx->yx"):
+    """W and its bound at finite float xs, ys, with the state's sums, pairs in chunks.
+
+    A chunk has at most _PAIR_POINTS factors per axis array; ``subscripts`` contracts
+    its rows: "qy,qx->yx" on the grid of axes xs, ys, "qp,qp->p" at the points xs + i ys.
+    """
+    values = bound = 0.0
     k, j = _pairs(spec)
     step = max(1, _PAIR_POINTS // max(1, xs.size + ys.size))
     for start in range(0, k.size, step):
         table = _pair_table(spec, k[start : start + step], j[start : start + step], sums)
         table = table[:, _live_pairs(table, xs, ys)]
         terms, errors = _pair_factors(table, xs, ys, math.sqrt(2 * k.size))
-        values += _grid_sum(*terms)
-        bound += _grid_sum(*errors)
+        # einsum, not @: a threaded BLAS call costs more than these small
+        # products.  Past one value, einsum adds the rows in order.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values += np.einsum(subscripts, *terms)
+            bound += np.einsum(subscripts, *errors)
     _check_bound(spec, bound)
     return values, bound
 
@@ -451,25 +436,14 @@ def _wigner_grid(spec: StateSpec, xs: np.ndarray, ys: np.ndarray, sums) -> tuple
 def wigner(spec: StateSpec, beta):
     """Wigner function at phase-space point(s) beta (complex scalar or array).
 
-    The pair sum of wigner_grid at each point, with the same bits as a grid
-    through that point: the points are taken in blocks of at most
-    _PAIR_POINTS / (N(N+1)/2), each over all pairs.  Values whose error bound
-    exceeds RESIDUE_TOL raise CapacityError.
+    wigner_grid's pair sum at each point: it agrees with a grid through the
+    point within the grid's error bound, not bit for bit.  Values whose error
+    bound exceeds RESIDUE_TOL raise CapacityError.
     """
     beta = np.asarray(beta, dtype=complex)
     if not np.all(np.isfinite(beta)):
         raise InvalidInputError("phase-space points must be finite")
-    x, y = beta.real.ravel(), beta.imag.ravel()
-    values = np.empty(x.size)
-    bound = np.empty(x.size)
-    table = _pair_table(spec, *_pairs(spec), _state_sums(spec, spec.alpha.r))
-    step = max(1, _PAIR_POINTS // table.shape[1])
-    for start in range(0, x.size, step):
-        xs, ys = x[start : start + step], y[start : start + step]
-        terms, errors = _pair_factors(
-            table[:, _live_pairs(table, xs, ys)], xs, ys, math.sqrt(2 * table.shape[1]))
-        values[start : start + step] = _point_sum(*terms)
-        bound[start : start + step] = _point_sum(*errors)
-    _check_bound(spec, bound)
+    values, _ = _wigner_sum(
+        spec, beta.real.ravel(), beta.imag.ravel(), _state_sums(spec, spec.alpha.r), "qp,qp->p")
     values = values.reshape(beta.shape)
     return float(values) if values.ndim == 0 else values

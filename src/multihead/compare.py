@@ -67,7 +67,7 @@ def validate_spec(spec: StateSpec, tol: float = TOL_DEFAULT) -> ValidationReport
     report.diffs["fock_block"] = float(np.max(np.abs(block[corner, corner] - rho[corner, corner])))
     report.diffs["pnd"] = float(np.max(np.abs(np.real(np.diag(block)) - np.real(np.diag(rho)))))
 
-    analytic_w, _ = closed_form._wigner_grid(spec, _WIGNER_AXIS, _WIGNER_AXIS, sums)
+    analytic_w, _ = closed_form._wigner_sum(spec, _WIGNER_AXIS, _WIGNER_AXIS, sums)
     oracle_w = fockspace.oracle_wigner_grid(state, _WIGNER_POINTS)
     report.diffs["wigner"] = float(np.max(np.abs(analytic_w - oracle_w)))
 

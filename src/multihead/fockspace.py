@@ -27,6 +27,8 @@ CUTOFF_MAX = 4096
 WIGNER_BETA_SQ_MAX = -0.5 * math.log(np.finfo(float).tiny)
 # Rows of rho the Wigner trace forms at a time: 4 MB at CUTOFF_MAX.
 _RHO_BLOCK = 64
+# Largest probability the top levels an operator reads may carry.
+_TOP_OCCUPATION_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -142,9 +144,9 @@ def _lowering_factors(k: np.ndarray, power: int) -> np.ndarray:
     return np.sqrt(np.prod([k + j for j in range(1, power + 1)], axis=0, dtype=float))
 
 
-def _check_top_occupation(populations: np.ndarray, levels: int, tol: float = 1e-16):
+def _check_top_occupation(populations: np.ndarray, levels: int):
     top = float(np.sum(populations[::-1][:levels]))  # the top `levels` levels, or none
-    if top > tol:
+    if top > _TOP_OCCUPATION_TOL:
         raise CutoffInsufficientError(
             f"top {levels} levels carry probability {top:.3e}; raise the cutoff"
         )

@@ -112,13 +112,6 @@ def sweep(
     return SweepResult(quantity=quantity, template=template, samples=samples)
 
 
-def _midpoint(lo, hi):
-    """0.5 * (lo + hi), halving each end first only where the sum overflows."""
-    with np.errstate(over="ignore"):
-        total = np.add(lo, hi)
-    return np.where(np.isfinite(total), 0.5 * total, 0.5 * lo + 0.5 * hi)
-
-
 def find_crossings(result: SweepResult, threshold: float) -> list[float]:
     """Moduli where the swept quantity crosses the threshold, refined by bisection.
 
@@ -138,7 +131,9 @@ def find_crossings(result: SweepResult, threshold: float) -> list[float]:
     # lo moves only to midpoints on its own side, so its side never changes.
     lo, hi, below = r[flagged], r[flagged + 1], neg[flagged]
     while True:
-        mid = _midpoint(lo, hi)
+        # Halving a normal double is exact, so this has the bits of
+        # 0.5 * (lo + hi) wherever that sum is finite, and never overflows.
+        mid = 0.5 * lo + 0.5 * hi
         # Past r ~ 5e9 the ends become adjacent doubles before BISECT_TOL.
         (i,) = np.nonzero((hi - lo > BISECT_TOL) & (lo < mid) & (mid < hi))
         if not i.size:

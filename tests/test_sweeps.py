@@ -234,11 +234,6 @@ class TestFindCrossings:
         assert math.isfinite(crossing)
         assert crossing ** (1 / 6) == pytest.approx(2.37e51, rel=1e-12)
 
-    def test_midpoint_keeps_the_sum_where_it_is_finite(self):
-        for lo, hi in ((0.1, 0.7), (5.23, 5.24), (1e10, 2e10), (0.0, 1.7e308)):
-            assert sweeps._midpoint(lo, hi) == 0.5 * (lo + hi)
-        assert sweeps._midpoint(1.7e308, 1.79e308) == 0.5 * 1.7e308 + 0.5 * 1.79e308
-
     def test_every_open_interval_is_halved_in_one_evaluate(self, monkeypatch):
         res = sweep(template(3, Family.COHERENT, 0.4), Quantity.MANDEL_Q, 0.0, 25.0)
         shapes = []

@@ -63,6 +63,7 @@ def test_cat_wigner_is_within_its_bound(n, r):
     near_betas = (g0.real + offsets + 1j * (g0.imag + offsets)[:, None]).ravel()
     near_error = np.abs(near.ravel() - reference_wigner(spec, near_betas))
     assert np.all(near_error <= near_bound.ravel())
-    # At arbitrary points, wigner sums the same pair terms in the same order.
+    # At arbitrary points, wigner sums the same pair terms, in another order.
     at_points = wigner(spec, np.concatenate([betas, near_betas]))
-    assert np.array_equal(at_points, np.concatenate([values, near.ravel()]))
+    grid_error = np.abs(at_points - np.concatenate([values, near.ravel()]))
+    assert np.all(grid_error <= np.concatenate([bound, near_bound.ravel()]))
