@@ -3,11 +3,11 @@
 ``log_factorial`` and ``xlogy`` return the bits of ``scipy.special.gammaln(k +
 1)`` and ``scipy.special.xlogy``: the first is a port of cephes ``lgam`` at
 integer arguments, and every log is libm's (``math.log``), which numpy's
-vectorised log does not match on every input.  ``poisson_tail`` and
-``poisson_tails`` sum the Poisson pmf from its saddle-point form (Loader, "Fast
-and accurate computation of binomial probabilities", 2000).  For means up to
-4200 they agree with ``scipy.special.pdtrc`` to 1.0e-12 relative, and with
-40-digit mpmath to 1e-13; past a mean of 1e7 they are approximate.  Nothing
+vectorised log does not match on every input.  ``poisson_tails`` sums the
+Poisson pmf upward from its saddle-point form (Loader, "Fast and accurate
+computation of binomial probabilities", 2000) at levels from the mean on.  For
+means up to 4200 it agrees with ``scipy.special.pdtrc`` to 1.0e-12 relative,
+and with 40-digit mpmath to 1e-13; past a mean of 1e7 it is approximate.  Nothing
 here knows the head sums.
 """
 
@@ -35,7 +35,7 @@ _A = (
 _S = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
 # Past this mean a tail would sum ~sqrt(180 mu) terms; it is then approximated.
 _SUM_MU_MAX = 1e7
-# A Poisson sum below the mean stops once its terms fall below this fraction of it.
+# A Poisson tail sum stops once its terms fall below this fraction of it.
 _NEGLIGIBLE = 2.0**-60
 # ln 0! .. ln 11!, each the log of an exact double.
 _SMALL = np.array([math.log(float(math.factorial(i))) for i in range(12)])
@@ -131,49 +131,26 @@ def _pmf(k: int, mu: float) -> float:
     return math.exp(-_stirling_error(k) - _deviance(k, mu)) / math.sqrt(2.0 * math.pi * k)
 
 
-def _ratio_sum(j: int, mu: float, up: bool) -> float:
-    """1 + the pmf at j's neighbours away from the mean, as ratios to pmf(j).
+def _ratio_sum(j: int, mu: float) -> float:
+    """1 + the pmf at the levels above j >= mu, as ratios to pmf(j).
 
-    Each term is the last times mu/(i + 1) < 1 stepping up from level i, or
-    i/mu < 1 stepping down; the sum stops once a term is below _NEGLIGIBLE of it.
+    Each term is the last times mu/(i + 1) < 1 stepping up from level i; the
+    sum stops once a term is below _NEGLIGIBLE of it.
     """
     term = total = 1.0
     while term > _NEGLIGIBLE * total:
-        if up:
-            j += 1
-            term *= mu / j
-        else:
-            term *= j / mu
-            j -= 1
+        j += 1
+        term *= mu / j
         total += term
     return total
-
-
-def poisson_tail(k: int, mu: float) -> float:
-    """P(X >= k) for X ~ Poisson(mu) at one integer level k.
-
-    At or past the mean it is the pmf summed upward from k, the bits of
-    poisson_tails(k, 1, mu); below it, one minus the pmf summed downward
-    from k - 1.
-    """
-    if k <= 0:
-        return 1.0
-    if mu == 0.0:
-        return 0.0
-    if mu > _SUM_MU_MAX:
-        return _wilson_hilferty(k, mu)
-    up = k >= mu
-    j = k if up else k - 1
-    tail = _pmf(j, mu) * _ratio_sum(j, mu, up)
-    return tail if up else 1.0 - tail
 
 
 def poisson_tails(first: int, count: int, mu: float) -> np.ndarray:
     """P(X >= k) for X ~ Poisson(mu) at ``count`` levels k from ``first`` on, first >= max(mu, 1).
 
     The pmf at each level is pmf(first) times a running product of
-    mu/(k + 1) < 1; the last level's tail is its pmf times _ratio_sum, as in
-    poisson_tail, and each level below adds its own pmf to the tail above it.
+    mu/(k + 1) < 1; the last level's tail is its pmf times _ratio_sum, and
+    each level below adds its own pmf to the tail above it.
     """
     if mu > _SUM_MU_MAX:
         return np.array([_wilson_hilferty(first + i, mu) for i in range(count)])
@@ -182,7 +159,7 @@ def poisson_tails(first: int, count: int, mu: float) -> np.ndarray:
     last = first + count - 1
     ratios = accumulate(map(mu.__truediv__, range(first + 1, last + 1)), mul, initial=1.0)
     *below, at_last = ratios  # pmf(k)/pmf(first) for k = first .. last
-    sums = accumulate(reversed(below), initial=at_last * _ratio_sum(last, mu, up=True))
+    sums = accumulate(reversed(below), initial=at_last * _ratio_sum(last, mu))
     return _pmf(first, mu) * np.fromiter(sums, float, count)[::-1]
 
 

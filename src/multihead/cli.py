@@ -127,12 +127,11 @@ def cmd_wigner(args) -> int:
     # The quadratures x, y are sqrt(2) Re beta and sqrt(2) Im beta; rows are y-major.
     # The bound is dropped at once, so it is not held through emission.
     values = closed_form.wigner_grid(spec, xs / math.sqrt(2.0), ys / math.sqrt(2.0))[0]
-    rows = GridRows(xs, ys, values)
     if args.format == "csv":
-        _emit(render_grid_csv("x,y,w", rows), args.out)
+        _emit(render_grid_csv("x,y,w", values, xs[None], ys[:, None]), args.out)
     else:
         grid = {k: getattr(args, k) for k in ("x_min", "x_max", "y_min", "y_max", "nx", "ny")}
-        _emit_json({"spec": spec, "grid": grid, "rows": rows}, args.out)
+        _emit_json({"spec": spec, "grid": grid, "rows": GridRows(xs, ys, values)}, args.out)
     return EXIT_OK
 
 
@@ -186,8 +185,7 @@ def cmd_fock(args) -> int:
     magnitudes = np.abs(closed_form.fock_element(spec, index[:, None], index))
     diag = magnitudes.diagonal()
     if args.format == "csv":
-        m, n = np.indices(magnitudes.shape)
-        block = render_csv("m,n,abs_p_mn", m.ravel(), n.ravel(), magnitudes.ravel())
+        block = render_grid_csv("m,n,abs_p_mn", magnitudes, index[:, None], index[None])
         _emit(block + render_csv("m,p_mm", index, diag), args.out)
     else:
         payload = {"spec": spec, "max_m": args.max_m, "abs_fock_elements": magnitudes, "pnd": diag}

@@ -56,7 +56,7 @@ def validate_spec(spec: StateSpec, tol: float = TOL_DEFAULT) -> ValidationReport
     sums = closed_form._state_sums(spec, spec.alpha.r)
 
     for h, l in closed_form._MOMENT_ORDERS:
-        report.diffs[f"moment({h},{l})"] = moment_error(spec, state, h, l, sums)
+        report.diffs[f"moment({h},{l})"] = _moment_error(spec, state, h, l, sums)
 
     # One closed-form block over the PND's levels: its top-left corner is the
     # Fock block, and its diagonal the PND.
@@ -82,7 +82,7 @@ def validate_spec(spec: StateSpec, tol: float = TOL_DEFAULT) -> ValidationReport
     return report
 
 
-def moment_error(spec: StateSpec, state, h: int, l: int, sums) -> float:
+def _moment_error(spec: StateSpec, state, h: int, l: int, sums) -> float:
     """|closed-form - oracle <a^dag^h a^l>| / max(1, |closed-form moment|).
 
     ``sums`` is the state's ``closed_form._state_sums``.

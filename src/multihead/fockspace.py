@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import log_factorial, poisson_tail, poisson_tails, xlogy
+from ._special import log_factorial, poisson_tails, xlogy
 from .errors import CapacityError, CutoffInsufficientError, TruncationError
 from .roots import PolarAmplitude, head_occupation, nth_roots
 from .states import StateSpec
@@ -77,7 +77,7 @@ def build_coherent(gamma: complex, cutoff: int, eps: float = EPS_DEFAULT) -> Foc
     Each amplitude is exponentiated from its logarithm, so exp(-|gamma|^2/2)
     never underflows on its own at large |gamma|.  The tail bound is the
     Poisson mass at m >= cutoff, which 1 - ||c||^2 cannot resolve below
-    rounding.
+    rounding; a cutoff below max(|gamma|^2, 1) is at most a Poisson median: bound 1.
     """
     m = np.arange(cutoff)
     if gamma == 0:
@@ -86,10 +86,11 @@ def build_coherent(gamma: complex, cutoff: int, eps: float = EPS_DEFAULT) -> Foc
         x = abs(gamma)
         log_c = m * math.log(x) - x * x / 2.0 - 0.5 * log_factorial(m)
         c = np.exp(log_c + 1j * m * cmath.phase(gamma))
-    tail = poisson_tail(cutoff, abs(gamma) ** 2)  # cutoff 0 keeps no level at all: tail 1
+    mean = abs(gamma) ** 2
+    tail = poisson_tails(cutoff, 1, mean)[0] if cutoff >= max(mean, 1) else 1.0
     if not tail < eps:
         raise TruncationError(
-            f"cutoff {cutoff} leaves tail mass {tail:.3e} for |gamma|^2 = {abs(gamma)**2:.3g}"
+            f"cutoff {cutoff} leaves tail mass {tail:.3e} for |gamma|^2 = {mean:.3g}"
         )
     return FockVector(cutoff=cutoff, amplitudes=c, tail_bound=tail)
 

@@ -3,8 +3,8 @@
 Floats are rendered with 17 significant digits so every emitted value parses
 back to the identical IEEE-754 double, which makes re-emission byte-stable.
 Every float output is a table whose points are formed in numpy as byte
-records, a block of points at a time: a column slot, a row slot and the
-value's text.  A block of records becomes text in one pass that deletes the
+records, a block of points at a time: a separator, the point's labels and
+the value's text.  A block of records becomes text in one pass that deletes the
 NUL bytes around the texts.
 """
 
@@ -100,19 +100,19 @@ def fmt(value: float) -> str:
 #   record's first _TEXT bytes.  No kept byte is NUL, so one translate that
 #   deletes NULs, and one decode, give a block's text.
 # * Tables.  Every float output is an (R, C) table whose point (i, j) is one
-#   record: column slot j, row slot i, then the first 45 bytes of its
-#   value's record.  The slots hold the text around the values, each
-#   NUL-padded to its axis' widest slot and broadcast over a block's rows
-#   and columns (_table_pieces).  render_csv's column slots are "\n" and
-#   ",".  A render_json float array of one or two axes has the list path's
-#   between-row and within-row texts as column slots.  A grid's column slot
-#   holds the point separator, x and the value separator, its row slot y
-#   and the value separator, so each axis value is formatted once: its text
-#   is its record's kept bytes moved left (_left_texts), and NULs pad it to
-#   the axis' longest before the value separator.  The head stands in for
-#   the first point's column slot.  A table's blocks are built in one
-#   reused buffer, and render_json collects a payload's pieces, table
-#   blocks included, in one list and joins it once.
+#   record: a separator slot, a slot for each of its labels, then the first
+#   45 bytes of its value's record; a labelled table's one separator opens
+#   its first label's slot.  Each slot is NUL-padded to the widest of its
+#   kind and broadcast over a block's rows and columns (_table_pieces).  render_csv's separators are "\n" and ",", and a
+#   render_json float array of one or two axes has the list path's
+#   between-row and within-row texts.  A label array follows the rows,
+#   (R, 1), or the columns, (1, C): a grid's x and y, the Fock block's m and
+#   n.  Each label is formatted once, its text its record's kept bytes moved
+#   left (_left_texts), and NULs pad it to its array's longest before the
+#   text that follows every label (the value separator).  The head stands in
+#   for the first point's separator.  A table's blocks are built in one
+#   reused buffer, and render_json collects a payload's pieces, table blocks
+#   included, in one list and joins it once.
 _BLOCK = 1 << 14
 _MAGNITUDE = (1e-250, 1e250)  # |v| the double-double product covers
 _EXP_OFFSET = 260  # offset of exponent e in the tables over e
@@ -250,32 +250,29 @@ def _keyed_records(v: np.ndarray) -> tuple:
     return text, key
 
 
-def _axis_slots(texts: list) -> np.ndarray:
-    """The texts as rows of a NUL-padded uint8 array, one row per text."""
-    slots = np.array(texts, dtype="S")
-    return slots.view(np.uint8).reshape(len(texts), slots.itemsize)
-
-
-def _table_pieces(values, col_slots: np.ndarray, row_slots, head: str, tail: str,
-                  out: list) -> None:
+def _table_pieces(values, seps, labels, head: str, mid: str, tail: str, out: list) -> None:
     """Append head, the points of the (R, C) float table ``values``, then tail, to out.
 
-    Point (i, j) reads as col_slots[j], row_slots[i] and the value's text,
-    the slots being _axis_slots arrays, and row_slots None where the rows
-    have none; head stands in for the first point's column slot.  A block
-    of at most _BLOCK points is laid out in one buffer, reused for every
-    block, as records of column slot, row slot and value text, with the
-    slots broadcast over its rows and columns; one NUL-deleting pass turns
-    it into text.  A block is whole rows, or a _BLOCK-point part of one row
-    where a row is longer.  The column slots of whole-row blocks are written
-    once, and again after the head's block.
+    Point (i, j) reads as its separator, the text and mid of its label in
+    each label array, (R, 1) for a label per row or (1, C) for one per
+    column, then its value; head stands in for the first point's separator.
+    ``seps`` holds one separator per column, or, where there are labels, one
+    for every column, which leads the first label's slot.  A block of at most
+    _BLOCK points, whole rows or a part of one longer row, is laid out in one
+    reused buffer as records of these slots, broadcast over its rows and
+    columns, and the value's text; one NUL-deleting pass turns it into text.
+    Per-row slots are written for every block, the others, in whole-row
+    blocks, once and again after the head's block.
     """
     n_rows, n_cols = values.shape
-    if row_slots is None:
-        row_slots = np.empty((n_rows, 0), np.uint8)
-    wc, wr = col_slots.shape[1], row_slots.shape[1]
+    if labels:
+        slots = _label_slots(labels, seps[0], mid)
+    else:
+        sep_texts = np.array(seps, dtype="S")
+        slots = [sep_texts.view(np.uint8).reshape(1, sep_texts.size, -1)]
+    width = sum(s.shape[2] for s in slots) + _TEXT
     rows, cols = max(1, _BLOCK // n_cols), min(n_cols, _BLOCK)
-    buffer = bytearray(min(rows, n_rows) * cols * (wc + wr + _TEXT))
+    buffer = bytearray(min(rows, n_rows) * cols * width)
     whole = np.frombuffer(buffer, np.uint8)
     out.append(head)
     for r0 in range(0, n_rows, rows):
@@ -283,15 +280,20 @@ def _table_pieces(values, col_slots: np.ndarray, row_slots, head: str, tail: str
         for c0 in range(0, n_cols, cols):
             c1 = min(c0 + cols, n_cols)
             v = np.asarray(values[r0:r1, c0:c1], dtype=np.float64)
-            size = v.size * (wc + wr + _TEXT)
-            block = whole[:size].reshape(*v.shape, -1)
-            if cols < n_cols or r0 <= rows:  # whole rows: the first block and the one after
-                block[:, :, :wc] = col_slots[c0:c1]
+            size = v.size * width
+            block = whole[:size].reshape(*v.shape, width)
+            start = 0
+            for s in slots:
+                end = start + s.shape[2]
+                if len(s) > 1:  # a label per row
+                    block[:, :, start:end] = s[r0:r1]
+                elif cols < n_cols or r0 <= rows:  # whole-row blocks reuse the first two's
+                    block[:, :, start:end] = s[:, c0:c1] if s.shape[1] > 1 else s
+                start = end
             if r0 == c0 == 0:
-                block[0, 0, :wc] = 0  # the first point follows head
-            block[:, :, wc : wc + wr] = row_slots[r0:r1, None]
+                block[0, 0, : len(seps[0].encode())] = 0  # the first point follows head
             records = _float_records(v.ravel()).reshape(*v.shape, _WIDTH)
-            block[:, :, wc + wr :] = records[:, :, :_TEXT]
+            block[:, :, start:] = records[:, :, :_TEXT]
             text = buffer if size == len(buffer) else buffer[:size]
             out.append(text.translate(None, b"\0").decode("ascii"))
     out.append(tail)
@@ -300,16 +302,16 @@ def _table_pieces(values, col_slots: np.ndarray, row_slots, head: str, tail: str
 def render_csv(header: str, *columns: np.ndarray) -> str:
     """Header line, then a line per row of the 1-D columns: floats as fmt(), ints as ints.
 
-    The columns form one float64 table whose column slots are "\n", ending
-    the line before, and ",".  An integer column must lie within +-2^53,
+    The columns form one float64 table whose separators are "\n", ending the
+    line before, and ",".  An integer column must lie within +-2^53,
     where "%.17g" of its double reads as "%d".
     """
     if any(c.dtype.kind in "iu" and np.any((c < -(2**53)) | (c > 2**53)) for c in columns):
         raise ValueError("integer columns must lie within +-2^53")
     table = np.column_stack(columns).astype(np.float64, copy=False)
-    seps = _axis_slots(["\n"] + [","] * (table.shape[1] - 1))
+    seps = ["\n"] + [","] * (table.shape[1] - 1)
     out = []
-    _table_pieces(table, seps, None, header + "\n", "\n" if len(table) else "", out)
+    _table_pieces(table, seps, (), header + "\n", "", "\n" if len(table) else "", out)
     return "".join(out)
 
 
@@ -347,36 +349,29 @@ def _left_texts(values: np.ndarray) -> np.ndarray:
     return texts
 
 
-def _value_slots(texts: np.ndarray, before: str, after: str) -> np.ndarray:
-    """Rows of before, a text of _left_texts, NULs and after, cut to the longest
-    text: the NUL-deleting pass reads each row as before + text + after."""
-    width = int(np.flatnonzero(texts.any(axis=0))[-1]) + 1
-    head, end = np.frombuffer(before.encode(), np.uint8), np.frombuffer(after.encode(), np.uint8)
-    slots = np.empty((len(texts), head.size + width + end.size), np.uint8)
-    slots[:, : head.size] = head
-    slots[:, head.size : head.size + width] = texts[:, :width]
-    slots[:, head.size + width :] = end
+def _label_slots(labels, before: str, mid: str) -> list:
+    """Each label array's slots, its shape with a last axis of bytes: before (first
+    array only), the text, NULs to the array's longest, then mid; formatted at once."""
+    texts = _left_texts(np.concatenate([a.ravel() for a in labels]).astype(np.float64, copy=False))
+    head, end = np.frombuffer(before.encode(), np.uint8), np.frombuffer(mid.encode(), np.uint8)
+    slots, start = [], 0
+    for a in labels:
+        part, start = texts[start : start + a.size], start + a.size
+        width = head.size + int(part.any(axis=0).sum())  # the texts are left-aligned
+        slot = np.empty((a.size, width + end.size), np.uint8)
+        slot[:, : head.size] = head
+        slot[:, head.size : width] = part[:, : width - head.size]
+        slot[:, width:] = end
+        slots.append(slot.reshape(*a.shape, slot.shape[1]))
+        head = head[:0]
     return slots
 
 
-def _grid_pieces(grid: GridRows, head: str, sep: str, mid: str, tail: str, out: list) -> None:
-    """Append head, then the rows "x mid y mid value" joined by sep, then tail, to out.
-
-    The grid is the table of its values, with column slots sep, x and mid
-    and row slots y and mid, so each axis value is formatted once, both axes
-    in one pass.
-    """
-    texts = _left_texts(np.concatenate([grid.xs, grid.ys]).astype(np.float64, copy=False))
-    x_slots = _value_slots(texts[: grid.xs.size], sep, mid)
-    y_slots = _value_slots(texts[grid.xs.size :], "", mid)
-    del texts  # _TEXT_MAX bytes a value, no longer needed while the table is emitted
-    _table_pieces(grid.values, x_slots, y_slots, head + fmt(grid.xs[0]) + mid, tail, out)
-
-
-def render_grid_csv(header: str, grid: GridRows) -> str:
-    """render_csv(header, x, y, value) of the grid's rows, each axis value formatted once."""
+def render_grid_csv(header: str, values: np.ndarray, *labels: np.ndarray) -> str:
+    """Header line, then a line per point of the (R, C) table ``values``, row by row, as
+    render_csv writes it: the point's label in each (R, 1) or (1, C) float array, then its value."""
     out = []
-    _grid_pieces(grid, header + "\n", "\n", ",", "\n", out)
+    _table_pieces(values, ["\n"], labels, header + "\n", ",", "\n", out)
     return "".join(out)
 
 
@@ -423,13 +418,14 @@ def _json_pieces(obj, indent: int, out: list) -> None:
         out.append("\n")
     elif isinstance(obj, GridRows):
         _check_finite(obj.xs, obj.ys, obj.values)
-        _grid_pieces(obj, *_array_literals(2, indent), out)
+        head, between, within, tail = _array_literals(2, indent)
+        _table_pieces(obj.values, [between], (obj.xs[None], obj.ys[:, None]), head, within, tail,
+                      out)
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2) and obj.size:
         _check_finite(obj)
         head, between, within, tail = _array_literals(obj.ndim, indent)
         table = obj.reshape(len(obj), -1)
-        seps = _axis_slots([between] + [within] * (table.shape[1] - 1))
-        _table_pieces(table, seps, None, head, tail, out)
+        _table_pieces(table, [between] + [within] * (table.shape[1] - 1), (), head, "", tail, out)
     elif isinstance(obj, np.ndarray):
         _json_pieces(obj.tolist(), indent, out)
     elif obj is None:

@@ -28,7 +28,7 @@ from multihead import (
     wigner,
 )
 from multihead.closed_form import _state_sums
-from multihead.compare import TOL_DEFAULT, _annihilation_power, eigenstate_residual, moment_error
+from multihead.compare import TOL_DEFAULT, _annihilation_power, _moment_error, eigenstate_residual
 from multihead.roots import head_occupation
 from multihead.fockspace import (
     CUTOFF_MAX,
@@ -188,10 +188,14 @@ class TestBuildCoherent:
                 checked += 1
         assert checked > 100
 
-    @pytest.mark.parametrize("gamma", [0.0, 1.0])
-    def test_cutoff_zero_has_the_whole_mass_in_its_tail(self, gamma):
+    @pytest.mark.parametrize("gamma, cutoff", [(0.0, 0), (1.0, 0), (math.sqrt(10.5), 1),
+                                               (math.sqrt(10.5), 5), (math.sqrt(10.5), 10)])
+    def test_a_cutoff_below_the_mean_bounds_the_tail_by_one(self, gamma, cutoff):
+        # Cutoff 0 keeps no level at all.  At or below a Poisson median (mean
+        # 10.5) the tail mass is at least 1/2, so its bound is 1, and even
+        # eps = 0.9 refuses it.
         with pytest.raises(TruncationError, match="tail mass 1.000e\\+00"):
-            build_coherent(gamma, 0)
+            build_coherent(gamma, cutoff, eps=0.9)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_state_at_cutoff_zero_raises(self, family):
@@ -341,8 +345,8 @@ class TestOracleMoment:
         off = build_state(off_spec, cutoff=cutoff)
         sums = _state_sums(spec, spec.alpha.r)
         for h, l in ((1, 0), (1, 1), (2, 2)):
-            assert moment_error(spec, exact, h, l, sums) <= TOL_DEFAULT
-            assert moment_error(spec, off, h, l, sums) > TOL_DEFAULT
+            assert _moment_error(spec, exact, h, l, sums) <= TOL_DEFAULT
+            assert _moment_error(spec, off, h, l, sums) > TOL_DEFAULT
 
 
 def matrix_annihilation(cutoff):

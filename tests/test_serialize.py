@@ -354,19 +354,22 @@ def test_sweep_output_equals_the_row_loop(capsys, quantity, fmt_name):
         assert out.splitlines()[1].startswith("0.10000000000000001,")
 
 
+# One element, whose head stands in for the only separator; exactly one
+# formatter block (128^2 elements), and two.
+@pytest.mark.parametrize("max_m", [0, 1, 12, 127, 128, 150])
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
 @pytest.mark.parametrize("family", ["incoherent", "coherent"])
-def test_fock_output_equals_the_row_loop(capsys, family, fmt_name):
+def test_fock_output_equals_the_row_loop(capsys, family, fmt_name, max_m):
     out = cli_output(capsys, "fock", "--alpha", "3@0.4", "--heads", "3", "--family", family,
-                     "--max-m", "12", "--format", fmt_name)
-    assert_same_text(out, reference_fock("3@0.4", 3, family, 12, fmt_name))
+                     "--max-m", str(max_m), "--format", fmt_name)
+    assert_same_text(out, reference_fock("3@0.4", 3, family, max_m, fmt_name))
 
 
 def float_texts(values):
-    """The table emitter's text of each value: a one-column table whose column slot is " "."""
+    """The table emitter's text of each value: a one-column table whose separator is " "."""
     flat = np.asarray(values, dtype=np.float64).ravel()
     out = []
-    serialize._table_pieces(flat[:, None], serialize._axis_slots([" "]), None, "", "", out)
+    serialize._table_pieces(flat[:, None], [" "], (), "", "", "", out)
     return "".join(out).split(" ") if flat.size else []
 
 
@@ -542,12 +545,11 @@ def test_special_values_in_grid_rows(nx, ny):
         xs, ys = np.array(SPECIAL[:3]), np.array(SPECIAL[-3:])
     else:
         xs, ys = np.linspace(-4.0, 4.0, nx), np.linspace(-1.0, 7.0, ny)
-    grid = GridRows(xs, ys, values)
     rows = [[x, y, values[iy, ix]] for iy, y in enumerate(ys.tolist())
             for ix, x in enumerate(xs.tolist())]
     csv_want = "x,y,w\n" + "".join(f"{reference_fmt(x)},{reference_fmt(y)},{reference_fmt(w)}\n"
                                    for x, y, w in rows)
-    assert render_grid_csv("x,y,w", grid) == csv_want
+    assert render_grid_csv("x,y,w", values, xs[None], ys[:, None]) == csv_want
     # JSON refuses NaN and the infinities, on either axis or among the values.
     xs, ys, values = finite_only(xs), finite_only(ys), finite_only(values)
     for bad in NON_FINITE:
@@ -618,8 +620,10 @@ def test_grid_rows_render_as_their_row_loop(shape, seed, dtype, layout):
         return GridRows(xs, ys, grid_values), rows
 
     grid, rows = grid_rows(EXACT_PATH)
-    assert_same_text(render_grid_csv("x,y,w", grid), "x,y,w\n" + "".join(
-        f"{reference_fmt(x)},{reference_fmt(y)},{reference_fmt(w)}\n" for x, y, w in rows))
+    csv_want = "x,y,w\n" + "".join(
+        f"{reference_fmt(x)},{reference_fmt(y)},{reference_fmt(w)}\n" for x, y, w in rows)
+    csv = render_grid_csv("x,y,w", grid.values, grid.xs[None], grid.ys[:, None])
+    assert_same_text(csv, csv_want)
     grid, rows = grid_rows(FINITE_EXACT_PATH)  # JSON refuses the rest
     for indent in range(4):
         assert_same_text(render_json(grid, indent), reference_render_json(rows, indent))
@@ -635,7 +639,7 @@ def test_no_grid_block_holds_more_than_a_block_of_values(monkeypatch, nx, ny):
         return float_records(values)
 
     monkeypatch.setattr(serialize, "_float_records", counting)
-    render_grid_csv("x,y,w", GridRows(np.zeros(nx), np.zeros(ny), np.zeros((ny, nx))))
+    render_grid_csv("x,y,w", np.zeros((ny, nx)), np.zeros((1, nx)), np.zeros((ny, 1)))
     assert max(sizes) <= serialize._BLOCK and sum(sizes) == nx * ny
 
 
@@ -771,18 +775,22 @@ def test_a_nul_never_stands_for_a_kept_byte():
     assert records.tobytes().translate(None, b"\0") == "".join(texts).encode()
 
 
-@pytest.mark.parametrize("before, after", [("\n", ","), ("", ",\n      "), ("\n    ],\n    [\n      ", "")])
-def test_value_slots_hold_each_text_left_aligned(before, after):
-    # A grid axis slot is before, the value's text, NULs, then after at the
-    # column past the longest text: the NUL-deleting pass reads before + text + after.
+@pytest.mark.parametrize("mid", [",", ",\n      ", ""])
+def test_label_slots_hold_each_text_left_aligned(mid):
+    # A label slot is the label's text, NULs, then mid at the column past its
+    # array's longest text: the NUL-deleting pass reads text + mid.  Each
+    # array is padded to its own longest text, and keeps its shape; the
+    # first array's slots start with the separator.
     values = every_key_values()
     assert values.size > 2 * serialize._BLOCK
-    slots = serialize._value_slots(serialize._left_texts(values), before, after)
-    texts = [reference_fmt(v).encode() for v in values.tolist()]
-    width = max(map(len, texts))
-    assert slots.shape == (values.size, len(before) + width + len(after))
-    padded = [before.encode() + t + bytes(width - len(t)) + after.encode() for t in texts]
-    assert slots.tobytes() == b"".join(padded)
+    short = np.arange(7.0)
+    slots = serialize._label_slots((values[:, None], short[None]), "\n", mid)
+    for before, labels, got in zip(("\n", ""), (values[:, None], short[None]), slots):
+        texts = [reference_fmt(v).encode() for v in labels.ravel().tolist()]
+        width = max(map(len, texts))
+        assert got.shape == (*labels.shape, len(before) + width + len(mid))
+        padded = [before.encode() + t + bytes(width - len(t)) + mid.encode() for t in texts]
+        assert got.tobytes() == b"".join(padded)
 
 
 
@@ -816,19 +824,27 @@ TABLE_SHAPES = {
 }
 
 
+@pytest.mark.parametrize("order", ["no labels", "grid order", "fock order"])
 @pytest.mark.parametrize("shape", TABLE_SHAPES.values(), ids=TABLE_SHAPES.keys())
-def test_table_points_read_as_their_slots_and_texts(shape):
-    # Column and row slots that differ from column to column and row to row:
-    # a slot the reused block buffer kept from a block before would show, and
-    # only the very first point's column slot yields to the head.
+def test_table_points_read_as_their_slots_and_texts(shape, order):
+    # Separators that differ from column to column, or labels that differ
+    # from column to column and row to row, the per-column ones first (as a
+    # grid's x) or the per-row ones (as the Fock block's m): a slot the reused
+    # block buffer kept from a block before would show, and only the very
+    # first point's separator yields to the head.  Where rows are longer than
+    # a block, every part of a row rewrites its per-row label.
     n_rows, n_cols = shape
     values = random_values_with_specials(n_rows * n_cols, n_cols).reshape(shape)
-    col_texts = [f"|{j}:" for j in range(n_cols)]
-    row_texts = [f"<{i}>" for i in range(n_rows)]
-    col_slots = serialize._axis_slots(col_texts)
-    row_slots = serialize._axis_slots(row_texts) if n_rows else None
+    seps = [f"|{j}:" for j in range(n_cols)] if order == "no labels" else ["|:|"] * n_cols
+    col_labels = random_values_with_specials(n_cols, 7)[None]
+    row_labels = random_values_with_specials(n_rows, 8)[:, None]
+    labels = {"no labels": (), "grid order": (col_labels, row_labels),
+              "fock order": (row_labels, col_labels)}[order]
     out = []
-    serialize._table_pieces(values, col_slots, row_slots, "HEAD", "TAIL", out)
-    points = [(col_texts[j] if i or j else "") + row_texts[i] + reference_fmt(v)
+    serialize._table_pieces(values, seps[:1] if labels else seps, labels, "HEAD", "~", "TAIL", out)
+    texts = [[reference_fmt(v) + "~" for v in a.ravel().tolist()] for a in labels]
+    points = [(seps[j] if i or j else "")
+              + "".join(t[i if len(a) > 1 else j] for a, t in zip(labels, texts))
+              + reference_fmt(v)
               for i, row in enumerate(values.tolist()) for j, v in enumerate(row)]
     assert_same_text("".join(out), "HEAD" + "".join(points) + "TAIL")

@@ -29,7 +29,8 @@ codes 1, 2 and 3; one whose ``--out`` cannot be opened;
 and, far past mu = 350, the two-head cat's default ``wigner`` grid at r = 9e5
 and its ``validate`` at r = 1600.  Long sweeps (``--r-max 25`` at the default step, past the Mandel Q crossings and
 the squeezing edges, and a 20,001-sample ``--r-max 200``), ``fock --max-m
-130`` (17,161 elements), the default 201 x 201 ``wigner`` grid (three
+130`` (17,161 elements; ``--max-m`` 0 and 127 give one element and exactly
+one block), the default 201 x 201 ``wigner`` grid (three
 formatter blocks) and a 17000 x 2 one (one row over two blocks) make the
 emitters span more than one formatter block.  An argv the matrix repeats runs
 once, where it first appears.  A warning is captured as "Category: message"
@@ -106,9 +107,12 @@ def cases():
     for fmt in ("json", "csv"):
         yield ("sweep", "--heads", "3", "--family", "coherent", "--quantity", "mandel-q",
                "--r-max", "200", "--format", fmt)
+    # One element (its head stands in for the only separator), one formatter
+    # block exactly (128^2 = 16384 elements), and two.
     for family in FAMILIES:
-        for fmt in ("json", "csv"):
-            yield ("fock", *spec("10@0.7", 2, family), "--max-m", "130", "--format", fmt)
+        for max_m in ("0", "127", "130"):
+            for fmt in ("json", "csv"):
+                yield ("fock", *spec("10@0.7", 2, family), "--max-m", max_m, "--format", fmt)
     # Far-out points: |beta|^2 overflows, for a cat at mu = 2 and at mu = 1000.
     for alpha, n in (("1+1i", 3), ("1000", 2)):
         for family in FAMILIES:
