@@ -347,9 +347,10 @@ def _check_bound(spec: StateSpec, bound: np.ndarray) -> None:
         )
 
 
-def _live_pairs(table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The pairs whose envelope is not 0 at every point of either axis; the rest add exactly 0."""
-    return _envelopes(table[1], xs)[1].any(axis=1) & _envelopes(table[2], ys)[1].any(axis=1)
+def _live_pairs(ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """The pairs (rows) whose envelope is not 0 at every point of either axis; the rest add
+    exactly 0."""
+    return ex.any(axis=1) & ey.any(axis=1)
 
 
 def _envelopes(centre: np.ndarray, coords: np.ndarray) -> tuple:
@@ -360,7 +361,7 @@ def _envelopes(centre: np.ndarray, coords: np.ndarray) -> tuple:
 
 
 def _pair_factors(table: np.ndarray, xs, ys, sum_growth: float) -> tuple:
-    """Row stacks (a, b) of W and (c, e) of its error bound over the pairs of table.
+    """Row stacks (a, b) of W and (c, e) of its error bound over the live pairs of table.
 
     Each pair term splits by axis into
 
@@ -370,8 +371,10 @@ def _pair_factors(table: np.ndarray, xs, ys, sum_growth: float) -> tuple:
     each of modulus at most 1, and W(x + iy) = sum w (Re P Re Q - Im P Im Q)
     = sum_q a[q, y] b[q, x], two rows per pair; the bound is sum_q c[q, y] e[q, x].
     """
-    weight, mx, my, dx, dy, turn = table[:, :, None]
     (tx, ex), (ty, ey) = _envelopes(table[1], xs), _envelopes(table[2], ys)
+    live = _live_pairs(ex, ey)
+    tx, ex, ty, ey = tx[live], ex[live], ty[live], ey[live]
+    weight, mx, my, dx, dy, turn = table[:, live, None]
     size_m, size_d = 4.0 * np.hypot(mx, my), 2.0 * np.hypot(dx, dy)
     # Each phase is 0 where its envelope is.  An inf or NaN in a phase or a
     # bound comes with an inf or NaN bound at that value, which is refused.
@@ -422,7 +425,6 @@ def _wigner_sum(spec: StateSpec, xs: np.ndarray, ys: np.ndarray, sums, subscript
     step = max(1, _PAIR_POINTS // max(1, xs.size + ys.size))
     for start in range(0, k.size, step):
         table = _pair_table(spec, k[start : start + step], j[start : start + step], sums)
-        table = table[:, _live_pairs(table, xs, ys)]
         terms, errors = _pair_factors(table, xs, ys, math.sqrt(2 * k.size))
         # einsum, not @: a threaded BLAS call costs more than these small
         # products.  Past one value, einsum adds the rows in order.

@@ -89,30 +89,35 @@ def fmt(value: float) -> str:
 #   underflow, and every D outside (1e16, 1e17).  Those are the values whose
 #   log10 is off by one, the D of exactly 1e16 (powers of ten, and 0.1 at
 #   17 digits) and the rare S that round up to 1e17 (the double 1e-14 is one).
-# * Text.  Each value fills six little-endian uint64 words (48 bytes): sign,
-#   "0.000" and the lead digit, four 4-digit groups with a point after every
-#   digit, then "e+ddd", which ends in byte 44.  The digits are taken by
-#   floor division by constants.  A keep-mask row of six words, indexed by
-#   (sign, point position or exponent width, last nonzero digit), holds 0xFF
-#   in the bytes of the value's text and 0x00 elsewhere, and the AND of the
-#   words with it sets every other byte to NUL (_float_records).  An
-#   exact-path value's CPython text is written, NUL-padded, into its own
-#   record's first _TEXT bytes.  No kept byte is NUL, so one translate that
-#   deletes NULs, and one decode, give a block's text.
+# * Text.  Each value fills four little-endian uint64 words (32 bytes):
+#   sign, "0.000", the lead digit and a point; the 16 digits after the lead,
+#   each 4-digit group's text a take from one table; then "e+ddd", which ends
+#   in byte 28.  The digits are taken by floor division by constants.  Fixed
+#   notation at 10 <= |v| < 1e16 puts its point after digit x = e (1..15) of
+#   those 16: for these values alone, the digits after it move one byte on
+#   in words 1 and 2, the point fills the byte they leave, and digit 16 moves
+#   into word 3, whose exponent fixed notation does not print.  A keep-mask
+#   row of four words, indexed by (sign, point position or exponent width,
+#   last nonzero digit), holds 0xFF in the bytes of the value's text and 0x00
+#   elsewhere, and the AND of the words with it sets every other byte to NUL
+#   (_float_records).  An exact-path value's CPython text is written,
+#   NUL-padded, into its own record's first _TEXT bytes.  No kept byte is
+#   NUL, so one translate that deletes NULs, and one decode, give a block's
+#   text.
 # * Tables.  Every float output is an (R, C) table whose point (i, j) is one
 #   record: a separator slot, a slot for each of its labels, then the first
-#   45 bytes of its value's record; a labelled table's one separator opens
+#   _TEXT bytes of its value's record; a labelled table's one separator opens
 #   its first label's slot.  Each slot is NUL-padded to the widest of its
-#   kind and broadcast over a block's rows and columns (_table_pieces).  render_csv's separators are "\n" and ",", and a
-#   render_json float array of one or two axes has the list path's
-#   between-row and within-row texts.  A label array follows the rows,
-#   (R, 1), or the columns, (1, C): a grid's x and y, the Fock block's m and
-#   n.  Each label is formatted once, its text its record's kept bytes moved
-#   left (_left_texts), and NULs pad it to its array's longest before the
-#   text that follows every label (the value separator).  The head stands in
-#   for the first point's separator.  A table's blocks are built in one
-#   reused buffer, and render_json collects a payload's pieces, table blocks
-#   included, in one list and joins it once.
+#   kind and broadcast over a block's rows and columns (_table_pieces).
+#   render_csv's separators are "\n" and ",", and a render_json float array
+#   of one or two axes has the list path's between-row and within-row texts.
+#   A label array follows the rows, (R, 1), or the columns, (1, C): a grid's
+#   x and y, the Fock block's m and n.  Each label is formatted once, its
+#   text its record's kept bytes moved left (_left_texts), and NULs pad it to
+#   its array's longest before the text that follows every label (the value
+#   separator).  The head stands in for the first point's separator.  A
+#   table's blocks are built in one reused buffer, and render_json collects a
+#   payload's pieces, table blocks included, in one list and joins it once.
 _BLOCK = 1 << 14
 _MAGNITUDE = (1e-250, 1e250)  # |v| the double-double product covers
 _EXP_OFFSET = 260  # offset of exponent e in the tables over e
@@ -120,8 +125,8 @@ _SPLITTER = 134217729.0  # 2^27 + 1
 _TIE = 2.0**-46
 _D_MIN = 10**16
 _D_END = 10**17
-_WIDTH = 48  # bytes per value in the text buffer
-_TEXT = 45  # a record's text bytes: the exponent ends in byte 44, and no text is longer
+_WIDTH = 32  # bytes per value in the text buffer
+_TEXT = 29  # a record's text bytes: the exponent ends in byte 28, and no text is longer
 _TEXT_MAX = 24  # the longest text, "-2.2250738585072014e-308"
 _MODES = 23  # fixed notation at exponents -4..16, exponent with 2 or 3 digits
 
@@ -153,9 +158,10 @@ def _words(texts: list) -> np.ndarray:
 def _text_tables() -> tuple:
     """The kernel's tables, built on first use.
 
-    Over e: hi, lo, hi's split halves, the exponent words and the key of
-    each mode with no digit dropped.  Words of "-0.000" and each lead digit
-    and of each 4-digit group with its points; each group's trailing zero
+    Over e: hi, lo, hi's split halves, the exponent words, the key of each
+    mode with no digit dropped, and the digit words' masks of the bytes that
+    move and of the point (0 outside e = 1..15).  Words of "-0.000" and each
+    lead digit; each 4-digit group's text as a uint32 and its trailing zero
     count; the keep-mask words of each (sign, mode, last nonzero digit) key,
     and each key's kept columns in order.
     """
@@ -164,30 +170,40 @@ def _text_tables() -> tuple:
     exponents = _words([f"e{k:+04d}   " for k in e.tolist()])
     mode_keys = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22)) * 17 + 16
     lead = _words([f"-0.000{i}." for i in range(10)])
-    pairs = np.frombuffer("".join(f"{i // 10}.{i % 10}." for i in range(100)).encode(), "<u4")
-    groups = (pairs[:, None] | pairs.astype(np.uint64) << 32).ravel()
-    pair_zeros = np.array([2] + [int(i % 10 == 0) for i in range(1, 100)], np.int8)
-    group_zeros = np.where(np.arange(100) == 0, 2 + pair_zeros[:, None], pair_zeros).ravel()
+    pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), "<u2")
+    quads = (pairs[:, None] | pairs.astype(np.uint32) << 16).ravel()
+    g = np.arange(10**4)
+    quad_zeros = sum((g % 10**n == 0).astype(np.int8) for n in range(1, 5))
+    # Fixed notation's point after digit x = e = 1..15 of words 1 and 2 is
+    # byte j = x - 8w of word w: bytes j..7 of each word move one byte on, and
+    # the point takes byte j.
+    moved, points = np.zeros((2, 2, 2 * _EXP_OFFSET), np.uint64)
+    for x in range(1, 16):
+        for w, j in enumerate((x, x - 8)):
+            moved[w, _EXP_OFFSET + x] = 2**64 - (1 << 8 * min(max(j, 0), 8))
+            points[w, _EXP_OFFSET + x] = ord(".") << 8 * j if 0 <= j < 8 else 0
     key = np.arange(2 * _MODES * 17)[:, None]
     negative, mode, last = key // (_MODES * 17), key // 17 % _MODES, key % 17
     x = mode - 4  # the decimal exponent where it is below 17: fixed notation
     fixed = x < 17
     col = np.arange(_WIDTH)
-    k = (col - 6) // 2  # digit k, or the point after it, in columns 6..39
-    digit = (col >= 6) & (col < 40) & (col % 2 == 0)
-    point = (col >= 6) & (col < 40) & (col % 2 == 1)
+    point = np.where(fixed & (x > 0), 8 + x, 7)  # the point's column
+    k = np.where(col == 6, 0, col - 7 - ((col > point) & (point > 7)))  # digit k, in 6, 8..24
+    digit = ((col == 6) | (col >= 8)) & (col != point) & (k <= 16)
+    after = np.where(fixed, x, 0)  # the digit the point follows, if any
     keep = (col == 0) & (negative == 1)
     keep |= fixed & (x < 0) & ((col == 1) | (col == 2) | ((col >= 3) & (col < 2 - x)))
     keep |= digit & (k <= np.where(fixed & (x >= 0), np.maximum(last, x), last))
-    keep |= point & np.where(fixed, (x >= 0) & (k == x), k == 0) & (k < last)
-    keep |= ~fixed & (col >= 40) & (col < _TEXT) & ((col != 42) | (mode == _MODES - 1))
+    keep |= (col == point) & (after >= 0) & (after < last)
+    keep |= ~fixed & (col >= 24) & (col < _TEXT) & ((col != 26) | (mode == _MODES - 1))
     # Each key's kept columns in order, then column _WIDTH - 1 (always NUL);
     # the last row, for the exact path's left-aligned texts, is 0.._TEXT_MAX-1.
     kept = np.argsort(~keep, axis=1, kind="stable")[:, :_TEXT_MAX]
     lefts = np.where(np.arange(_TEXT_MAX) < keep.sum(axis=1)[:, None], kept, _WIDTH - 1)
     lefts = np.vstack([lefts, np.arange(_TEXT_MAX)])
     keep = np.where(keep, np.uint8(255), np.uint8(0)).view("<u8")
-    return (hi, lo, *_split(hi), exponents, mode_keys, lead, groups, group_zeros, keep, lefts)
+    return (hi, lo, *_split(hi), exponents, mode_keys, lead, quads, quad_zeros, moved, points,
+            keep, lefts)
 
 
 def _exact_texts(values: np.ndarray) -> list:
@@ -196,7 +212,7 @@ def _exact_texts(values: np.ndarray) -> list:
 
 
 def _float_records(v: np.ndarray) -> np.ndarray:
-    """Each float64 value's 48-byte record: its text, every other byte NUL.
+    """Each float64 value's _WIDTH-byte record: its text, every other byte NUL.
 
     The text lies within the first _TEXT bytes; the bytes after them are NUL.
     """
@@ -205,8 +221,8 @@ def _float_records(v: np.ndarray) -> np.ndarray:
 
 def _keyed_records(v: np.ndarray) -> tuple:
     """(_float_records(v), key): key picks each record's row of _text_tables' lefts."""
-    his, los, highs, lows, exponents, mode_keys, lead_words, group_words, group_zeros, keep = (
-        _text_tables()[:10])
+    (his, los, highs, lows, exponents, mode_keys, lead_words, quads, quad_zeros, moved, points,
+     keep) = _text_tables()[:12]
     a = np.abs(v)
     fast = (a >= _MAGNITUDE[0]) & (a < _MAGNITUDE[1])  # NaN fails both
     zero = a == 0.0
@@ -230,13 +246,23 @@ def _keyed_records(v: np.ndarray) -> tuple:
     groups = (g0, high - g0 * 10**4, g2, d - g2 * 10**4)
     words = np.empty((v.size, _WIDTH // 8), np.uint64)  # each take fills a 1-D array first
     words[:, 0] = lead_words.take(lead)
-    for k, g in enumerate(groups, 1):
-        words[:, k] = group_words.take(g)
-    words[:, 5] = exponents.take(i)
-    zeros = group_zeros.take(groups[3])  # trailing zeros of the 16 digits after the lead
+    quarters = words.view(np.uint32)
+    for k, g in enumerate(groups, 2):
+        quarters[:, k] = quads.take(g)
+    words[:, 3] = exponents.take(i)
+    at = np.flatnonzero((i > _EXP_OFFSET) & (i < _EXP_OFFSET + 16))  # a point after digit 1..15
+    if at.size:  # move the digits after it one byte on, in place
+        i_at, flat = i.take(at), words.ravel()
+        at = at * 4 + 1  # word 1 of each value, in flat
+        w1, w2 = flat.take(at), flat.take(at + 1)
+        m1, m2 = w1 & moved[0].take(i_at), w2 & moved[1].take(i_at)
+        flat[at] = w1 ^ m1 | m1 << 8 | points[0].take(i_at)
+        flat[at + 1] = w2 ^ m2 | m2 << 8 | m1 >> 56 | points[1].take(i_at)
+        flat[at + 2] = m2 >> 56  # digit 16, into the word fixed notation does not print
+    zeros = quad_zeros.take(groups[3])  # trailing zeros of the 16 digits after the lead
     nil = groups[3] == 0
     for g in groups[2::-1]:
-        zeros += nil * group_zeros.take(g)
+        zeros += nil * quad_zeros.take(g)
         nil &= g == 0
     key = mode_keys.take(i)
     key -= zeros

@@ -24,6 +24,7 @@ from multihead import (
 from multihead import closed_form
 from multihead.closed_form import (
     TWO_OVER_PI,
+    _envelopes,
     _head_sums,
     _live_pairs,
     _log_overlaps,
@@ -372,17 +373,19 @@ class TestCatWignerPairTable:
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("n, r", [(2, 1600.0), (3, 64000.0), (12, 40.0**12)])
-    def test_pruning_is_exact(self, n, r, family):
+    def test_pruning_is_exact(self, n, r, family, monkeypatch):
         # Heads 40 apart: on a grid around head 0 most pairs' envelopes underflow to 0.
         s = StateSpec(PolarAmplitude(r, 0.7), n, family)
         g0 = nth_roots(s.alpha, n)[0]
         xs, ys = g0.real + np.linspace(-3.0, 3.0, 31), g0.imag + np.linspace(-3.0, 3.0, 23)
         table = _pair_table(s, *_pairs(s), _state_sums(s, s.alpha.r))
-        dropped = ~_live_pairs(table, xs, ys)
+        dropped = ~_live_pairs(_envelopes(table[1], xs)[1], _envelopes(table[2], ys)[1])
         assert 0 < np.count_nonzero(dropped) < dropped.size
-        # The unpruned sum, over every pair.
-        terms, errors = _pair_factors(table, xs, ys, math.sqrt(2 * dropped.size))
         values, bound = wigner_grid(s, xs, ys)
+        # The unpruned sum, over every pair.
+        monkeypatch.setattr(closed_form, "_live_pairs", lambda ex, ey: np.ones(len(ex), bool))
+        terms, errors = _pair_factors(table, xs, ys, math.sqrt(2 * dropped.size))
+        assert terms[0].shape[0] == 2 * dropped.size
         with np.errstate(over="ignore", invalid="ignore"):
             assert values.tobytes() == np.einsum("qy,qx->yx", *terms).tobytes()
             assert bound.tobytes() == np.einsum("qy,qx->yx", *errors).tobytes()

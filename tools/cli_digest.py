@@ -27,8 +27,10 @@ at r = 1e100 and up, whose fringe phases outrun double precision; at
 r = 1e308, 2 mu passes the largest double); one argv for each of the exit
 codes 1, 2 and 3; one whose ``--out`` cannot be opened;
 and, far past mu = 350, the two-head cat's default ``wigner`` grid at r = 9e5
-and its ``validate`` at r = 1600.  Long sweeps (``--r-max 25`` at the default step, past the Mandel Q crossings and
-the squeezing edges, and a 20,001-sample ``--r-max 200``), ``fock --max-m
+and its ``validate`` at r = 1600.  A ``mean-photon`` sweep up to r = 1e8, in
+both formats, prints fixed-notation texts with every integer digit count from
+1 to 16.  Long sweeps (``--r-max 25`` at the default step, past the Mandel Q
+crossings and the squeezing edges, and a 20,001-sample ``--r-max 200``), ``fock --max-m
 130`` (17,161 elements; ``--max-m`` 0 and 127 give one element and exactly
 one block), the default 201 x 201 ``wigner`` grid (three
 formatter blocks) and a 17000 x 2 one (one row over two blocks) make the
@@ -107,6 +109,11 @@ def cases():
     for fmt in ("json", "csv"):
         yield ("sweep", "--heads", "3", "--family", "coherent", "--quantity", "mandel-q",
                "--r-max", "200", "--format", fmt)
+    # About 1000 samples in uneven steps up to r = 1e8: fixed-notation texts with every
+    # integer digit count from 1 to 16, r's 1..8 and r^2's 5..16, most with fraction digits.
+    for fmt in ("json", "csv"):
+        yield ("sweep", "--heads", "1", "--family", "coherent", "--quantity", "mean-photon",
+               "--r-max", "1e8", "--step", "99991.3", "--format", fmt)
     # One element (its head stands in for the only separator), one formatter
     # block exactly (128^2 = 16384 elements), and two.
     for family in FAMILIES:
