@@ -112,12 +112,12 @@ def fmt(value: float) -> str:
 #   render_csv's separators are "\n" and ",", and a render_json float array
 #   of one or two axes has the list path's between-row and within-row texts.
 #   A label array follows the rows, (R, 1), or the columns, (1, C): a grid's
-#   x and y, the Fock block's m and n.  Each label is formatted once, its
-#   text its record's kept bytes moved left (_left_texts), and NULs pad it to
-#   its array's longest before the text that follows every label (the value
-#   separator).  The head stands in for the first point's separator.  A
-#   table's blocks are built in one reused buffer, and render_json collects a
-#   payload's pieces, table blocks included, in one list and joins it once.
+#   x and y, the Fock block's m and n.  Each label array is formatted once per
+#   table by CPython's _FLOAT_SLOT % v, and NULs pad each text to its array's
+#   longest before the text that follows every label (the value separator).
+#   The head stands in for the first point's separator.  A table's blocks
+#   are built in one reused buffer, and render_json collects a payload's
+#   pieces, table blocks included, in one list and joins it once.
 _BLOCK = 1 << 14
 _MAGNITUDE = (1e-250, 1e250)  # |v| the double-double product covers
 _EXP_OFFSET = 260  # offset of exponent e in the tables over e
@@ -127,7 +127,6 @@ _D_MIN = 10**16
 _D_END = 10**17
 _WIDTH = 32  # bytes per value in the text buffer
 _TEXT = 29  # a record's text bytes: the exponent ends in byte 28, and no text is longer
-_TEXT_MAX = 24  # the longest text, "-2.2250738585072014e-308"
 _MODES = 23  # fixed notation at exponents -4..16, exponent with 2 or 3 digits
 
 
@@ -162,8 +161,7 @@ def _text_tables() -> tuple:
     mode with no digit dropped, and the digit words' masks of the bytes that
     move and of the point (0 outside e = 1..15).  Words of "-0.000" and each
     lead digit; each 4-digit group's text as a uint32 and its trailing zero
-    count; the keep-mask words of each (sign, mode, last nonzero digit) key,
-    and each key's kept columns in order.
+    count; the keep-mask words of each (sign, mode, last nonzero digit) key.
     """
     e = np.arange(-_EXP_OFFSET, _EXP_OFFSET)
     hi, lo = (np.array(t) for t in zip(*(_pow10(16 - k) for k in e.tolist())))
@@ -196,14 +194,8 @@ def _text_tables() -> tuple:
     keep |= digit & (k <= np.where(fixed & (x >= 0), np.maximum(last, x), last))
     keep |= (col == point) & (after >= 0) & (after < last)
     keep |= ~fixed & (col >= 24) & (col < _TEXT) & ((col != 26) | (mode == _MODES - 1))
-    # Each key's kept columns in order, then column _WIDTH - 1 (always NUL);
-    # the last row, for the exact path's left-aligned texts, is 0.._TEXT_MAX-1.
-    kept = np.argsort(~keep, axis=1, kind="stable")[:, :_TEXT_MAX]
-    lefts = np.where(np.arange(_TEXT_MAX) < keep.sum(axis=1)[:, None], kept, _WIDTH - 1)
-    lefts = np.vstack([lefts, np.arange(_TEXT_MAX)])
     keep = np.where(keep, np.uint8(255), np.uint8(0)).view("<u8")
-    return (hi, lo, *_split(hi), exponents, mode_keys, lead, quads, quad_zeros, moved, points,
-            keep, lefts)
+    return hi, lo, *_split(hi), exponents, mode_keys, lead, quads, quad_zeros, moved, points, keep
 
 
 def _exact_texts(values: np.ndarray) -> list:
@@ -216,13 +208,8 @@ def _float_records(v: np.ndarray) -> np.ndarray:
 
     The text lies within the first _TEXT bytes; the bytes after them are NUL.
     """
-    return _keyed_records(v)[0]
-
-
-def _keyed_records(v: np.ndarray) -> tuple:
-    """(_float_records(v), key): key picks each record's row of _text_tables' lefts."""
     (his, los, highs, lows, exponents, mode_keys, lead_words, quads, quad_zeros, moved, points,
-     keep) = _text_tables()[:12]
+     keep) = _text_tables()
     a = np.abs(v)
     fast = (a >= _MAGNITUDE[0]) & (a < _MAGNITUDE[1])  # NaN fails both
     zero = a == 0.0
@@ -272,8 +259,7 @@ def _keyed_records(v: np.ndarray) -> tuple:
     exact = np.flatnonzero(~fast)
     texts = np.array(_exact_texts(v[exact]), dtype=f"S{_TEXT}")
     text[exact, :_TEXT] = texts.view(np.uint8).reshape(exact.size, _TEXT)
-    key[exact] = len(keep)
-    return text, key
+    return text
 
 
 def _table_pieces(values, seps, labels, head: str, mid: str, tail: str, out: list) -> None:
@@ -361,32 +347,17 @@ class _Line:
     value: object
 
 
-def _left_texts(values: np.ndarray) -> np.ndarray:
-    """Each value's text at the left of a NUL-padded row of _TEXT_MAX bytes.
-
-    The texts are cut from their records _BLOCK values at a time: a key's row
-    of _text_tables' lefts lists its kept columns in order.
-    """
-    lefts = _text_tables()[-1]
-    texts = np.empty((values.size, _TEXT_MAX), np.uint8)
-    for start in range(0, values.size, _BLOCK):
-        records, key = _keyed_records(values[start : start + _BLOCK])
-        texts[start : start + key.size] = np.take_along_axis(records, lefts[key], axis=1)
-    return texts
-
-
 def _label_slots(labels, before: str, mid: str) -> list:
     """Each label array's slots, its shape with a last axis of bytes: before (first
-    array only), the text, NULs to the array's longest, then mid; formatted at once."""
-    texts = _left_texts(np.concatenate([a.ravel() for a in labels]).astype(np.float64, copy=False))
+    array only), the text, NULs to the array's longest, then mid."""
     head, end = np.frombuffer(before.encode(), np.uint8), np.frombuffer(mid.encode(), np.uint8)
-    slots, start = [], 0
+    slots = []
     for a in labels:
-        part, start = texts[start : start + a.size], start + a.size
-        width = head.size + int(part.any(axis=0).sum())  # the texts are left-aligned
+        texts = np.array([_FLOAT_SLOT % v for v in a.ravel().tolist()], dtype="S")
+        width = head.size + texts.itemsize
         slot = np.empty((a.size, width + end.size), np.uint8)
         slot[:, : head.size] = head
-        slot[:, head.size : width] = part[:, : width - head.size]
+        slot[:, head.size : width] = texts.view(np.uint8).reshape(a.size, texts.itemsize)
         slot[:, width:] = end
         slots.append(slot.reshape(*a.shape, slot.shape[1]))
         head = head[:0]

@@ -128,6 +128,8 @@ def find_crossings(result: SweepResult, threshold: float) -> list[float]:
     # without forming a product that can overflow.
     off, neg = np.abs(f) > CROSSING_ATOL, f < 0.0
     flagged = np.flatnonzero(off[:-1] & off[1:] & (neg[:-1] != neg[1:]))
+    if not flagged.size:
+        return []
     # lo moves only to midpoints on its own side, so its side never changes.
     lo, hi, below = r[flagged], r[flagged + 1], neg[flagged]
     while True:

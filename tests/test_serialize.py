@@ -669,24 +669,15 @@ def test_no_grid_block_holds_more_than_a_block_of_values(monkeypatch, nx, ny):
 
 
 def test_default_grid_sends_almost_nothing_down_the_exact_path(capsys, monkeypatch):
-    # The axes take the same formatter as the values: what the value blocks
-    # send and what the axes send (through _left_texts) are counted apart.
-    sent, axes_sent, in_axes = [], [], []
-    exact_texts, left_texts = serialize._exact_texts, serialize._left_texts
+    # Only the value blocks reach _exact_texts: the axes are formatted by CPython.
+    sent = []
+    exact_texts = serialize._exact_texts
 
     def counting(values):
-        (axes_sent if in_axes else sent).extend(values.tolist())
+        sent.extend(values.tolist())
         return exact_texts(values)
 
-    def axes(values):
-        in_axes.append(True)
-        try:
-            return left_texts(values)
-        finally:
-            in_axes.pop()
-
     monkeypatch.setattr(serialize, "_exact_texts", counting)
-    monkeypatch.setattr(serialize, "_left_texts", axes)
     render_csv("v", np.array(SPECIAL))
     assert len(sent) >= 5  # the patched helper is the one the emitters call
     sent.clear()
@@ -694,9 +685,6 @@ def test_default_grid_sends_almost_nothing_down_the_exact_path(capsys, monkeypat
         cli_output(capsys, "wigner", "--alpha", "3@0.4", "--heads", "2", "--family", "coherent",
                    "--format", fmt_name)
     assert len(sent) <= 4  # of 2 x 40401 values
-    # Of 2 x 402 axis values, only each axis' -1 and 1 (17-digit significand
-    # exactly 1e16) take the exact path.
-    assert sorted(axes_sent) == [-1.0] * 4 + [1.0] * 4
 
 
 # Values at the formatter's edges: 1.0 and 0.01 (17-digit significand exactly
@@ -800,19 +788,32 @@ def test_a_nul_never_stands_for_a_kept_byte():
     assert records.tobytes().translate(None, b"\0") == "".join(texts).encode()
 
 
-@pytest.mark.parametrize("mid", [",", ",\n      ", ""])
-def test_label_slots_hold_each_text_left_aligned(mid):
+ROW_LABELS = {
+    "every key": every_key_values,
+    "none": lambda: np.empty(0),
+    "fock": lambda: np.arange(2000),  # the Fock block's integer labels at --max-m 1999
+    "exact path": lambda: np.array([1.0, -1.0, 0.1, -0.0, 5e-324]),
+}
+MIDS = [",", ",\n      ", ""]
+
+
+@pytest.mark.parametrize(
+    "mid,rows",
+    [(mid, "every key") for mid in MIDS] + [(",", rows) for rows in list(ROW_LABELS)[1:]],
+    ids=MIDS + list(ROW_LABELS)[1:])
+def test_label_slots_hold_each_text_left_aligned(mid, rows):
     # A label slot is the label's text, NULs, then mid at the column past its
     # array's longest text: the NUL-deleting pass reads text + mid.  Each
     # array is padded to its own longest text, and keeps its shape; the
     # first array's slots start with the separator.
-    values = every_key_values()
-    assert values.size > 2 * serialize._BLOCK
+    values = ROW_LABELS[rows]()
+    if rows == "every key":
+        assert values.size > 2 * serialize._BLOCK
     short = np.arange(7.0)
     slots = serialize._label_slots((values[:, None], short[None]), "\n", mid)
     for before, labels, got in zip(("\n", ""), (values[:, None], short[None]), slots):
         texts = [reference_fmt(v).encode() for v in labels.ravel().tolist()]
-        width = max(map(len, texts))
+        width = max(map(len, texts), default=1)  # an empty array's texts are one NUL wide
         assert got.shape == (*labels.shape, len(before) + width + len(mid))
         padded = [before.encode() + t + bytes(width - len(t)) + mid.encode() for t in texts]
         assert got.tobytes() == b"".join(padded)
@@ -828,16 +829,6 @@ def random_values_with_specials(n, seed):
     specials = with_negatives(EXACT_PATH + SPECIAL)
     values[: specials.size] = specials[:n]
     return values
-
-
-@pytest.mark.parametrize("n", [1, 5002, serialize._BLOCK + 1])
-def test_left_texts_read_as_cpython_texts(n):
-    # Each row is the value's record cut by its key, so this pins both.
-    values = random_values_with_specials(n, n)
-    texts = serialize._left_texts(values)
-    assert texts.shape == (n, serialize._TEXT_MAX)
-    want = [reference_fmt(v).encode() for v in values.tolist()]
-    assert texts.view(f"S{serialize._TEXT_MAX}").ravel().tolist() == want
 
 
 TABLE_SHAPES = {

@@ -251,6 +251,17 @@ class TestFindCrossings:
         assert reference_find_crossings(res, 0.0) == got
         assert shapes == [()] * 28
 
+    def test_an_uncrossed_threshold_evaluates_nothing(self, monkeypatch):
+        # <n> = r^2 for one head, below 4 over the whole sweep.
+        res = sweep(template(1, Family.COHERENT), Quantity.MEAN_PHOTON, 0.0, 1.5, 0.05)
+        assert res.samples[:, 1].max() < 4.0
+
+        def refuse(*args):
+            raise AssertionError("evaluate called with no flagged interval")
+
+        monkeypatch.setattr(sweeps, "evaluate", refuse)
+        assert find_crossings(res, 4.0) == []
+
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
     def test_an_exact_zero_at_a_midpoint_is_returned(self, family):
         # <n> = r^2 for one head, so the first midpoint sits on the threshold.

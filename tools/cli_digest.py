@@ -33,8 +33,9 @@ both formats, prints fixed-notation texts with every integer digit count from
 crossings and the squeezing edges, and a 20,001-sample ``--r-max 200``), ``fock --max-m
 130`` (17,161 elements; ``--max-m`` 0 and 127 give one element and exactly
 one block), the default 201 x 201 ``wigner`` grid (three
-formatter blocks) and a 17000 x 2 one (one row over two blocks) make the
-emitters span more than one formatter block.  An argv the matrix repeats runs
+formatter blocks), a 17000 x 2 one (one row over two blocks) and a 2 x 17000
+one (17,000 row labels over three blocks) make the emitters span more than one
+formatter block.  An argv the matrix repeats runs
 once, where it first appears.  A warning is captured as "Category: message"
 on stderr, without its file and line, so moving a source line does not change
 a digest.  An exception that escapes ``main`` is that case's outcome,
@@ -125,13 +126,15 @@ def cases():
         for family in FAMILIES:
             for span in FAR_OUT:
                 yield ("wigner", *spec(alpha, n, family), "--nx", "3", "--ny", "2", *span)
-    # The default 201 x 201 grid spans three formatter blocks; one 17000-point row, two.
+    # The default 201 x 201 grid spans three formatter blocks; one 17000-point row, two;
+    # 17000 rows of two points, three, each row with its own label.
     for family, alpha, n in (("incoherent", "1+1i", 3), ("coherent", "3@0.7", 12)):
         for fmt in ("csv", "json"):
             yield ("wigner", *spec(alpha, n, family), "--format", fmt)
     for fmt in ("csv", "json"):
-        yield ("wigner", *spec("1+1i", 2, "coherent"), "--nx", "17000", "--ny", "2",
-               "--format", fmt)
+        for nx, ny in (("17000", "2"), ("2", "17000")):
+            yield ("wigner", *spec("1+1i", 2, "coherent"), "--nx", nx, "--ny", ny,
+                   "--format", fmt)
     yield from edge_cases()
     yield ("validate", *spec("1+1i", 2, "coherent"), "--tol", "1e-300")  # exit 1
     yield ("stats", *spec("1", 0, "coherent"))  # exit 2
