@@ -73,7 +73,9 @@ def fmt(value: float) -> str:
 # * Exponent.  e = floor(log10 |v|) is within one of the decimal exponent,
 #   and D below is taken once, at that e.  It is the exponent wherever
 #   1e16 < D < 1e17: one too high gives D <= 1e16 and one too low D >= 1e17.
-#   Every table over e is indexed by e + _EXP_OFFSET.
+#   At D = 1e16 it is the exponent where S >= 1e16, and e's text is the
+#   right one wherever S > 1e16 - 1/20, since 10 S then rounds up to 1e17 at
+#   e - 1.  Every table over e is indexed by e + _EXP_OFFSET.
 # * Significand.  D = round-half-even(S), from the double-double product of
 #   |v| and 10^q = hi + lo + delta, q = 16 - e, |delta| <= 2^-106 hi: with
 #   Veltkamp's split of |v| and hi (hi's is tabled with hi and lo), Dekker's
@@ -86,9 +88,13 @@ def fmt(value: float) -> str:
 # * Exact path.  _exact_texts formats whatever the pass leaves undecided:
 #   true ties (2^-25), r near a tie, +-inf, NaN, subnormals, every nonzero
 #   |v| outside [1e-250, 1e250), where the split could overflow or lo
-#   underflow, and every D outside (1e16, 1e17).  Those are the values whose
-#   log10 is off by one, the D of exactly 1e16 (powers of ten, and 0.1 at
-#   17 digits) and the rare S that round up to 1e17 (the double 1e-14 is one).
+#   underflow, every D outside [1e16, 1e17), and the D of exactly 1e16 where
+#   r <= rint(r) - _TIE.  Those are the values whose log10 is off by one,
+#   among them a power of ten whose double lies below it (the double 1e-248
+#   has S = 1e16 - 0.2), and the rare S that round up to 1e17 (the double
+#   1e-14 is one).  Where r > rint(r) - _TIE, S > 1e16 - 2^-45, so a D of
+#   exactly 1e16 stays on the fast path: 1.0, 0.01 and every power of ten
+#   whose double is not below it.
 # * Text.  Each value fills four little-endian uint64 words (32 bytes):
 #   sign, "0.000", the lead digit and a point; the 16 digits after the lead,
 #   each 4-digit group's text a take from one table; then "e+ddd", which ends
@@ -220,8 +226,10 @@ def _float_records(v: np.ndarray) -> np.ndarray:
     ah, al = _split(a)
     hh, hl = highs.take(i), lows.take(i)
     r = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * los.take(i)
-    d = p.astype(np.int64) + np.rint(r).astype(np.int64)  # p is an integer where d is kept
-    fast &= (d > _D_MIN) & (d < _D_END) & (np.abs(r - np.floor(r) - 0.5) > _TIE)
+    k = np.rint(r)
+    d = p.astype(np.int64) + k.astype(np.int64)  # p is an integer where d is kept
+    # D = 1e16 is kept where r > rint(r) - _TIE: S = p + R > 1e16 - 2^-45.
+    fast &= (d + (r - k > -_TIE) > _D_MIN) & (d < _D_END) & (np.abs(r - np.floor(r) - 0.5) > _TIE)
     d[~fast] = _D_MIN
     d[zero] = 0  # the digits of 0 at e = 0 (|v| = 2 above) read "0"
     fast |= zero

@@ -23,6 +23,9 @@ BISECT_TOL = 1e-6
 SAMPLES_MAX = 4_000_000
 # Samples this close to a threshold count as sitting on it.
 CROSSING_ATOL = 1e-12
+# Points at most in one evaluate of midpoint trees, unless the open intervals
+# alone outnumber them.
+_TREE_POINTS = 256
 
 
 class Quantity(enum.Enum):
@@ -112,12 +115,54 @@ def sweep(
     return SweepResult(quantity=quantity, template=template, samples=samples)
 
 
+def _midpoint_tree(ends: np.ndarray, levels: int) -> np.ndarray:
+    """Every midpoint of the next ``levels`` halvings of each (lo, hi) row of ends, breadth first.
+
+    Row k holds interval k's tree in heap order: node j's halves have nodes
+    2j + 1 (its lower half) and 2j + 2.  Each node is 0.5*a + 0.5*b of its
+    parent's ends a < b, the double that halving those ends in step forms.
+    """
+    tree = np.empty((len(ends), 2**levels - 1))
+    for level in range(levels):  # ends holds the ends of this level's intervals, in order
+        mid = tree[:, 2**level - 1 : 2 ** (level + 1) - 1]
+        np.add(0.5 * ends[:, :-1], 0.5 * ends[:, 1:], out=mid)
+        halves = np.empty((len(ends), 2 * ends.shape[1] - 1))
+        halves[:, ::2], halves[:, 1::2] = ends, mid
+        ends = halves
+    return tree
+
+
+def _tree_levels(intervals: int, width: float) -> int:
+    """Levels of the next midpoint trees of ``intervals`` open intervals at most ``width`` wide.
+
+    The halvings to BISECT_TOL, split evenly over the fewest trees that fit
+    _TREE_POINTS points; one level where the intervals alone do not fit.
+    """
+    most = max(1, int(math.log2(_TREE_POINTS / intervals + 1)))
+    needed = max(1, math.ceil(math.log2(width) - math.log2(BISECT_TOL)))
+    return math.ceil(needed / math.ceil(needed / most))
+
+
+def _is_open(lo: float, hi: float) -> bool:
+    """Whether bisection halves [lo, hi] again."""
+    # Halving a normal double is exact, so this has the bits of
+    # 0.5 * (lo + hi) wherever that sum is finite, and never overflows.
+    mid = 0.5 * lo + 0.5 * hi
+    # Past r ~ 5e9 the ends become adjacent doubles before BISECT_TOL.
+    return hi - lo > BISECT_TOL and lo < mid < hi
+
+
 def find_crossings(result: SweepResult, threshold: float) -> list[float]:
     """Moduli where the swept quantity crosses the threshold, refined by bisection.
 
     Samples within ``CROSSING_ATOL`` of the threshold count as sitting on it,
     so a quantity that is zero up to rounding noise yields no crossings.
-    Every flagged interval is halved in step, one ``evaluate`` per step.
+    Every flagged interval is halved in step, down to BISECT_TOL or adjacent
+    doubles.  One ``evaluate`` gives the next steps' values: it takes every
+    open interval's tree of the midpoints its next halvings can reach, with
+    the levels the intervals need split evenly over the fewest calls of at
+    most ``_TREE_POINTS`` points.  Each step then reads its midpoint's value
+    from its tree, so the crossings are those of one ``evaluate`` per step.
     """
     if not math.isfinite(threshold):
         raise InvalidInputError("threshold must be finite")
@@ -130,21 +175,29 @@ def find_crossings(result: SweepResult, threshold: float) -> list[float]:
     flagged = np.flatnonzero(off[:-1] & off[1:] & (neg[:-1] != neg[1:]))
     if not flagged.size:
         return []
-    # lo moves only to midpoints on its own side, so its side never changes.
-    lo, hi, below = r[flagged], r[flagged + 1], neg[flagged]
-    while True:
-        # Halving a normal double is exact, so this has the bits of
-        # 0.5 * (lo + hi) wherever that sum is finite, and never overflows.
-        mid = 0.5 * lo + 0.5 * hi
-        # Past r ~ 5e9 the ends become adjacent doubles before BISECT_TOL.
-        (i,) = np.nonzero((hi - lo > BISECT_TOL) & (lo < mid) & (mid < hi))
-        if not i.size:
-            return mid.tolist()
-        values = evaluate(result.template, result.quantity, mid[i])
-        # A value on the threshold closes its interval on the midpoint.
-        same, hit = below[i] == (values < threshold), values == threshold
-        lo[i] = np.where(same | hit, mid[i], lo[i])
-        hi[i] = np.where(same & ~hit, hi[i], mid[i])
+    ends = list(zip(r[flagged].tolist(), r[flagged + 1].tolist()))
+    below = neg[flagged].tolist()
+    # An interval that closes stays closed: each round's trees are of the open ones.
+    open_ = [k for k, (lo, hi) in enumerate(ends) if _is_open(lo, hi)]
+    while open_:
+        levels = _tree_levels(len(open_), max(ends[k][1] - ends[k][0] for k in open_))
+        points = _midpoint_tree(np.array([ends[k] for k in open_]), levels)
+        trees = evaluate(result.template, result.quantity, points.ravel()).reshape(points.shape)
+        for k, tree in zip(open_, trees.tolist()):
+            (lo, hi), node = ends[k], 0
+            for _ in range(levels):
+                mid, value = 0.5 * lo + 0.5 * hi, tree[node]
+                if value == threshold:  # a value on the threshold closes on the midpoint
+                    lo = hi = mid
+                elif below[k] == (value < threshold):  # lo keeps its side of the threshold
+                    lo, node = mid, 2 * node + 2
+                else:
+                    hi, node = mid, 2 * node + 1
+                if not _is_open(lo, hi):
+                    break
+            ends[k] = lo, hi
+        open_ = [k for k in open_ if _is_open(*ends[k])]
+    return [0.5 * lo + 0.5 * hi for lo, hi in ends]
 
 
 def squeezing_window(

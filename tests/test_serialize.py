@@ -9,6 +9,7 @@ emitter's text of each value, must equal ``'%.17g' % v`` on every double.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -385,6 +386,19 @@ def assert_texts_exact(values):
         assert not bad, bad[:5]  # (expected, got)
 
 
+def record_exact_path(monkeypatch):
+    """Every value sent to _exact_texts from here on."""
+    sent = []
+    exact_texts = serialize._exact_texts
+
+    def recording(values):
+        sent.extend(values.tolist())
+        return exact_texts(values)
+
+    monkeypatch.setattr(serialize, "_exact_texts", recording)
+    return sent
+
+
 def with_negatives(values):
     values = np.asarray(values, dtype=float)
     return np.concatenate([values, -values])
@@ -465,6 +479,18 @@ class TestFloatTexts:
         values = [y for k in range(-300, 300) for y in neighbours(float(f"1e{k}"))]
         assert_texts_exact(with_negatives(values))
 
+    def test_powers_of_ten_in_the_fast_range_and_six_ulps_either_side(self, monkeypatch):
+        # A significand of exactly 1e16 stays on the fast path where S >= 1e16:
+        # of the powers themselves, only doubles below their power reach CPython.
+        powers = [float(f"1e{k}") for k in range(-250, 250)]
+        below = {x for k, x in zip(range(-250, 250), powers) if Fraction(x) < Fraction(10) ** k}
+        sent = record_exact_path(monkeypatch)
+        float_texts(powers)
+        assert sent and set(sent) <= below
+        values = with_negatives([y for x in powers for y in neighbours(x, 6)])
+        assert values.size == 13_000
+        assert_texts_exact(values)
+
     def test_seventeen_digit_ties_and_near_ties(self):
         ties, close = seventeen_digit_ties(), near_ties()
         assert len(ties) > 300 and len(close) > 300
@@ -506,7 +532,7 @@ class TestFloatTexts:
             values += whole.astype(float).tolist()  # no fraction digits
             values += (whole + rng.random(200)).tolist()  # fraction digits, where x < 16
             values += [float(f"{digits[: x + 1]}.{digits[x + 1 :]}"), float(f"1{'0' * x}.5")]
-            values += neighbours(10.0**x, 3)  # 10^x itself takes the exact path
+            values += neighbours(10.0**x, 3)  # 10^x itself: a significand of exactly 1e16
         values += [y for x in (1e16, 1e17) for y in neighbours(x, 3)]
         assert {keep_table_key(v)[1] - 4 for v in values} >= set(range(1, 17))
         assert_texts_exact(with_negatives(values))
@@ -687,11 +713,18 @@ def test_default_grid_sends_almost_nothing_down_the_exact_path(capsys, monkeypat
     assert len(sent) <= 4  # of 2 x 40401 values
 
 
-# Values at the formatter's edges: 1.0 and 0.01 (17-digit significand exactly
-# 1e16), infinities, NaN and a subnormal take CPython's text; signed zeros
-# take the fast path's special case.
-EXACT_PATH = [1.0, 0.01, 0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]
+# Values at the formatter's edges: 99.99999999999999 (log10 rounds up to 2),
+# 1e-248 (the double lies below 10^-248, and its 17-digit significand at -248
+# is exactly 1e16), infinities, NaN and a subnormal take CPython's text;
+# signed zeros take the fast path's special case.
+EXACT_PATH = [99.99999999999999, 1e-248, 0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]
 FINITE_EXACT_PATH = [v for v in EXACT_PATH if math.isfinite(v)]
+
+
+def test_exact_path_values_reach_cpython(monkeypatch):
+    sent = record_exact_path(monkeypatch)
+    assert float_texts(EXACT_PATH) == [reference_fmt(v) for v in EXACT_PATH]
+    assert len(sent) == len(EXACT_PATH) - 2  # all but the zeros
 
 
 @pytest.mark.parametrize(

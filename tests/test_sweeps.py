@@ -78,6 +78,19 @@ def template(n, family, theta=0.0):
     return SweepTemplate(theta_p=theta, n_heads=n, family=family)
 
 
+def record_evaluate(monkeypatch):
+    """The moduli of every sweeps.evaluate call from here on, each as an array."""
+    calls = []
+    original = sweeps.evaluate
+
+    def recording(tpl, quantity, r):
+        calls.append(np.array(r))
+        return original(tpl, quantity, r)
+
+    monkeypatch.setattr(sweeps, "evaluate", recording)
+    return calls
+
+
 class TestSweep:
     def test_mixture_mean_photon_is_one_at_unit_modulus(self):
         for n in range(1, 7):
@@ -236,20 +249,48 @@ class TestFindCrossings:
 
     def test_every_open_interval_is_halved_in_one_evaluate(self, monkeypatch):
         res = sweep(template(3, Family.COHERENT, 0.4), Quantity.MANDEL_Q, 0.0, 25.0)
-        shapes = []
-        original = sweeps.evaluate
-
-        def counting(tpl, quantity, r):
-            shapes.append(np.shape(r))
-            return original(tpl, quantity, r)
-
-        monkeypatch.setattr(sweeps, "evaluate", counting)
+        calls = record_evaluate(monkeypatch)
         got = find_crossings(res, 0.0)
         assert got == [5.2397158813476565, 17.151165466308598]
-        assert shapes == [(2,)] * 14
-        shapes.clear()
+        # The 14 halvings of a 0.01 step, in two calls: each holds both intervals'
+        # trees of 7 levels, 127 midpoints in heap order, the second inside the first's.
+        assert [r.shape for r in calls] == [(2 * 127,)] * 2
+        for k, crossing in enumerate(got):
+            width = 0.01  # of the interval each tree halves
+            for r in calls:
+                tree = r.reshape(2, 127)[k]
+                parents = np.arange(63)
+                assert (tree[2 * parents + 1] < tree[parents]).all()
+                assert (tree[parents] < tree[2 * parents + 2]).all()
+                assert abs(tree[0] - crossing) < width / 2 and np.ptp(tree) < width
+                width /= 2**7
+        calls.clear()
         assert reference_find_crossings(res, 0.0) == got
-        assert shapes == [()] * 28
+        assert [r.shape for r in calls] == [()] * 28
+
+    def test_many_intervals_split_their_halvings_over_smaller_trees(self, monkeypatch):
+        # The four-head cat's Mandel Q crosses zero near r = (k pi)^2: 8 intervals of
+        # 0.5 need 19 halvings, but 8 trees of 7 levels would pass _TREE_POINTS.
+        res = sweep(template(4, Family.COHERENT), Quantity.MANDEL_Q, 0.0, 900.0, 0.5)
+        calls = record_evaluate(monkeypatch)
+        got = find_crossings(res, 0.0)
+        sizes = [r.size for r in calls]
+        assert [round(r / math.pi**2) for r in got] == [k * k for k in range(1, 9)]
+        assert sizes[:2] == [8 * 31] * 2 and max(sizes) <= sweeps._TREE_POINTS
+        assert len(sizes) == 4
+        assert reference_find_crossings(res, 0.0) == got
+
+    def test_more_intervals_than_tree_points_take_one_level_a_call(self, monkeypatch):
+        # Samples of alternating sign flag every interval; each step reads the
+        # quantity itself, r^2 for one head, so each interval closes on an end.
+        n = sweeps._TREE_POINTS + 44
+        r = np.arange(n + 1.0)
+        res = sweeps.SweepResult(Quantity.MEAN_PHOTON, template(1, Family.COHERENT),
+                                 np.column_stack((r, (-1.0) ** r)))
+        calls = record_evaluate(monkeypatch)
+        got = find_crossings(res, 0.0)
+        assert [r.size for r in calls] == [n] * 20  # 1 / 2^20 < BISECT_TOL
+        assert got == reference_find_crossings(res, 0.0)
 
     def test_an_uncrossed_threshold_evaluates_nothing(self, monkeypatch):
         # <n> = r^2 for one head, below 4 over the whole sweep.

@@ -29,8 +29,11 @@ codes 1, 2 and 3; one whose ``--out`` cannot be opened;
 and, far past mu = 350, the two-head cat's default ``wigner`` grid at r = 9e5
 and its ``validate`` at r = 1600.  A ``mean-photon`` sweep up to r = 1e8, in
 both formats, prints fixed-notation texts with every integer digit count from
-1 to 16.  Long sweeps (``--r-max 25`` at the default step, past the Mandel Q
-crossings and the squeezing edges, and a 20,001-sample ``--r-max 200``), ``fock --max-m
+1 to 16.  A four-head cat Mandel Q sweep to r = 900 has 8 crossings, too many
+for one ``evaluate`` of their bisection trees.  Long sweeps (``--r-max 25`` at
+the default step, past the Mandel Q crossings and the squeezing edges, and
+the two-head cat's parity in CSV, exactly 1 at all 2501 samples, and a
+20,001-sample ``--r-max 200``), ``fock --max-m
 130`` (17,161 elements; ``--max-m`` 0 and 127 give one element and exactly
 one block), the default 201 x 201 ``wigner`` grid (three
 formatter blocks), a 17000 x 2 one (one row over two blocks) and a 2 x 17000
@@ -110,6 +113,13 @@ def cases():
     for fmt in ("json", "csv"):
         yield ("sweep", "--heads", "3", "--family", "coherent", "--quantity", "mandel-q",
                "--r-max", "200", "--format", fmt)
+    # The four-head cat's Mandel Q crosses zero near r = (k pi)^2: 8 intervals whose
+    # bisection trees take more than one evaluate's points, the last three closing
+    # on an exact zero.  Then the two-head cat's parity, exactly 1 at all 2501 samples.
+    yield ("sweep", "--heads", "4", "--family", "coherent", "--quantity", "mandel-q",
+           "--r-max", "900", "--step", "0.5")
+    yield ("sweep", "--heads", "2", "--family", "coherent", "--quantity", "parity",
+           "--r-max", "25", "--format", "csv")
     # About 1000 samples in uneven steps up to r = 1e8: fixed-notation texts with every
     # integer digit count from 1 to 16, r's 1..8 and r^2's 5..16, most with fraction digits.
     for fmt in ("json", "csv"):
