@@ -125,9 +125,7 @@ def _deviance(k: float, mu: float) -> float:
 
 
 def _pmf(k: int, mu: float) -> float:
-    """P(X = k) for X ~ Poisson(mu > 0), in Loader's saddle-point form."""
-    if k == 0:
-        return math.exp(-mu)
+    """P(X = k) at k >= 1 for X ~ Poisson(mu > 0), in Loader's saddle-point form."""
     return math.exp(-_stirling_error(k) - _deviance(k, mu)) / math.sqrt(2.0 * math.pi * k)
 
 

@@ -90,24 +90,15 @@ def cmd_roots(args) -> int:
 
 def cmd_stats(args) -> int:
     spec = _spec_from_args(args)
-    # The cat's head sums, formed once and read by every statistic.
+    # The cat's head sums, formed once and read by the moments and by every
+    # statistic of the sweep formula table, in the table's order.
     r = spec.alpha.r
     sums = closed_form._state_sums(spec, r)
-    table = closed_form._moment_table(spec, sums)
-    mq = float(closed_form._mandel_q(spec, r, sums))  # NaN exactly where it is undefined
-    var_x1, var_x2 = closed_form._quadrature_variances(spec, r, sums)
-    _emit_json(
-        {
-            "spec": spec,
-            "moments": table,
-            "mean_photon": float(closed_form._mean_photon(spec, r, sums)),
-            "mandel_q": None if math.isnan(mq) else mq,
-            "var_x1": float(var_x1),
-            "var_x2": float(var_x2),
-            "parity": float(closed_form._parity(spec, r, sums)),
-        },
-        args.out,
-    )
+    payload = {"spec": spec, "moments": closed_form._moment_table(spec, sums)}
+    for quantity, formula in sweeps._FORMULAS.items():
+        value = float(formula(spec, r, sums))  # NaN exactly where undefined: Mandel Q at <n> = 0
+        payload[quantity.value.replace("-", "_")] = None if math.isnan(value) else value
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 

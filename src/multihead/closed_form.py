@@ -132,9 +132,10 @@ def _moment(spec: StateSpec, r, h: int, l: int, sums) -> np.ndarray:
 
 
 def moment(spec: StateSpec, h: int, l: int) -> complex:
-    """Moment <a^dag^h a^l> of either family."""
-    if h < 0 or l < 0:
-        raise InvalidInputError("moment orders must be nonnegative")
+    """Moment <a^dag^h a^l> of either family, at integer orders h, l >= 0."""
+    for order in (h, l):
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
+            raise InvalidInputError(f"moment orders must be nonnegative integers, got {order!r}")
     return complex(_moment(spec, spec.alpha.r, h, l, _state_sums(spec, spec.alpha.r)))
 
 

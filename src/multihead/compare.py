@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_form, fockspace
-from .errors import CutoffInsufficientError, InvalidInputError
+from .errors import CapacityError, CutoffInsufficientError, InvalidInputError
 from .states import StateSpec
 
 TOL_DEFAULT = 1e-8
@@ -93,13 +93,28 @@ def _moment_error(spec: StateSpec, state, h: int, l: int, sums) -> float:
 
 def _annihilation_power(state, power: int) -> np.ndarray:
     """a^power applied to a pure state, unnormalized: level k holds the offset
-    product sqrt((k+power)!/k!) c_(k+power), and the top power levels hold 0."""
+    product sqrt((k+power)!/k!) c_(k+power), and the top power levels hold 0.
+
+    Where that factor overflows a double, a is applied one power at a time.  An
+    amplitude c_(k+power) below the normal doubles where c_k is above rounding
+    raises CapacityError: the image cannot be formed to rounding there.
+    """
     if power >= state.cutoff:
         raise CutoffInsufficientError("cutoff smaller than the operator power")
     fockspace._check_top_occupation(fockspace._populations(state), power)
-    k = np.arange(state.cutoff - power)
-    image = np.zeros_like(state.amplitudes)
-    image[k] = fockspace._lowering_factors(k, power) * state.amplitudes[k + power]
+    c, k = state.amplitudes, np.arange(state.cutoff - power)
+    image = np.zeros_like(c)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN where a factor overflows
+        image[k] = fockspace._lowering_factors(k, power) * c[power:]
+    far = ~np.isfinite(image)
+    if far.any():
+        tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+        if np.any((np.abs(c[power:]) < tiny) & (np.abs(c[:-power]) > eps)):
+            raise CapacityError(f"amplitudes at levels >= {power} underflow a double")
+        lowered = c
+        for _ in range(power):  # a|m> = sqrt(m)|m-1>
+            lowered = np.sqrt(np.arange(1.0, lowered.size)) * lowered[1:]
+        image[far] = lowered[far[k]]
     return image
 
 

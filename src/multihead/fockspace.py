@@ -75,17 +75,14 @@ def build_coherent(gamma: complex, cutoff: int, eps: float = EPS_DEFAULT) -> Foc
     """Coherent state amplitudes c_m = exp(-|gamma|^2/2) gamma^m / sqrt(m!).
 
     Each amplitude is exponentiated from its logarithm, so exp(-|gamma|^2/2)
-    never underflows on its own at large |gamma|.  The tail bound is the
+    never underflows on its own at large |gamma|; x ln y's 0 ln 0 = 0 makes
+    gamma = 0 exactly the vacuum.  The tail bound is the
     Poisson mass at m >= cutoff, which 1 - ||c||^2 cannot resolve below
     rounding; a cutoff below max(|gamma|^2, 1) is at most a Poisson median: bound 1.
     """
-    m = np.arange(cutoff)
-    if gamma == 0:
-        c = (m == 0).astype(complex)
-    else:
-        x = abs(gamma)
-        log_c = m * math.log(x) - x * x / 2.0 - 0.5 * log_factorial(m)
-        c = np.exp(log_c + 1j * m * cmath.phase(gamma))
+    m, x = np.arange(cutoff), abs(gamma)
+    log_c = xlogy(m, x) - x * x / 2.0 - 0.5 * log_factorial(m)
+    c = np.exp(log_c + 1j * m * cmath.phase(gamma))
     mean = abs(gamma) ** 2
     tail = poisson_tails(cutoff, 1, mean)[0] if cutoff >= max(mean, 1) else 1.0
     if not tail < eps:

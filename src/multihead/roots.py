@@ -61,7 +61,7 @@ class PolarAmplitude:
 
 def check_head_count(n_heads) -> None:
     """Refuse a head count that is not an integer in 1..HEADS_MAX, before any allocation."""
-    if not isinstance(n_heads, int) or n_heads < 1:
+    if isinstance(n_heads, bool) or not isinstance(n_heads, int) or n_heads < 1:
         raise InvalidInputError(f"head count must be a positive integer, got {n_heads!r}")
     if n_heads > HEADS_MAX:
         raise CapacityError(f"head count {n_heads} exceeds {HEADS_MAX}")

@@ -23,7 +23,7 @@ BISECT_TOL = 1e-6
 SAMPLES_MAX = 4_000_000
 # Samples this close to a threshold count as sitting on it.
 CROSSING_ATOL = 1e-12
-# Points at most in one evaluate of midpoint trees, unless the open intervals
+# Midpoints at most in one evaluate of halving rows, unless the open intervals
 # alone outnumber them.
 _TREE_POINTS = 256
 
@@ -115,28 +115,26 @@ def sweep(
     return SweepResult(quantity=quantity, template=template, samples=samples)
 
 
-def _midpoint_tree(ends: np.ndarray, levels: int) -> np.ndarray:
-    """Every midpoint of the next ``levels`` halvings of each (lo, hi) row of ends, breadth first.
+def _halving_rows(ends: np.ndarray, levels: int) -> np.ndarray:
+    """Each (lo, hi) row of ends with every midpoint of its next ``levels`` halvings, in order.
 
-    Row k holds interval k's tree in heap order: node j's halves have nodes
-    2j + 1 (its lower half) and 2j + 2.  Each node is 0.5*a + 0.5*b of its
-    parent's ends a < b, the double that halving those ends in step forms.
+    Row k holds 2**levels + 1 points from lo to hi.  Each point a level adds
+    is 0.5*a + 0.5*b of its neighbours a < b, the double that halving those
+    ends in step forms.
     """
-    tree = np.empty((len(ends), 2**levels - 1))
-    for level in range(levels):  # ends holds the ends of this level's intervals, in order
-        mid = tree[:, 2**level - 1 : 2 ** (level + 1) - 1]
-        np.add(0.5 * ends[:, :-1], 0.5 * ends[:, 1:], out=mid)
+    for _ in range(levels):
         halves = np.empty((len(ends), 2 * ends.shape[1] - 1))
-        halves[:, ::2], halves[:, 1::2] = ends, mid
+        halves[:, ::2] = ends
+        np.add(0.5 * ends[:, :-1], 0.5 * ends[:, 1:], out=halves[:, 1::2])
         ends = halves
-    return tree
+    return ends
 
 
 def _tree_levels(intervals: int, width: float) -> int:
-    """Levels of the next midpoint trees of ``intervals`` open intervals at most ``width`` wide.
+    """Levels of the next halving rows of ``intervals`` open intervals at most ``width`` wide.
 
-    The halvings to BISECT_TOL, split evenly over the fewest trees that fit
-    _TREE_POINTS points; one level where the intervals alone do not fit.
+    The halvings to BISECT_TOL, split evenly over the fewest calls that fit
+    _TREE_POINTS midpoints; one level where the intervals alone do not fit.
     """
     most = max(1, int(math.log2(_TREE_POINTS / intervals + 1)))
     needed = max(1, math.ceil(math.log2(width) - math.log2(BISECT_TOL)))
@@ -159,10 +157,11 @@ def find_crossings(result: SweepResult, threshold: float) -> list[float]:
     so a quantity that is zero up to rounding noise yields no crossings.
     Every flagged interval is halved in step, down to BISECT_TOL or adjacent
     doubles.  One ``evaluate`` gives the next steps' values: it takes every
-    open interval's tree of the midpoints its next halvings can reach, with
-    the levels the intervals need split evenly over the fewest calls of at
-    most ``_TREE_POINTS`` points.  Each step then reads its midpoint's value
-    from its tree, so the crossings are those of one ``evaluate`` per step.
+    open interval's sorted row of the midpoints its next halvings can reach,
+    with the levels the intervals need split evenly over the fewest calls of
+    at most ``_TREE_POINTS`` points.  Each step then binary-searches the row
+    and reads the value of the midpoint it moves to, so the crossings are
+    those of one ``evaluate`` per step.
     """
     if not math.isfinite(threshold):
         raise InvalidInputError("threshold must be finite")
@@ -177,25 +176,24 @@ def find_crossings(result: SweepResult, threshold: float) -> list[float]:
         return []
     ends = list(zip(r[flagged].tolist(), r[flagged + 1].tolist()))
     below = neg[flagged].tolist()
-    # An interval that closes stays closed: each round's trees are of the open ones.
+    # An interval that closes stays closed: each round's rows are of the open ones.
     open_ = [k for k, (lo, hi) in enumerate(ends) if _is_open(lo, hi)]
     while open_:
         levels = _tree_levels(len(open_), max(ends[k][1] - ends[k][0] for k in open_))
-        points = _midpoint_tree(np.array([ends[k] for k in open_]), levels)
-        trees = evaluate(result.template, result.quantity, points.ravel()).reshape(points.shape)
-        for k, tree in zip(open_, trees.tolist()):
-            (lo, hi), node = ends[k], 0
-            for _ in range(levels):
-                mid, value = 0.5 * lo + 0.5 * hi, tree[node]
+        rows = _halving_rows(np.array([ends[k] for k in open_]), levels)
+        inner = evaluate(result.template, result.quantity, rows[:, 1:-1].ravel())
+        for k, row, values in zip(open_, rows.tolist(), inner.reshape(len(rows), -1).tolist()):
+            lo, hi = 0, len(row) - 1  # indices into the row; values[i - 1] is row[i]'s value
+            while hi - lo > 1 and _is_open(row[lo], row[hi]):
+                mid = (lo + hi) // 2
+                value = values[mid - 1]
                 if value == threshold:  # a value on the threshold closes on the midpoint
                     lo = hi = mid
                 elif below[k] == (value < threshold):  # lo keeps its side of the threshold
-                    lo, node = mid, 2 * node + 2
+                    lo = mid
                 else:
-                    hi, node = mid, 2 * node + 1
-                if not _is_open(lo, hi):
-                    break
-            ends[k] = lo, hi
+                    hi = mid
+            ends[k] = row[lo], row[hi]
         open_ = [k for k in open_ if _is_open(*ends[k])]
     return [0.5 * lo + 0.5 * hi for lo, hi in ends]
 

@@ -77,6 +77,21 @@ class TestStats:
         _, out2 = run(capsys, "stats", "--alpha", "2@0.7", "--heads", "4", "--family", "coherent")
         assert out1 == out2
 
+    @pytest.mark.parametrize("r", [0.0, 0.05, 3.0])
+    @pytest.mark.parametrize("family", list(multihead.Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", [1, 2, 3, 12])
+    def test_statistics_are_the_sweep_values_at_the_modulus(self, capsys, n, family, r):
+        code, out = run(capsys, "stats", "--alpha", f"{r!r}@0.7", "--heads", str(n),
+                        "--family", family.value)
+        payload = json.loads(out)
+        template = multihead.SweepTemplate(0.7, n, family)
+        fields = [k for k in payload if k not in ("tool", "version", "spec", "moments")]
+        assert code == 0 and fields == [q.value.replace("-", "_") for q in multihead.Quantity]
+        for quantity in multihead.Quantity:
+            want = multihead.sweeps.evaluate(template, quantity, r)
+            got = payload[quantity.value.replace("-", "_")]
+            assert got == want or (got is None and math.isnan(want))
+
 
 class TestWigner:
     def test_mixture_grid_is_nonnegative(self, capsys):
@@ -251,6 +266,21 @@ class TestValidateCommand:
         code, out = run(capsys, "validate", "--alpha", "30", "--heads", "1", "--family", "incoherent")
         assert code == 0
         assert "MISMATCH" not in out
+
+    @pytest.mark.parametrize("n", [170, 300])
+    def test_cats_whose_lowering_factors_overflow_pass(self, capsys, n):
+        # (k + N)!/k! passes the largest double from N = 170 at k = 0; warnings are errors here.
+        code, out = run(capsys, "validate", "--alpha", "1@0.7", "--heads", str(n), "--family",
+                        "coherent")
+        assert code == 0
+        assert "MISMATCH" not in out and "eigenstate_residual" in out
+
+    def test_a_cat_whose_level_n_amplitudes_underflow_is_refused(self, capsys):
+        # c_N ~ 1/sqrt(N!) is below the smallest normal double at N = 320.
+        code = main(["validate", "--alpha", "1@0.7", "--heads", "320", "--family", "coherent"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "underflow" in captured.err
 
 
 class TestFockCommand:

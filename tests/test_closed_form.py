@@ -34,6 +34,7 @@ from multihead.closed_form import (
     _require_real,
     _state_sums,
 )
+from multihead.errors import InvalidInputError
 from multihead.fockspace import oracle_wigner_grid
 from multihead.roots import nth_roots, root_modulus
 from multihead.sweeps import Quantity, SweepTemplate, evaluate
@@ -98,6 +99,20 @@ class TestCoherentMoments:
         a = ALPHA.to_complex()
         want = a.conjugate() ** 2 * a
         assert moment(spec(1, Family.COHERENT), 2, 1) == pytest.approx(want, rel=1e-13)
+
+
+class TestMomentOrders:
+    @pytest.mark.parametrize("h,l", [(-1, 0), (0, -2), (1.5, 1.5), (1.5, 0), (math.nan, 0),
+                                     (0, 2.0), (True, 0), (1, False), ("1", 1), (None, 0)])
+    def test_not_a_nonnegative_integer_is_invalid(self, h, l):
+        with pytest.raises(InvalidInputError):
+            moment(spec(3, Family.COHERENT), h, l)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_numpy_integer_orders_are_the_python_ones(self, family):
+        s = spec(2, family)
+        for h, l in ((0, 0), (1, 1), (2, 0), (3, 1)):
+            assert moment(s, np.int64(h), np.uint8(l)) == moment(s, h, l)
 
 
 class TestMomentTable:

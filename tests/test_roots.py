@@ -146,7 +146,7 @@ class TestRootSum:
 class TestHeadCount:
     """One check, shared by StateSpec and nth_roots, runs before anything is allocated."""
 
-    @pytest.mark.parametrize("n", [0, -1, 2.0, "3", None])
+    @pytest.mark.parametrize("n", [0, -1, 2.0, "3", None, True, False])
     def test_not_a_positive_integer_is_invalid(self, n):
         with pytest.raises(InvalidInputError):
             check_head_count(n)

@@ -91,6 +91,16 @@ def record_evaluate(monkeypatch):
     return calls
 
 
+def assert_halving_row(row):
+    """row's 2**L + 1 points are its ends' L halvings: each point a level adds is
+    0.5*a + 0.5*b of its neighbours a < b at that level."""
+    span = len(row) - 1
+    while span > 1:
+        half = span // 2
+        assert (row[half::span] == 0.5 * row[:-half:span] + 0.5 * row[span::span]).all()
+        span = half
+
+
 class TestSweep:
     def test_mixture_mean_photon_is_one_at_unit_modulus(self):
         for n in range(1, 7):
@@ -253,17 +263,19 @@ class TestFindCrossings:
         got = find_crossings(res, 0.0)
         assert got == [5.2397158813476565, 17.151165466308598]
         # The 14 halvings of a 0.01 step, in two calls: each holds both intervals'
-        # trees of 7 levels, 127 midpoints in heap order, the second inside the first's.
+        # sorted interior halving points of 7 levels, 127 midpoints, the second
+        # row inside the last halving of the first.
         assert [r.shape for r in calls] == [(2 * 127,)] * 2
+        r = res.samples[:, 0]
         for k, crossing in enumerate(got):
-            width = 0.01  # of the interval each tree halves
-            for r in calls:
-                tree = r.reshape(2, 127)[k]
-                parents = np.arange(63)
-                assert (tree[2 * parents + 1] < tree[parents]).all()
-                assert (tree[parents] < tree[2 * parents + 2]).all()
-                assert abs(tree[0] - crossing) < width / 2 and np.ptp(tree) < width
-                width /= 2**7
+            i = np.searchsorted(r, crossing)
+            ends = r[i - 1], r[i]  # the sample interval the first row halves
+            for call in calls:
+                row = np.concatenate(([ends[0]], call.reshape(2, 127)[k], [ends[1]]))
+                assert (np.diff(row) > 0).all()
+                assert_halving_row(row)
+                j = np.searchsorted(row, crossing)
+                ends = row[j - 1], row[j]
         calls.clear()
         assert reference_find_crossings(res, 0.0) == got
         assert [r.shape for r in calls] == [()] * 28

@@ -27,7 +27,8 @@ at r = 1e100 and up, whose fringe phases outrun double precision; at
 r = 1e308, 2 mu passes the largest double); one argv for each of the exit
 codes 1, 2 and 3; one whose ``--out`` cannot be opened;
 and, far past mu = 350, the two-head cat's default ``wigner`` grid at r = 9e5
-and its ``validate`` at r = 1600.  A ``mean-photon`` sweep up to r = 1e8, in
+and its ``validate`` at r = 1600; and the ``validate`` of a 170-head cat, whose
+a^N factors pass the largest double.  A ``mean-photon`` sweep up to r = 1e8, in
 both formats, prints fixed-notation texts with every integer digit count from
 1 to 16.  A four-head cat Mandel Q sweep to r = 900 has 8 crossings, too many
 for one ``evaluate`` of their bisection trees.  Long sweeps (``--r-max 25`` at
@@ -153,6 +154,8 @@ def cases():
     # The two-head cat far past mu = 350: its default grid at mu = 9e5, and validate's at 1600.
     yield ("wigner", "--alpha", "9e5", "--heads", "2", "--family", "coherent")
     yield ("validate", "--alpha", "1600", "--heads", "2", "--family", "coherent")
+    # A 170-head cat: its lowering factors sqrt((k + 170)!/k!) pass the largest double.
+    yield ("validate", "--alpha", "1@0.7", "--heads", "170", "--family", "coherent")
 
 
 def edge_cases():
