@@ -7,13 +7,13 @@ double sum over head pairs reduces to N times one circulant head sum
 
     S_l(mu) = sum_j w^(l*j) exp(mu*(w^j - 1)),   w = exp(2*pi*i/N), mu = r^(2/N).
 
-Sums that are physically real are checked for an imaginary residue below
-``RESIDUE_TOL`` before the imaginary part is discarded; a larger residue
-raises InternalConsistencyError because it can only come from a formula bug.
-The Wigner function sums real parts of centred head-pair terms instead, in one
-pair loop that contracts them over a grid or point by point, and bounds each
-value's rounding error: a bound above ``RESIDUE_TOL`` raises CapacityError,
-since there the fringe phase outruns double precision.
+Its terms j and N - j are complex conjugates, so each S_l is formed as a real
+sum over the pairs, and no imaginary part is ever formed or discarded.  The
+Wigner function sums real parts of centred head-pair terms too, in one pair
+loop that contracts them over a grid or point by point, and bounds each
+value's rounding error: ``RESIDUE_TOL`` bounds only those values, and a bound
+above it raises CapacityError, since there the fringe phase outruns double
+precision.
 """
 
 from __future__ import annotations
@@ -46,53 +46,72 @@ _ULPS = 16.0
 _PAIR_POINTS = 1 << 20
 
 
-def _require_real(value, what: str):
-    imag = np.max(np.abs(np.imag(value)), initial=0.0)
-    # Written so that a NaN residue fails the test too; an empty value has none.
-    if not imag <= RESIDUE_TOL * max(1.0, float(np.max(np.abs(value), initial=0.0))):
-        raise InternalConsistencyError(f"{what}: imaginary residue {imag:.3e} exceeds tolerance")
-    return np.real(value)
+def _head_sums(mu, n_heads: int, rows, turn: float = 1.0) -> dict:
+    """Circulant head sums S_l = sum_j w^(l*j) overlap_j, as {l mod N: S_l} for each l of rows.
 
-
-def _log_overlaps(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
-    """Log head overlaps mu*(turn*w^j - 1) for j = 0..N-1 on a new last axis.
-
-    With ``turn = 1`` their exponentials are <g_k2|g_k1> for k1 - k2 = j;
-    ``turn = -1`` inserts the parity operator between the two heads.  Where
-    turn*w^j is 1 (j = 0, and j = N/2 under the parity) the exponent is set to
-    exactly 0: the rounded root would leave a phase of mu*1e-16, which a large
-    mu turns into an O(1) imaginary residue.
+    overlap_j = exp(mu*(turn*w^j - 1)) is <g_k2|g_k1> for k1 - k2 = j at
+    ``turn = 1``; ``turn = -1`` puts the parity operator between the heads.
+    Overlaps j and N - j are conjugates, so with c_j = 1 at j = 0 and j = N/2
+    and 2 otherwise, S_l = sum_{j <= N/2} c_j Re(overlap_j w^(l*j)): real, one
+    complex exp per pair and modulus, added in the order of j, elementwise, so
+    a modulus has the same sums alone or in an array.  Where turn*w^j is 1 the
+    term is exactly 1 and takes no exp: the rounded root's phase mu*1e-16
+    would grow with mu.  For l != 0 the weights c_j cos(2 pi l j/N) sum to 0;
+    the last is set so the rounded ones do too, in the order they are added,
+    so S_l is exactly 0 at mu = 0.
     """
-    omega = np.exp(2j * np.pi * np.arange(n_heads) / n_heads)
-    shift = np.where(turn * omega.real == 1.0, 0.0, turn * omega - 1.0)
-    # The real part mu (turn cos - 1) is <= 0, so where it overflows it is
-    # -inf, and its exponential is exactly 0; the imaginary part is at most mu.
+    n = n_heads
+    rows = sorted({l % n for l in rows})
+    j = np.arange(n // 2 + 1)
+    shift = turn * np.exp(2j * np.pi * j / n) - 1.0
+    one = (shift.real == 0.0).tolist()
+    # c_j w^(l*j), j on the first axis and l on the second: cos x = sin(pi/2 + x),
+    # and each vanishing sine or cosine is exactly 0.
+    c = np.full((j.size, 1), 2.0)
+    c[0] = 1.0
+    if n % 2 == 0:
+        c[-1] = 1.0  # j = N/2
+    if rows == [0]:  # w^0 = 1
+        cos, sin = c, np.zeros_like(c)
+    else:
+        lj = 4 * np.multiply.outer(j, rows)
+        cos, sin = c * _sin_pi(np.array([lj + n, lj]), 2 * n)
+        first = int(rows[0] == 0)  # the rows l != 0
+        cos[-1, first:] = -np.cumsum(cos[:-1, first:], axis=0)[-1]
+    axes = (1,) * np.ndim(mu)
+    cos, sin = cos.reshape(cos.shape + axes), sin.reshape(sin.shape + axes)
+    sums = np.zeros((len(rows),) + np.shape(mu))
+    # The real part mu (turn cos - 1) of an exponent is <= 0, so where it
+    # overflows it is -inf, and its exponential is exactly 0; the imaginary
+    # part is at most mu.
     with np.errstate(over="ignore"):
-        return np.multiply.outer(mu, shift)
+        for k in range(j.size):
+            if one[k]:  # turn*w^j = 1
+                sums += cos[k]
+            else:
+                overlap = np.exp(mu * shift[k])
+                sums += cos[k] * overlap.real - sin[k] * overlap.imag
+    return dict(zip(rows, sums))
 
 
-def _head_sums(mu, n_heads: int, turn: float = 1.0) -> np.ndarray:
-    """Circulant head sums S_l = sum_j w^(l*j) overlap_j for l = 0..N-1 on the last axis.
-
-    This is N times the inverse DFT of the overlaps; ``mu`` broadcasts.  Terms
-    j and N - j are complex conjugates, so every S_l is real; the imaginary
-    residue is checked here, where it arises.  A state's sums at turn 1 come
-    from ``_state_sums``; the parity forms its own at turn -1.
-    """
-    sums = n_heads * np.fft.ifft(np.exp(_log_overlaps(mu, n_heads, turn)), axis=-1)
-    return _require_real(sums, "head sum")
+# The head-sum rows l mod N that the statistics read: <a^dag^h a^l> reads S_l
+# for l <= 2.
+_STAT_ROWS = (0, 1, 2)
 
 
-def _state_sums(spec: StateSpec, r):
-    """The coherent family's head sums S_l at the modulus or moduli r; None for the mixture.
+def _state_sums(spec: StateSpec, r, rows=_STAT_ROWS):
+    """The coherent family's head sums {l mod N: S_l} at the modulus or moduli r, for l in rows;
+    None for the mixture.
 
     The one place a cat's sums are formed: each public function, command and
     sweep step forms them once per state and passes them to every formula
-    it reads, as the required ``sums`` argument.
+    it reads, as the required ``sums`` argument.  Both families refuse a head
+    occupation that overflows here, before any formula runs.
     """
+    mu = head_occupation(r, spec.n_heads)
     if not spec.is_coherent:
         return None
-    return _head_sums(head_occupation(r, spec.n_heads), spec.n_heads)
+    return _head_sums(mu, spec.n_heads, rows)
 
 
 def _normalization(n_heads: int, sums: np.ndarray) -> float:
@@ -108,24 +127,30 @@ def normalization(alpha: PolarAmplitude, n_heads: int) -> float:
     Equals 1 for a single head and 2 + 2*exp(-2r) for two heads.
     """
     spec = StateSpec(alpha, n_heads, Family.COHERENT)
-    return _normalization(n_heads, _state_sums(spec, alpha.r))
+    return _normalization(n_heads, _state_sums(spec, alpha.r, (0,)))
 
 
 def _moment(spec: StateSpec, r, h: int, l: int, sums) -> np.ndarray:
     """<a^dag^h a^l> at the moduli r, with angle, head count and family from spec.
 
     The head sums leave r^((h+l)/N) e^(i(l-h)theta/N), nonzero only when N
-    divides l - h, times S_l/S_0 (of ``sums``) for the coherent family.  A
-    moment that overflows a double raises CapacityError.
+    divides l - h, times S_l/S_0 (of ``sums``) for the coherent family.  At
+    h = l the phase is 1 and the moment is formed in real arithmetic, times
+    1/S_0 as numpy's complex division forms it, so it has the complex form's
+    bits.  A moment that overflows a double raises CapacityError.
     """
     n = spec.n_heads
     r = np.asarray(r, dtype=float)
     if (l - h) % n != 0:
         return np.zeros(r.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = r ** ((h + l) / n) * cmath.exp(1j * (l - h) * spec.alpha.theta_p / n)
-        if spec.is_coherent:
-            value = value * sums[..., l % n] / sums[..., 0]
+        value = r ** ((h + l) / n)
+        if h != l:
+            value = value * cmath.exp(1j * (l - h) * spec.alpha.theta_p / n)
+            if spec.is_coherent:
+                value = value * sums[l % n] / sums[0]
+        elif spec.is_coherent:
+            value = value * sums[l % n] * (1.0 / sums[0])
     if not np.all(np.isfinite(value)):
         raise CapacityError(f"moment <a^dag^{h} a^{l}> overflows at r = {np.max(r):.4g}")
     return value
@@ -136,7 +161,8 @@ def moment(spec: StateSpec, h: int, l: int) -> complex:
     for order in (h, l):
         if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
             raise InvalidInputError(f"moment orders must be nonnegative integers, got {order!r}")
-    return complex(_moment(spec, spec.alpha.r, h, l, _state_sums(spec, spec.alpha.r)))
+    r = spec.alpha.r
+    return complex(_moment(spec, r, h, l, _state_sums(spec, r, (0, l))))
 
 
 # The (h, l) orders of the MomentTable fields, in field order.
@@ -204,13 +230,18 @@ def _quadrature_variances(spec: StateSpec, r, sums) -> tuple[np.ndarray, np.ndar
 
 
 def _parity(spec: StateSpec, r, sums) -> np.ndarray:
-    """<(-1)^n>: exp(-2 mu) for the mixture, sum_j e^(-mu(1 + w^j)) / S_0 for the cat."""
+    """<(-1)^n>: the turn -1 head sum S_0, sum_j e^(-mu(1 + w^j)), over the state's S_0.
+
+    Each head of the mixture is a coherent state, whose parity exp(-2 mu) is
+    that sum's j = 0 term: it is taken from the same complex exp, so a one-head
+    mixture and a one-head cat have the same parity.
+    """
     n = spec.n_heads
     mu = head_occupation(r, n)
     if not spec.is_coherent:
         with np.errstate(over="ignore"):  # -2 mu overflows only to -inf, whose exp is 0
-            return np.exp(-2.0 * mu)
-    return _head_sums(mu, n, turn=-1.0)[..., 0] / sums[..., 0]
+            return np.exp(mu * (-2.0 + 0j)).real
+    return _head_sums(mu, n, (0,), turn=-1.0)[0] / sums[0]
 
 
 def mean_photon(spec: StateSpec) -> float:
@@ -240,7 +271,7 @@ def quadrature_variances(spec: StateSpec) -> QuadratureVariances:
 
 def parity(spec: StateSpec) -> float:
     """Photon-number parity <(-1)^n>, equal to pi/2 times the Wigner origin value."""
-    return float(_parity(spec, spec.alpha.r, _state_sums(spec, spec.alpha.r)))
+    return float(_parity(spec, spec.alpha.r, _state_sums(spec, spec.alpha.r, (0,))))
 
 
 def fock_element(spec: StateSpec, m, n):
@@ -258,7 +289,7 @@ def fock_element(spec: StateSpec, m, n):
         raise InvalidInputError("Fock indices must be nonnegative")
     if np.any(m % 1 != 0) or np.any(n % 1 != 0):  # NaN included
         raise InvalidInputError("Fock indices must be integers")
-    value = _fock_element(spec, m, n, _state_sums(spec, spec.alpha.r))
+    value = _fock_element(spec, m, n, _state_sums(spec, spec.alpha.r, (0,)))
     return complex(value) if value.ndim == 0 else value
 
 
@@ -412,7 +443,7 @@ def wigner_grid(spec: StateSpec, xs, ys) -> tuple:
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise InvalidInputError("phase-space points must be finite")
-    return _wigner_sum(spec, xs, ys, _state_sums(spec, spec.alpha.r))
+    return _wigner_sum(spec, xs, ys, _state_sums(spec, spec.alpha.r, (0,)))
 
 
 def _wigner_sum(spec: StateSpec, xs: np.ndarray, ys: np.ndarray, sums, subscripts="qy,qx->yx"):
@@ -447,6 +478,7 @@ def wigner(spec: StateSpec, beta):
     if not np.all(np.isfinite(beta)):
         raise InvalidInputError("phase-space points must be finite")
     values, _ = _wigner_sum(
-        spec, beta.real.ravel(), beta.imag.ravel(), _state_sums(spec, spec.alpha.r), "qp,qp->p")
+        spec, beta.real.ravel(), beta.imag.ravel(), _state_sums(spec, spec.alpha.r, (0,)),
+        "qp,qp->p")
     values = values.reshape(beta.shape)
     return float(values) if values.ndim == 0 else values

@@ -177,6 +177,23 @@ class TestSweepCommand:
         samples = dict((r, v) for r, v in payload["samples"])
         assert samples[1.0] == pytest.approx(math.exp(-2.0), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--heads", "1", "--quantity", "parity", "--r-max", "4", "--step", "0.05",
+             "--format", "csv"),
+            ("stats", "--alpha", "1e200", "--heads", "1"),
+        ],
+        ids=["parity-sweep", "overflowing-stats"],
+    )
+    def test_one_head_prints_the_same_bytes_for_both_families(self, capsys, argv):
+        # A one-head cat and a one-head mixture are the same coherent state.
+        outcomes = [
+            (main([*argv, "--family", family]), *capsys.readouterr())
+            for family in ("coherent", "incoherent")
+        ]
+        assert outcomes[0] == outcomes[1]
+
     def test_three_head_cat_never_squeezes(self, capsys):
         for quantity in ("var-x1", "var-x2"):
             _, out = run(

@@ -6,7 +6,6 @@ import pytest
 from multihead import (
     CapacityError,
     Family,
-    InternalConsistencyError,
     PolarAmplitude,
     StateSpec,
     UndefinedStatisticError,
@@ -23,15 +22,14 @@ from multihead import (
 )
 from multihead import closed_form
 from multihead.closed_form import (
+    RESIDUE_TOL,
     TWO_OVER_PI,
     _envelopes,
     _head_sums,
     _live_pairs,
-    _log_overlaps,
     _pair_factors,
     _pair_table,
     _pairs,
-    _require_real,
     _state_sums,
 )
 from multihead.errors import InvalidInputError
@@ -274,12 +272,13 @@ class TestParityAtLargeModulus:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12])
     def test_sum_is_unchanged_where_the_rounded_phase_passed(self, n):
-        # Up to mu = 1e5 the rounded phase was below RESIDUE_TOL; there the real
-        # sum must be the same to the last bit.
+        # Up to mu = 1e5 the rounded phase was below RESIDUE_TOL; there the pair
+        # sum must agree with the real part of the full sum to 4N eps.
         mu = np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-6, 1e5, 400)])
-        want = reference_parity_sums(mu, n)
+        want = reference_parity_sums(mu, n)[..., 0]
         assert np.max(np.abs(want.imag)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
-        assert np.array_equal(_head_sums(mu, n, turn=-1.0), want.real)
+        got = _head_sums(mu, n, (0,), turn=-1.0)[0]
+        assert np.max(np.abs(got - want.real)) <= 4 * n * np.finfo(float).eps
 
 
 class TestOverflow:
@@ -354,14 +353,16 @@ def reference_cat_wigner(s, beta):
     beta = np.asarray(beta, dtype=complex)
     n = s.n_heads
     heads = nth_roots(s.alpha, n)
-    log_overlaps = _log_overlaps(root_modulus(s.alpha, n) ** 2, n)
+    log_overlaps = root_modulus(s.alpha, n) ** 2 * (np.exp(2j * np.pi * np.arange(n) / n) - 1.0)
     total = np.zeros(beta.shape, dtype=complex)
     for k1, g1 in enumerate(heads):
         for k2, g2 in enumerate(heads):
             total += np.exp(
                 log_overlaps[(k1 - k2) % n] - 2.0 * (np.conj(g2) - np.conj(beta)) * (g1 - beta)
             )
-    return TWO_OVER_PI * _require_real(total, "Wigner value") / normalization(s.alpha, n)
+    size = np.max(np.abs(total), initial=1.0)
+    assert np.max(np.abs(total.imag), initial=0.0) <= RESIDUE_TOL * size
+    return TWO_OVER_PI * total.real / normalization(s.alpha, n)
 
 
 # mu = r^(2/N), on both sides of 350; None stands for r = 1e-3.
@@ -457,8 +458,3 @@ class TestEmptyInput:
         state = build_state(spec(3, family), cutoff=48)
         assert oracle_wigner_grid(state, np.empty(0, dtype=complex)).shape == (0,)
         assert oracle_wigner_grid(state, np.empty((0, 4), dtype=complex)).shape == (0, 4)
-
-    def test_a_nan_residue_still_fails(self):
-        with pytest.raises(InternalConsistencyError):
-            _require_real(np.array([1.0, complex(1.0, math.nan)]), "value")
-        assert _require_real(np.empty(0, dtype=complex), "value").shape == (0,)

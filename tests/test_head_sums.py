@@ -3,18 +3,23 @@
 ``reference_moment`` is the explicit N^2 head-pair double sum that the
 closed forms used before they were reduced to one circulant sum S_l; the
 tests pin the reduced form against it and against an mpmath evaluation of
-the same double sum at 40 digits.
+the same double sum at 40 digits.  ``closed_form._head_sums`` adds the sum's
+conjugate terms j and N - j as one real pair term; ``full_sums`` keeps all N
+complex terms, and the tests pin the pair sums against it and against 40-digit
+sums.
 """
 
 import math
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multihead import Family, PolarAmplitude, StateSpec, moment
-from multihead.roots import root_angles
+from multihead.closed_form import RESIDUE_TOL, _head_sums
+from multihead.roots import head_occupation, root_angles
 
 EPS = np.finfo(float).eps
 # Both the double sum and the circulant sum stayed within 11 eps of this scale.
@@ -43,26 +48,49 @@ def reference_moment(spec: StateSpec, h: int, l: int) -> complex:
     return complex(alpha.r ** ((h + l) / n_heads) * total / w.sum().real)
 
 
-def exact_moments(spec: StateSpec, orders) -> list:
-    """The double sum at 40 significant digits for each (h, l) in orders."""
+def _exact_pairs(spec: StateSpec) -> list:
+    """(g1, g2, <g2|g1>) for each head pair at 40 significant digits; the mixture's
+    diagonal pairs weigh 1."""
     mpmath.mp.dps = 40
     n = spec.n_heads
     r, theta = mpmath.mpf(spec.alpha.r), mpmath.mpf(spec.alpha.theta_p)
     rho = r ** (mpmath.mpf(1) / n)
     heads = [rho * mpmath.expj((2 * mpmath.pi * k + theta) / n) for k in range(n)]
-    if spec.is_coherent:
-        pairs = [
-            (g1, g2, mpmath.exp(-(abs(g1) ** 2 + abs(g2) ** 2) / 2 + mpmath.conj(g2) * g1))
-            for g1 in heads
-            for g2 in heads
-        ]
-    else:
-        pairs = [(g, g, mpmath.mpf(1)) for g in heads]
-    norm = sum(w for _, _, w in pairs)
+    if not spec.is_coherent:
+        return [(g, g, mpmath.mpf(1)) for g in heads]
     return [
-        complex(sum(w * mpmath.conj(g2) ** h * g1**l for g1, g2, w in pairs) / norm)
-        for h, l in orders
+        (g1, g2, mpmath.exp(-(abs(g1) ** 2 + abs(g2) ** 2) / 2 + mpmath.conj(g2) * g1))
+        for g1 in heads
+        for g2 in heads
     ]
+
+
+def exact_moments(spec: StateSpec, orders) -> list:
+    """The double sum at 40 significant digits for each (h, l) in orders, as mpmath values."""
+    pairs = _exact_pairs(spec)
+    norm = sum(w for _, _, w in pairs)
+    return [sum(w * mpmath.conj(g2) ** h * g1**l for g1, g2, w in pairs) / norm for h, l in orders]
+
+
+def exact_statistics(spec: StateSpec) -> dict:
+    """<n>, Mandel Q, both quadrature variances and the parity at 40 digits, as mpmath values.
+
+    Q and the variances are formed from the 40-digit moments, so a small
+    difference of large moments keeps its digits.
+    """
+    a, n_mean, a2, g2 = exact_moments(spec, [(0, 1), (1, 1), (0, 2), (2, 2)])
+    n_mean = n_mean.real
+    spread, cross = n_mean - abs(a) ** 2, (a2 - a**2).real
+    # The parity operator between two heads flips the sign of conj(g2) g1 in <g2|g1>.
+    pairs = _exact_pairs(spec)
+    parity = sum(w * mpmath.exp(-2 * mpmath.conj(g2) * g1) for g1, g2, w in pairs)
+    return {
+        "mean_photon": n_mean,
+        "mandel_q": g2.real / n_mean - n_mean if n_mean else None,
+        "var_x1": spread + cross + mpmath.mpf(1) / 2,
+        "var_x2": spread - cross + mpmath.mpf(1) / 2,
+        "parity": (parity / sum(w for _, _, w in pairs)).real,
+    }
 
 
 def _scale(spec: StateSpec, h: int, l: int) -> float:
@@ -96,3 +124,84 @@ def test_moments_match_high_precision_double_sum():
         for (h, l), want in zip(orders, exact_moments(spec, orders)):
             worst = max(worst, abs(moment(spec, h, l) - want) / (EPS * _scale(spec, h, l)))
     assert worst <= BOUND_EPS
+
+
+def test_exact_statistics_keep_a_small_mandel_q():
+    # Q = 2r / sinh 2r for the two-head cat: about 3.4e-16 at r = 20, where <n> = r tanh r
+    # rounds to 20 in a double and a Q formed from double moments reads 0.
+    r = mpmath.mpf(20)
+    stats = exact_statistics(StateSpec(PolarAmplitude(20.0, 0.3), 2, Family.COHERENT))
+    assert abs(stats["mandel_q"] / (2 * r / mpmath.sinh(2 * r)) - 1) < mpmath.mpf(10) ** -20
+    assert abs(stats["parity"] - 1) < mpmath.mpf(10) ** -30
+
+
+# Head counts for the pair-sum tests, and moduli from the vacuum past mu = 1e5.
+PAIR_HEADS = list(range(1, 13)) + [64]
+MU = np.array([0.0, 1e-300, 1e-12, 1e-6, 1e-3, 0.05, 0.5, 1.0, 2.5, 7.0, 30.0, 120.0, 1e3, 1e5])
+
+
+def full_sums(mu, n_heads: int, turn: float) -> np.ndarray:
+    """All N complex terms sum_j w^(l*j) exp(mu*(turn*w^j - 1)), l on the last axis.
+
+    The exponent is exactly 0 where turn*w^j = 1, as in the pair sums.
+    """
+    w = np.exp(2j * np.pi * np.arange(n_heads) / n_heads)
+    shift = np.where(turn * w.real == 1.0, 0.0, turn * w - 1.0)
+    overlaps = np.exp(np.multiply.outer(mu, shift))
+    k = np.arange(n_heads)
+    phases = np.exp(2j * np.pi * (np.multiply.outer(k, k) % n_heads) / n_heads)
+    return np.einsum("mj,lj->ml", overlaps, phases)
+
+
+def pair_sums(mu, n_heads: int, turn: float) -> np.ndarray:
+    """The pair sums S_0 .. S_(N-1) on the last axis."""
+    sums = _head_sums(mu, n_heads, range(n_heads), turn)
+    return np.stack([sums[l] for l in range(n_heads)], axis=-1)
+
+
+@pytest.mark.parametrize("n", PAIR_HEADS)
+def test_pair_sums_add_up_to_n(n):
+    # sum_l S_l = N overlap_0 = N.
+    assert np.max(np.abs(pair_sums(MU, n, 1.0).sum(axis=-1) - n)) <= 4 * n * EPS
+
+
+@pytest.mark.parametrize("turn", [1.0, -1.0])
+@pytest.mark.parametrize("n", PAIR_HEADS)
+def test_pair_sums_are_exact_at_the_vacuum(n, turn):
+    sums = pair_sums(0.0, n, turn)
+    assert sums.tolist() == [float(n)] + [0.0] * (n - 1)
+    assert not np.any(np.signbit(sums))  # no -0, which would print as "-0"
+
+
+@pytest.mark.parametrize("turn", [1.0, -1.0])
+@pytest.mark.parametrize("n", PAIR_HEADS)
+def test_pair_sums_are_the_real_full_sums(n, turn):
+    full = full_sums(MU, n, turn)
+    # The full sum's terms j and N - j are conjugates up to rounding.
+    assert np.max(np.abs(full.imag)) <= RESIDUE_TOL * max(1.0, np.max(np.abs(full)))
+    assert np.max(np.abs(pair_sums(MU, n, turn) - full.real)) <= 4 * n * EPS
+    # A modulus alone has its sums' bits in the array.
+    for k in (1, 6, 11):
+        assert pair_sums(MU[k], n, turn).tolist() == pair_sums(MU, n, turn)[k].tolist()
+
+
+def exact_sum(mu: float, n_heads: int, l: int, turn: int):
+    """S_l at the double mu to 40 significant digits, from all N terms."""
+    mpmath.mp.dps = 40
+    total = 0
+    for j in range(n_heads):
+        w = mpmath.expj(2 * mpmath.pi * j / n_heads)
+        total += mpmath.expj(2 * mpmath.pi * (l * j % n_heads) / n_heads) * mpmath.exp(
+            mpmath.mpf(mu) * (turn * w - 1))
+    return total.real
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 12])
+def test_pair_sums_match_high_precision_sums(n):
+    # The statistics' rows and the parity's sum, r from 1e-3 to 1e3.
+    for r in np.geomspace(1e-3, 1e3, 13).tolist():
+        mu = head_occupation(r, n)
+        sums = _head_sums(mu, n, (0, 1, 2))
+        for l, value in sums.items():
+            assert abs(value - exact_sum(mu, n, l, 1)) <= 4 * n * EPS
+        assert abs(_head_sums(mu, n, (0,), -1.0)[0] - exact_sum(mu, n, 0, -1)) <= 4 * n * EPS

@@ -2,11 +2,11 @@
 
 ``closed_form._state_sums`` forms a cat's head sums; each public function,
 command and sweep step forms them once per state and passes them to every
-formula that reads them, so ``validate`` and ``stats`` form two vectors (the
-parity adds its own at turn -1), ``wigner`` and ``fock`` one, and the mixture
-none.  Nothing is kept between calls, so every quantity returns the same
-bits in any call order.  A sweep's statistic forms the sums of its array of
-mu once.  The oracle keeps nothing either: a ``FockVector`` stays its four
+formula that reads them, so ``validate`` and ``stats`` form two sets of sums
+(the parity adds its own at turn -1), ``wigner`` and ``fock`` one, and the
+mixture none.  Nothing is kept between calls, so every quantity returns the
+same bits in any call order.  A sweep's statistic forms the sums of its array
+of mu once.  The oracle keeps nothing either: a ``FockVector`` stays its four
 fields however often it is read.
 """
 
@@ -108,15 +108,15 @@ def test_oracle_readers_keep_nothing_on_the_state(monkeypatch, spec):
 
 
 def formed_turns(monkeypatch) -> list:
-    """The turn of each head-sum vector formed from now on, in order."""
+    """The turn of each set of head sums formed from now on, in order."""
     turns = []
-    original = closed_form._log_overlaps
+    original = closed_form._head_sums
 
-    def counting(mu, n_heads, turn=1.0):
+    def counting(mu, n_heads, rows, turn=1.0):
         turns.append(turn)
-        return original(mu, n_heads, turn)
+        return original(mu, n_heads, rows, turn)
 
-    monkeypatch.setattr(closed_form, "_log_overlaps", counting)
+    monkeypatch.setattr(closed_form, "_head_sums", counting)
     return turns
 
 
@@ -154,10 +154,10 @@ def test_a_coherent_sweep_forms_its_head_sums_once(monkeypatch, quantity, heads)
     shapes = []
     original = closed_form._head_sums
 
-    def counting(mu, n_heads, turn=1.0):
+    def counting(mu, n_heads, rows, turn=1.0):
         if np.ndim(mu):
             shapes.append((np.shape(mu), turn))
-        return original(mu, n_heads, turn)
+        return original(mu, n_heads, rows, turn)
 
     monkeypatch.setattr(closed_form, "_head_sums", counting)
     sweep(SweepTemplate(0.7, heads, Family.COHERENT), Quantity(quantity), 0.0, 25.0)

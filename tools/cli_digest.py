@@ -10,7 +10,8 @@ Two source trees that print the same digests print the same bytes on every
 case.  ``--write PATH`` saves those lines as a manifest, headed by an
 environment stamp (Python, numpy and the CPU SIMD features numpy reports);
 ``--check PATH`` prints each case whose digest differs from the manifest's,
-with the stamp lines that differ, and exits 1 if any case does.  ``--dump DIR``
+with the stamp lines that differ and a tally of those cases per command, head
+count and family, and exits 1 if any case does.  ``--dump DIR``
 also writes each case to DIR/<index>.json (the index zero-padded): its argv
 and the exit code, stdout and stderr that its digest hashes, the two streams
 split into lines, so ``diff -r`` of two trees' dumps shows the lines that moved.
@@ -18,13 +19,15 @@ split into lines, so ``diff -r`` of two trees' dumps shows the lines that moved.
 The matrix covers ``roots``, ``stats``, ``fock`` and ``wigner`` in each of
 their formats on small grids, ``sweep`` for all five quantities and
 ``validate``, over N in {1, 2, 3, 4, 6, 12}, both families and amplitudes from
-0 and -0@1 up to 60@0.7 and 1e100; ``validate`` over 288 states (r in {0,
-0.05, 1, sqrt 2, 3, 10, 30, 60} x theta in {0, 0.7, 3}); far-out ``wigner``
-grids; the edge matrix, which ``tests/test_cli.py`` runs too (N in {1, 2, 12,
-4097} x r in {0, 1e-300, 1e100, 1e200, 1e308}, every command: 340 distinct
-argvs, 155 of them exit-3 refusals, among them the two-head cat Wigner grids
-at r = 1e100 and up, whose fringe phases outrun double precision; at
-r = 1e308, 2 mu passes the largest double); one argv for each of the exit
+0 and -0@1 up to 60@0.7 and 1e100; the cat's ``stats`` and its ``parity`` and
+``mandel-q`` sweeps at N = 5, whose head sum has no j = N/2 term, and N = 8;
+``validate`` over 288 states (r in {0, 0.05, 1, sqrt 2, 3, 10, 30, 60} x theta
+in {0, 0.7, 3}); far-out ``wigner`` grids; the edge matrix, which
+``tests/test_cli.py`` runs too (N in {1, 2, 12, 4097} x r in {0, 1e-300,
+1e100, 1e200, 1e308}, every command: 340 distinct argvs, 155 of them exit-3
+refusals, among them the two-head cat Wigner grids at r = 1e100 and up, whose
+fringe phases outrun double precision; at r = 1e308, 2 mu passes the largest
+double); one argv for each of the exit
 codes 1, 2 and 3; one whose ``--out`` cannot be opened;
 and, far past mu = 350, the two-head cat's default ``wigner`` grid at r = 9e5
 and its ``validate`` at r = 1600; and the ``validate`` of a 170-head cat, whose
@@ -58,6 +61,7 @@ import json
 import platform
 import sys
 import warnings
+from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
 
@@ -104,6 +108,13 @@ def cases():
                        "--quantity", quantity, "--r-max", "4", "--step", "0.05")
             yield ("sweep", "--heads", str(n), "--family", family, "--quantity", "mandel-q",
                    "--r-max", "4", "--step", "0.05", "--format", "csv")
+    # N = 5 has no j = N/2 head-sum term; N = 8 has one and three inner pairs.
+    for n in (5, 8):
+        for alpha in AMPLITUDES:
+            yield ("stats", *spec(alpha, n, "coherent"))
+        for quantity in ("parity", "mandel-q"):
+            yield ("sweep", "--theta", "0.7", "--heads", str(n), "--family", "coherent",
+                   "--quantity", quantity, "--r-max", "4", "--step", "0.05")
     for n in (2, 3, 4):
         for family in FAMILIES:
             for quantity in ("mandel-q", "var-x1", "var-x2"):
@@ -239,7 +250,21 @@ def check(lines: list, manifest: Path) -> int:
     stamp_diff += [f"+ {line}" for line in new_stamp if line not in old_stamp]
     print(f"{len(changed)} of {len(lines) - 1} cases differ from {manifest}")
     print(*(stamp_diff or ["environment stamp: the manifest's"]), sep="\n")
+    print("differing cases per command, head count and family:")
+    print(*tally(now or was for was, now in changed), sep="\n")
     return 1
+
+
+def tally(lines) -> list:
+    """How many of the manifest lines fall on each command, head count and family."""
+    counts = Counter()
+    for line in lines:
+        argv = line.split()[1:]
+        heads, family = (argv[argv.index(flag) + 1] if flag in argv else ""
+                         for flag in ("--heads", "--family"))
+        counts[argv[0], int(heads) if heads.isdigit() else -1, family] += 1
+    return [f"{count:6d}  {command} {'N = ' + str(heads) if heads >= 0 else ''} {family}".rstrip()
+            for (command, heads, family), count in sorted(counts.items())]
 
 
 def main(argv=None) -> int:
