@@ -8,7 +8,7 @@ double sum over head pairs reduces to N times one circulant head sum
     S_l(mu) = sum_j w^(l*j) exp(mu*(w^j - 1)),   w = exp(2*pi*i/N), mu = r^(2/N).
 
 Its terms j and N - j are complex conjugates, so each S_l is formed as a real
-sum over the pairs, and no imaginary part is ever formed or discarded.  The
+sum over the pairs, with no imaginary residue to check or discard.  The
 Wigner function sums real parts of centred head-pair terms too, in one pair
 loop that contracts them over a grid or point by point, and bounds each
 value's rounding error: ``RESIDUE_TOL`` bounds only those values, and a bound
@@ -19,6 +19,7 @@ precision.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,44 +55,58 @@ def _head_sums(mu, n_heads: int, rows, turn: float = 1.0) -> dict:
     Overlaps j and N - j are conjugates, so with c_j = 1 at j = 0 and j = N/2
     and 2 otherwise, S_l = sum_{j <= N/2} c_j Re(overlap_j w^(l*j)): real, one
     complex exp per pair and modulus, added in the order of j, elementwise, so
-    a modulus has the same sums alone or in an array.  Where turn*w^j is 1 the
-    term is exactly 1 and takes no exp: the rounded root's phase mu*1e-16
-    would grow with mu.  For l != 0 the weights c_j cos(2 pi l j/N) sum to 0;
-    the last is set so the rounded ones do too, in the order they are added,
-    so S_l is exactly 0 at mu = 0.
+    a modulus has the same sums alone or in an array: one modulus forms all
+    its terms with one exp and adds them with ``cumsum``, which adds in order
+    (a sum over the axis may not); an array adds one j at a time.
     """
-    n = n_heads
-    rows = sorted({l % n for l in rows})
-    j = np.arange(n // 2 + 1)
-    shift = turn * np.exp(2j * np.pi * j / n) - 1.0
-    one = (shift.real == 0.0).tolist()
-    # c_j w^(l*j), j on the first axis and l on the second: cos x = sin(pi/2 + x),
-    # and each vanishing sine or cosine is exactly 0.
-    c = np.full((j.size, 1), 2.0)
-    c[0] = 1.0
-    if n % 2 == 0:
-        c[-1] = 1.0  # j = N/2
-    if rows == [0]:  # w^0 = 1
-        cos, sin = c, np.zeros_like(c)
-    else:
-        lj = 4 * np.multiply.outer(j, rows)
-        cos, sin = c * _sin_pi(np.array([lj + n, lj]), 2 * n)
-        first = int(rows[0] == 0)  # the rows l != 0
-        cos[-1, first:] = -np.cumsum(cos[:-1, first:], axis=0)[-1]
-    axes = (1,) * np.ndim(mu)
-    cos, sin = cos.reshape(cos.shape + axes), sin.reshape(sin.shape + axes)
-    sums = np.zeros((len(rows),) + np.shape(mu))
+    rows = tuple(sorted({l % n_heads for l in rows}))
+    shift, cos, sin = _pair_weights(n_heads, rows, turn)
     # The real part mu (turn cos - 1) of an exponent is <= 0, so where it
     # overflows it is -inf, and its exponential is exactly 0; the imaginary
     # part is at most mu.
     with np.errstate(over="ignore"):
-        for k in range(j.size):
-            if one[k]:  # turn*w^j = 1
+        if np.ndim(mu) == 0:
+            overlap = np.exp(mu * shift)[:, None]
+            return dict(zip(rows, np.cumsum(cos * overlap.real - sin * overlap.imag, axis=0)[-1]))
+        axes = (1,) * np.ndim(mu)
+        cos, sin = cos.reshape(cos.shape + axes), sin.reshape(sin.shape + axes)
+        sums = np.zeros((len(rows),) + np.shape(mu))
+        for k, one in enumerate((shift == 0.0).tolist()):
+            if one:  # exp(0) = 1
                 sums += cos[k]
             else:
                 overlap = np.exp(mu * shift[k])
                 sums += cos[k] * overlap.real - sin[k] * overlap.imag
     return dict(zip(rows, sums))
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_weights(n: int, rows: tuple, turn: float) -> tuple:
+    """The pair sums' exponent shifts turn*w^j - 1 and weights c_j w^(l*j), j <= N/2.
+
+    Returns (shift, cos, sin), j on the first axis and the sorted rows l on the
+    second of cos and sin, as read-only arrays shared by every call with the
+    same N, rows and turn.  Where turn*w^j is 1 the shift is set to exactly 0:
+    the rounded root's phase mu*1e-16 would grow with mu.  For l != 0 the
+    weights c_j cos(2 pi l j/N) sum to 0; the last is set so the rounded ones
+    do too, in the order they are added, so S_l is exactly 0 at mu = 0.
+    """
+    j = np.arange(n // 2 + 1)
+    shift = turn * np.exp(2j * np.pi * j / n) - 1.0
+    shift[shift.real == 0.0] = 0.0  # turn*w^j = 1
+    # cos x = sin(pi/2 + x), and each vanishing sine or cosine is exactly 0.
+    c = np.full((j.size, 1), 2.0)
+    c[0] = 1.0
+    if n % 2 == 0:
+        c[-1] = 1.0  # j = N/2
+    lj = 4 * np.multiply.outer(j, rows)
+    cos, sin = c * _sin_pi(np.array([lj + n, lj]), 2 * n)
+    if rows[-1] != 0:  # there are rows l != 0, so N > 1 and j has two or more entries
+        first = int(rows[0] == 0)
+        cos[-1, first:] = -np.cumsum(cos[:-1, first:], axis=0)[-1]
+    for weights in (shift, cos, sin):
+        weights.flags.writeable = False
+    return shift, cos, sin
 
 
 # The head-sum rows l mod N that the statistics read: <a^dag^h a^l> reads S_l
@@ -106,12 +121,14 @@ def _state_sums(spec: StateSpec, r, rows=_STAT_ROWS):
     The one place a cat's sums are formed: each public function, command and
     sweep step forms them once per state and passes them to every formula
     it reads, as the required ``sums`` argument.  Both families refuse a head
-    occupation that overflows here, before any formula runs.
+    occupation that overflows here, before any formula runs: the mixture's
+    formulas form their own mu, so here it is raised only at the largest
+    modulus, r^(2/N) growing with r.
     """
-    mu = head_occupation(r, spec.n_heads)
     if not spec.is_coherent:
+        head_occupation(np.max(r, initial=0.0), spec.n_heads)
         return None
-    return _head_sums(mu, spec.n_heads, rows)
+    return _head_sums(head_occupation(r, spec.n_heads), spec.n_heads, rows)
 
 
 def _normalization(n_heads: int, sums: np.ndarray) -> float:
@@ -127,30 +144,24 @@ def normalization(alpha: PolarAmplitude, n_heads: int) -> float:
     Equals 1 for a single head and 2 + 2*exp(-2r) for two heads.
     """
     spec = StateSpec(alpha, n_heads, Family.COHERENT)
-    return _normalization(n_heads, _state_sums(spec, alpha.r, (0,)))
+    return _normalization(n_heads, _state_sums(spec, alpha.r))
 
 
 def _moment(spec: StateSpec, r, h: int, l: int, sums) -> np.ndarray:
     """<a^dag^h a^l> at the moduli r, with angle, head count and family from spec.
 
     The head sums leave r^((h+l)/N) e^(i(l-h)theta/N), nonzero only when N
-    divides l - h, times S_l/S_0 (of ``sums``) for the coherent family.  At
-    h = l the phase is 1 and the moment is formed in real arithmetic, times
-    1/S_0 as numpy's complex division forms it, so it has the complex form's
-    bits.  A moment that overflows a double raises CapacityError.
+    divides l - h, times S_l/S_0 (of ``sums``) for the coherent family.  A
+    moment that overflows a double raises CapacityError.
     """
     n = spec.n_heads
     r = np.asarray(r, dtype=float)
     if (l - h) % n != 0:
         return np.zeros(r.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = r ** ((h + l) / n)
-        if h != l:
-            value = value * cmath.exp(1j * (l - h) * spec.alpha.theta_p / n)
-            if spec.is_coherent:
-                value = value * sums[l % n] / sums[0]
-        elif spec.is_coherent:
-            value = value * sums[l % n] * (1.0 / sums[0])
+        value = r ** ((h + l) / n) * cmath.exp(1j * (l - h) * spec.alpha.theta_p / n)
+        if spec.is_coherent:
+            value = value * sums[l % n] / sums[0]
     if not np.all(np.isfinite(value)):
         raise CapacityError(f"moment <a^dag^{h} a^{l}> overflows at r = {np.max(r):.4g}")
     return value
@@ -271,7 +282,7 @@ def quadrature_variances(spec: StateSpec) -> QuadratureVariances:
 
 def parity(spec: StateSpec) -> float:
     """Photon-number parity <(-1)^n>, equal to pi/2 times the Wigner origin value."""
-    return float(_parity(spec, spec.alpha.r, _state_sums(spec, spec.alpha.r, (0,))))
+    return float(_parity(spec, spec.alpha.r, _state_sums(spec, spec.alpha.r)))
 
 
 def fock_element(spec: StateSpec, m, n):
@@ -289,7 +300,7 @@ def fock_element(spec: StateSpec, m, n):
         raise InvalidInputError("Fock indices must be nonnegative")
     if np.any(m % 1 != 0) or np.any(n % 1 != 0):  # NaN included
         raise InvalidInputError("Fock indices must be integers")
-    value = _fock_element(spec, m, n, _state_sums(spec, spec.alpha.r, (0,)))
+    value = _fock_element(spec, m, n, _state_sums(spec, spec.alpha.r))
     return complex(value) if value.ndim == 0 else value
 
 
@@ -443,7 +454,7 @@ def wigner_grid(spec: StateSpec, xs, ys) -> tuple:
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise InvalidInputError("phase-space points must be finite")
-    return _wigner_sum(spec, xs, ys, _state_sums(spec, spec.alpha.r, (0,)))
+    return _wigner_sum(spec, xs, ys, _state_sums(spec, spec.alpha.r))
 
 
 def _wigner_sum(spec: StateSpec, xs: np.ndarray, ys: np.ndarray, sums, subscripts="qy,qx->yx"):
@@ -478,7 +489,7 @@ def wigner(spec: StateSpec, beta):
     if not np.all(np.isfinite(beta)):
         raise InvalidInputError("phase-space points must be finite")
     values, _ = _wigner_sum(
-        spec, beta.real.ravel(), beta.imag.ravel(), _state_sums(spec, spec.alpha.r, (0,)),
+        spec, beta.real.ravel(), beta.imag.ravel(), _state_sums(spec, spec.alpha.r),
         "qp,qp->p")
     values = values.reshape(beta.shape)
     return float(values) if values.ndim == 0 else values

@@ -185,6 +185,17 @@ def test_pair_sums_are_the_real_full_sums(n, turn):
         assert pair_sums(MU[k], n, turn).tolist() == pair_sums(MU, n, turn)[k].tolist()
 
 
+@pytest.mark.parametrize("turn", [1.0, -1.0])
+@pytest.mark.parametrize("n", PAIR_HEADS)
+def test_a_lone_modulus_adds_its_terms_in_order(n, turn):
+    # One modulus forms its terms at once; they are added in the order of j as
+    # an array's are, for a lone row too, where a sum over the j axis would
+    # add pairwise.
+    whole = pair_sums(MU, n, turn)
+    for k in (1, 6, 11):
+        assert _head_sums(MU[k], n, (0,), turn)[0] == whole[k, 0]
+
+
 def exact_sum(mu: float, n_heads: int, l: int, turn: int):
     """S_l at the double mu to 40 significant digits, from all N terms."""
     mpmath.mp.dps = 40
