@@ -54,19 +54,20 @@ def _spec_from_args(args) -> StateSpec:
     return StateSpec(parse_amplitude(args.alpha), args.heads, Family.parse(args.family))
 
 
-def _emit(text: str, out_path):
+def _emit(out_path, *texts: str):
+    """Write the texts in turn to out_path, or to stdout, without joining them."""
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.writelines(texts)
         except OSError as exc:
             raise InvalidInputError(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _emit_json(payload: dict, out_path):
-    _emit(render_json(_Line({"tool": "multihead", "version": __version__, **payload})), out_path)
+    _emit(out_path, render_json(_Line({"tool": "multihead", "version": __version__, **payload})))
 
 
 def cmd_roots(args) -> int:
@@ -74,7 +75,7 @@ def cmd_roots(args) -> int:
     roots = nth_roots(alpha, args.heads)
     if args.format == "text":
         lines = [f"{z.real:+.12g}{z.imag:+.12g}i" for z in roots]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(args.out, "\n".join(lines) + "\n")
         return EXIT_OK
     _emit_json(
         {
@@ -90,7 +91,7 @@ def cmd_roots(args) -> int:
 
 def cmd_stats(args) -> int:
     spec = _spec_from_args(args)
-    # The cat's head sums, formed once and read by the moments and by every
+    # The state's head sums, formed once and read by the moments and by every
     # statistic of the sweep formula table, in the table's order.
     r = spec.alpha.r
     sums = closed_form._state_sums(spec, r)
@@ -119,7 +120,7 @@ def cmd_wigner(args) -> int:
     # The bound is dropped at once, so it is not held through emission.
     values = closed_form.wigner_grid(spec, xs / math.sqrt(2.0), ys / math.sqrt(2.0))[0]
     if args.format == "csv":
-        _emit(render_grid_csv("x,y,w", values, xs[None], ys[:, None]), args.out)
+        _emit(args.out, render_grid_csv("x,y,w", values, xs[None], ys[:, None]))
     else:
         grid = {k: getattr(args, k) for k in ("x_min", "x_max", "y_min", "y_max", "nx", "ny")}
         _emit_json({"spec": spec, "grid": grid, "rows": GridRows(xs, ys, values)}, args.out)
@@ -140,7 +141,7 @@ def cmd_sweep(args) -> int:
     threshold = _DEFAULT_THRESHOLDS.get(quantity) if args.threshold is None else args.threshold
     crossings = [] if threshold is None else sweeps.find_crossings(result, threshold)
     if args.format == "csv":
-        _emit(render_csv("r,value", *result.samples.T), args.out)
+        _emit(args.out, render_csv("r,value", *result.samples.T))
     else:
         _emit_json(
             {
@@ -162,7 +163,7 @@ def cmd_validate(args) -> int:
     spec = _spec_from_args(args)
     report = compare.validate_spec(spec, tol=args.tol)
     text = compare.validation_table(report)
-    _emit(text + "\n", args.out)
+    _emit(args.out, text + "\n")
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
 
@@ -177,7 +178,7 @@ def cmd_fock(args) -> int:
     diag = magnitudes.diagonal()
     if args.format == "csv":
         block = render_grid_csv("m,n,abs_p_mn", magnitudes, index[:, None], index[None])
-        _emit(block + render_csv("m,p_mm", index, diag), args.out)
+        _emit(args.out, block, render_csv("m,p_mm", index, diag))
     else:
         payload = {"spec": spec, "max_m": args.max_m, "abs_fock_elements": magnitudes, "pnd": diag}
         _emit_json(payload, args.out)

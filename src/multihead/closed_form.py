@@ -114,21 +114,20 @@ def _pair_weights(n: int, rows: tuple, turn: float) -> tuple:
 _STAT_ROWS = (0, 1, 2)
 
 
-def _state_sums(spec: StateSpec, r, rows=_STAT_ROWS):
-    """The coherent family's head sums {l mod N: S_l} at the modulus or moduli r, for l in rows;
-    None for the mixture.
+def _state_sums(spec: StateSpec, r, rows=_STAT_ROWS, turn: float = 1.0) -> dict:
+    """The state's head sums {l mod N: S_l} at the modulus or moduli r, for l in rows.
 
-    The one place a cat's sums are formed: each public function, command and
-    sweep step forms them once per state and passes them to every formula
-    it reads, as the required ``sums`` argument.  Both families refuse a head
-    occupation that overflows here, before any formula runs: the mixture's
-    formulas form their own mu, so here it is raised only at the largest
-    modulus, r^(2/N) growing with r.
+    The one place sums are formed, and the family read for them: the cat's run
+    over its N heads, the mixture's over one, whose heads never interfere.  Each
+    public function, command and sweep step forms the turn-1 sums once per
+    state and passes them to every formula it reads, as the required ``sums``
+    argument.  A head occupation that overflows is refused here, before any
+    formula runs.
     """
-    if not spec.is_coherent:
-        head_occupation(np.max(r, initial=0.0), spec.n_heads)
-        return None
-    return _head_sums(head_occupation(r, spec.n_heads), spec.n_heads, rows)
+    n = spec.n_heads
+    heads = n if spec.is_coherent else 1
+    sums = _head_sums(head_occupation(r, n), heads, rows, turn)
+    return {l % n: sums[l % heads] for l in rows}
 
 
 def _normalization(n_heads: int, sums: np.ndarray) -> float:
@@ -151,8 +150,8 @@ def _moment(spec: StateSpec, r, h: int, l: int, sums) -> np.ndarray:
     """<a^dag^h a^l> at the moduli r, with angle, head count and family from spec.
 
     The head sums leave r^((h+l)/N) e^(i(l-h)theta/N), nonzero only when N
-    divides l - h, times S_l/S_0 (of ``sums``) for the coherent family.  A
-    moment that overflows a double raises CapacityError.
+    divides l - h, times S_l/S_0 of ``sums``, which is exactly 1 for the
+    mixture.  A moment that overflows a double raises CapacityError.
     """
     n = spec.n_heads
     r = np.asarray(r, dtype=float)
@@ -160,8 +159,7 @@ def _moment(spec: StateSpec, r, h: int, l: int, sums) -> np.ndarray:
         return np.zeros(r.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         value = r ** ((h + l) / n) * cmath.exp(1j * (l - h) * spec.alpha.theta_p / n)
-        if spec.is_coherent:
-            value = value * sums[l % n] / sums[0]
+        value = value * sums[l % n] / sums[0]
     if not np.all(np.isfinite(value)):
         raise CapacityError(f"moment <a^dag^{h} a^{l}> overflows at r = {np.max(r):.4g}")
     return value
@@ -243,16 +241,10 @@ def _quadrature_variances(spec: StateSpec, r, sums) -> tuple[np.ndarray, np.ndar
 def _parity(spec: StateSpec, r, sums) -> np.ndarray:
     """<(-1)^n>: the turn -1 head sum S_0, sum_j e^(-mu(1 + w^j)), over the state's S_0.
 
-    Each head of the mixture is a coherent state, whose parity exp(-2 mu) is
-    that sum's j = 0 term: it is taken from the same complex exp, so a one-head
-    mixture and a one-head cat have the same parity.
+    For the mixture both are one head's: a coherent state's parity exp(-2 mu)
+    over 1, so a one-head mixture and a one-head cat have the same parity.
     """
-    n = spec.n_heads
-    mu = head_occupation(r, n)
-    if not spec.is_coherent:
-        with np.errstate(over="ignore"):  # -2 mu overflows only to -inf, whose exp is 0
-            return np.exp(mu * (-2.0 + 0j)).real
-    return _head_sums(mu, n, (0,), turn=-1.0)[0] / sums[0]
+    return _state_sums(spec, r, (0,), turn=-1.0)[0] / sums[0]
 
 
 def mean_photon(spec: StateSpec) -> float:
@@ -362,8 +354,8 @@ def _pair_table(spec: StateSpec, k: np.ndarray, j: np.ndarray, sums) -> np.ndarr
     times cos delta and 2i sin delta, never a difference of rounded heads, and
     each sine and cosine that vanishes is exactly 0.  Pair (j, k) is the
     conjugate of pair (k, j), so a pair off the diagonal weighs 2; every weight
-    carries (2/pi)/N_c, and (2/pi)/N for the mixture, which is the diagonal
-    pairs alone; N_c comes from the state's ``sums``.
+    carries (2/pi)/N_c, N_c = N S_0 from the state's ``sums``: N for the
+    mixture, which is the diagonal pairs alone.
     """
     n = spec.n_heads
     mu = head_occupation(spec.alpha.r, n)  # CapacityError where |g|^2 overflows
@@ -372,7 +364,7 @@ def _pair_table(spec: StateSpec, k: np.ndarray, j: np.ndarray, sums) -> np.ndarr
     angle = (spec.alpha.theta_p + np.pi * (k + j)) / n
     re, im = rho * np.cos(angle), rho * np.sin(angle)
     cos_d, sin_d = _sin_pi(n + 2 * s, 2 * n), _sin_pi(s, n)  # cos x = sin(pi/2 + x)
-    scale = TWO_OVER_PI / (_normalization(n, sums) if spec.is_coherent else n)
+    scale = TWO_OVER_PI / _normalization(n, sums)
     weight = np.where(s == 0, scale, 2.0 * scale)
     return np.array([
         weight, re * cos_d, im * cos_d, -2.0 * sin_d * im, 2.0 * sin_d * re,

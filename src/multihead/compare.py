@@ -52,7 +52,7 @@ def validate_spec(spec: StateSpec, tol: float = TOL_DEFAULT) -> ValidationReport
     cutoff = max(cutoff, _PND_MAX + 8)
     state = fockspace.build_state(spec, cutoff=cutoff)
     report = ValidationReport(spec=spec, tol=tol)
-    # The cat's head sums, formed once and read by every closed-form value below.
+    # The state's head sums, formed once and read by every closed-form value below.
     sums = closed_form._state_sums(spec, spec.alpha.r)
 
     for h, l in closed_form._MOMENT_ORDERS:

@@ -20,7 +20,7 @@ class UndefinedStatisticError(MultiheadError):
 
 
 class InternalConsistencyError(MultiheadError):
-    """A quantity that must be real carried an imaginary residue above tolerance.
+    """A closed-form normalization N*S_0 came out not positive.
 
     This signals a formula transcription bug, not a user error.
     """

@@ -70,7 +70,7 @@ def evaluate(template: SweepTemplate, quantity: Quantity, r):
 
     Mandel Q is NaN where it is undefined, at <n> = 0.  A negative or NaN
     modulus is refused before any formula runs; +inf raises CapacityError.
-    The cat's head sums at r are formed once and passed to the formula.
+    The state's head sums at r are formed once and passed to the formula.
     """
     if not np.all(np.greater_equal(r, 0.0)):  # NaN fails it too
         raise InvalidInputError("moduli must be nonnegative numbers")

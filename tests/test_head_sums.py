@@ -6,10 +6,12 @@ tests pin the reduced form against it and against an mpmath evaluation of
 the same double sum at 40 digits.  ``closed_form._head_sums`` adds the sum's
 conjugate terms j and N - j as one real pair term; ``full_sums`` keeps all N
 complex terms, and the tests pin the pair sums against it and against 40-digit
-sums.
+sums.  The mixture's heads never interfere, so its sums are one head's; the
+tests pin its parity to the bits of a lone coherent state's exp(-2 mu).
 """
 
 import math
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -18,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multihead import Family, PolarAmplitude, StateSpec, moment
-from multihead.closed_form import RESIDUE_TOL, _head_sums
+from multihead.closed_form import (
+    RESIDUE_TOL, _head_sums, _parity, _state_sums, moment_table)
 from multihead.roots import head_occupation, root_angles
 
 EPS = np.finfo(float).eps
@@ -216,3 +219,52 @@ def test_pair_sums_match_high_precision_sums(n):
         for l, value in sums.items():
             assert abs(value - exact_sum(mu, n, l, 1)) <= 4 * n * EPS
         assert abs(_head_sums(mu, n, (0,), -1.0)[0] - exact_sum(mu, n, 0, -1)) <= 4 * n * EPS
+
+
+MIXTURE_HEADS = [1, 2, 3, 5, 12]
+# One modulus, a sweep's 2,501 moduli r = 0 .. 25, and the edges of r.
+MIXTURE_MODULI = [2.5, np.linspace(0.0, 25.0, 2501), 1e-300, 1e100]
+
+
+def mixture(n: int) -> StateSpec:
+    return StateSpec(PolarAmplitude(1.0, 0.7), n, Family.INCOHERENT)
+
+
+def coherent_state_parity(r, n: int):
+    """A lone coherent state's parity exp(-2 mu) from one complex exp: the bits the
+    mixture's parity keeps."""
+    with np.errstate(over="ignore"):  # -2 mu overflows only to -inf, whose exp is 0
+        return np.exp(head_occupation(r, n) * (-2.0 + 0j)).real
+
+
+@pytest.mark.parametrize("r", MIXTURE_MODULI, ids=["one", "grid", "1e-300", "1e100"])
+@pytest.mark.parametrize("n", MIXTURE_HEADS)
+def test_mixture_sums_are_one_heads(n, r):
+    spec = mixture(n)
+    sums = _state_sums(spec, r)
+    assert sorted(sums) == sorted({l % n for l in (0, 1, 2)})
+    for l in (0, 1, 2):
+        assert np.all(np.asarray(sums[l % n]) == 1.0)
+    got = np.asarray(_parity(spec, r, sums), dtype=float)
+    assert got.tobytes() == np.asarray(coherent_state_parity(r, n), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n, r", [(1, 1.2e154), (2, 1e308)])
+def test_mixture_parity_is_zero_where_two_mu_overflows(n, r):
+    with np.errstate(over="ignore"):
+        assert -2.0 * head_occupation(r, n) == -math.inf
+    for moduli in (r, np.array([0.0, 1.0, r])):
+        spec = mixture(n)
+        got = np.asarray(_parity(spec, moduli, _state_sums(spec, moduli)))
+        assert got.tobytes() == np.asarray(coherent_state_parity(moduli, n)).tobytes()
+        assert np.atleast_1d(got)[-1] == 0.0
+
+
+@pytest.mark.parametrize("alpha", [PolarAmplitude(1e-200, 2.0), PolarAmplitude(5e-324, 2.0),
+                                   PolarAmplitude(1.0, 0.7), PolarAmplitude(3.0, -2.5)])
+def test_one_head_mixture_has_the_one_head_cats_moments(alpha):
+    # The same coherent state: every moment's bits agree, the signed zeros of
+    # underflowed moments included (their phases are negative at theta = 2).
+    tables = [moment_table(StateSpec(alpha, 1, family)) for family in Family]
+    mixture_bits, cat_bits = (np.array(astuple(t)).tobytes() for t in tables)
+    assert mixture_bits == cat_bits

@@ -1,13 +1,14 @@
 """Work formed once per state, and nothing kept between calls.
 
-``closed_form._state_sums`` forms a cat's head sums; each public function,
-command and sweep step forms them once per state and passes them to every
-formula that reads them, so ``validate`` and ``stats`` form two sets of sums
-(the parity adds its own at turn -1), ``wigner`` and ``fock`` one, and the
-mixture none.  Nothing is kept between calls, so every quantity returns the
-same bits in any call order.  A sweep's statistic forms the sums of its array
-of mu once.  The oracle keeps nothing either: a ``FockVector`` stays its four
-fields however often it is read.
+``closed_form._state_sums`` forms the head sums of either family, the
+mixture's over one head; each public function, command and sweep step forms
+them once per state and passes them to every formula that reads them, so
+``validate`` and ``stats`` form two sets of sums (the parity adds its own at
+turn -1), ``wigner`` and ``fock`` one, for both families.  Nothing is kept
+between calls, so every quantity returns the same bits in any call order.  A
+sweep's statistic forms the sums of its array of mu once.  The oracle keeps
+nothing either: a ``FockVector`` stays its four fields however often it is
+read.
 """
 
 import random
@@ -126,11 +127,11 @@ CAT_30 = StateSpec(PolarAmplitude(30.0, 0.7), 12, Family.COHERENT)
 
 @pytest.mark.parametrize(
     "spec, formed",
-    [(SPECS[0], [1.0, -1.0]), (CAT_30, [1.0, -1.0]), (SPECS[3], [])],
+    [(SPECS[0], [1.0, -1.0]), (CAT_30, [1.0, -1.0]), (SPECS[3], [1.0, -1.0])],
     ids=["coherent", "coherent-30-12", "incoherent"],
 )
 def test_validate_forms_each_head_sum_once(monkeypatch, spec, formed):
-    # The coherent family's sums at turn 1, then the parity's at turn -1; the mixture reads none.
+    # The state's sums at turn 1, then the parity's at turn -1; the mixture's over one head.
     turns = formed_turns(monkeypatch)
     assert validate_spec(spec).passed
     assert turns == formed
@@ -143,7 +144,7 @@ def test_validate_forms_each_head_sum_once(monkeypatch, spec, formed):
 def test_each_command_forms_its_head_sums_once(capsys, monkeypatch, command, formed, family):
     turns = formed_turns(monkeypatch)
     assert main([command, "--alpha", "1+1i", "--heads", "3", "--family", family]) == 0
-    assert len(turns) == (formed if family == "coherent" else 0)
+    assert len(turns) == formed
 
 
 @pytest.mark.parametrize(

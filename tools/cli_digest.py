@@ -19,8 +19,10 @@ split into lines, so ``diff -r`` of two trees' dumps shows the lines that moved.
 The matrix covers ``roots``, ``stats``, ``fock`` and ``wigner`` in each of
 their formats on small grids, ``sweep`` for all five quantities and
 ``validate``, over N in {1, 2, 3, 4, 6, 12}, both families and amplitudes from
-0 and -0@1 up to 60@0.7 and 1e100; the cat's ``stats`` and its ``parity`` and
-``mandel-q`` sweeps at N = 5, whose head sum has no j = N/2 term, and N = 8;
+0 and -0@1 up to 60@0.7 and 1e100; ``stats`` and the ``parity`` and
+``mandel-q`` sweeps of both families at N = 5, whose cat head sum has no
+j = N/2 term, and N = 8; ``stats`` at N in {1, 2}, both families, at 1e-200@2
+and 5e-324@2, whose moments underflow to signed zeros;
 ``validate`` over 288 states (r in {0, 0.05, 1, sqrt 2, 3, 10, 30, 60} x theta
 in {0, 0.7, 3}); far-out ``wigner`` grids; the edge matrix, which
 ``tests/test_cli.py`` runs too (N in {1, 2, 12, 4097} x r in {0, 1e-300,
@@ -110,11 +112,17 @@ def cases():
                    "--r-max", "4", "--step", "0.05", "--format", "csv")
     # N = 5 has no j = N/2 head-sum term; N = 8 has one and three inner pairs.
     for n in (5, 8):
-        for alpha in AMPLITUDES:
-            yield ("stats", *spec(alpha, n, "coherent"))
-        for quantity in ("parity", "mandel-q"):
-            yield ("sweep", "--theta", "0.7", "--heads", str(n), "--family", "coherent",
-                   "--quantity", quantity, "--r-max", "4", "--step", "0.05")
+        for family in FAMILIES:
+            for alpha in AMPLITUDES:
+                yield ("stats", *spec(alpha, n, family))
+            for quantity in ("parity", "mandel-q"):
+                yield ("sweep", "--theta", "0.7", "--heads", str(n), "--family", family,
+                       "--quantity", quantity, "--r-max", "4", "--step", "0.05")
+    # Moments that underflow to zero at an angle whose phase factor is negative: signed zeros.
+    for alpha in ("1e-200@2", "5e-324@2"):
+        for n in (1, 2):
+            for family in FAMILIES:
+                yield ("stats", *spec(alpha, n, family))
     for n in (2, 3, 4):
         for family in FAMILIES:
             for quantity in ("mandel-q", "var-x1", "var-x2"):
