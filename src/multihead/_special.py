@@ -7,8 +7,8 @@ vectorised log does not match on every input.  ``poisson_tails`` sums the
 Poisson pmf upward from its saddle-point form (Loader, "Fast and accurate
 computation of binomial probabilities", 2000) at levels from the mean on.  For
 means up to 4200 it agrees with ``scipy.special.pdtrc`` to 1.0e-12 relative,
-and with 40-digit mpmath to 1e-13; past a mean of 1e7 it is approximate.  Nothing
-here knows the head sums.
+and with 40-digit mpmath to 1e-13; no tail is approximated, and no mean past
+``fockspace.CUTOFF_MAX`` is taken.  Nothing here knows the head sums.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ _A = (
 )
 # Loader's Stirling-error series in 1/k^2: 1/12, 1/360, 1/1260, 1/1680, 1/1188.
 _S = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
-# Past this mean a tail would sum ~sqrt(180 mu) terms; it is then approximated.
-_SUM_MU_MAX = 1e7
 # A Poisson tail sum stops once its terms fall below this fraction of it.
 _NEGLIGIBLE = 2.0**-60
 # ln 0! .. ln 11!, each the log of an exact double.
@@ -146,12 +144,11 @@ def _ratio_sum(j: int, mu: float) -> float:
 def poisson_tails(first: int, count: int, mu: float) -> np.ndarray:
     """P(X >= k) for X ~ Poisson(mu) at ``count`` levels k from ``first`` on, first >= max(mu, 1).
 
-    The pmf at each level is pmf(first) times a running product of
-    mu/(k + 1) < 1; the last level's tail is its pmf times _ratio_sum, and
-    each level below adds its own pmf to the tail above it.
+    mu <= fockspace.CUTOFF_MAX, as choose_cutoff ensures: at mu = 1e300, mu/k stays 1.0
+    and the sum would never end.  The pmf at each level is pmf(first) times a
+    running product of mu/(k + 1) < 1; the last level's tail is its pmf times
+    _ratio_sum, and each level below adds its own pmf to the tail above it.
     """
-    if mu > _SUM_MU_MAX:
-        return np.array([_wilson_hilferty(first + i, mu) for i in range(count)])
     if mu == 0.0:
         return np.zeros(count)
     last = first + count - 1
@@ -160,8 +157,3 @@ def poisson_tails(first: int, count: int, mu: float) -> np.ndarray:
     sums = accumulate(reversed(below), initial=at_last * _ratio_sum(last, mu))
     return _pmf(first, mu) * np.fromiter(sums, float, count)[::-1]
 
-
-def _wilson_hilferty(k: float, mu: float) -> float:
-    """P(X >= k) = P(Gamma(k, 1) <= mu), with the cube root of Gamma(k, 1)/k taken as normal."""
-    w = 3.0 * math.sqrt(k) * ((mu / k) ** (1.0 / 3.0) - 1.0 + 1.0 / (9.0 * k))
-    return 0.5 * math.erfc(-w / math.sqrt(2.0))

@@ -254,6 +254,9 @@ def mean_photon(spec: StateSpec) -> float:
 def mandel_q(spec: StateSpec) -> float:
     """Mandel Q = <a^dag2 a^2>/<a^dag a> - <a^dag a>; sign classifies the statistics."""
     q = float(_mandel_q(spec, spec.alpha.r, _state_sums(spec, spec.alpha.r)))
+    if math.isnan(q) and spec.alpha.r > 0.0:  # <n> = 0 only by rounding
+        raise CapacityError(f"<n> rounds to 0 at r = {spec.alpha.r:.4g}, so Mandel Q cannot be "
+                            "formed in double precision")
     if math.isnan(q):  # exactly where <n> = 0
         raise UndefinedStatisticError("Mandel Q is undefined at zero amplitude")
     return q

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_form, fockspace
-from .errors import CapacityError, CutoffInsufficientError, InvalidInputError
+from .errors import CapacityError, InvalidInputError
 from .states import StateSpec
 
 TOL_DEFAULT = 1e-8
@@ -51,6 +51,9 @@ def validate_spec(spec: StateSpec, tol: float = TOL_DEFAULT) -> ValidationReport
     cutoff = fockspace.choose_cutoff(spec.alpha, spec.n_heads, eps=_CUTOFF_EPS)
     cutoff = max(cutoff, _PND_MAX + 8)
     state = fockspace.build_state(spec, cutoff=cutoff)
+    # a^N is the one check that can refuse a built state, where its image
+    # underflows; it runs before the rest, and its row is kept in its place below.
+    residual = eigenstate_residual(spec, state) if spec.is_coherent else None
     report = ValidationReport(spec=spec, tol=tol)
     # The state's head sums, formed once and read by every closed-form value below.
     sums = closed_form._state_sums(spec, spec.alpha.r)
@@ -75,7 +78,7 @@ def validate_spec(spec: StateSpec, tol: float = TOL_DEFAULT) -> ValidationReport
     report.diffs["parity"] = abs(analytic_parity - fockspace.oracle_parity(state))
 
     if spec.is_coherent:
-        report.diffs["eigenstate_residual"] = eigenstate_residual(spec, state)
+        report.diffs["eigenstate_residual"] = residual
         n_c = closed_form._normalization(spec.n_heads, sums)
         report.diffs["head_sum_norm"] = abs(state.norm_sq - n_c) / max(1.0, n_c)
 
@@ -99,8 +102,7 @@ def _annihilation_power(state, power: int) -> np.ndarray:
     amplitude c_(k+power) below the normal doubles where c_k is above rounding
     raises CapacityError: the image cannot be formed to rounding there.
     """
-    if power >= state.cutoff:
-        raise CutoffInsufficientError("cutoff smaller than the operator power")
+    # A power at or past the cutoff reads every level, so this check refuses it.
     fockspace._check_top_occupation(fockspace._populations(state), power)
     c, k = state.amplitudes, np.arange(state.cutoff - power)
     image = np.zeros_like(c)

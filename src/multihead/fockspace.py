@@ -48,19 +48,22 @@ class FockVector:
 def choose_cutoff(alpha: PolarAmplitude, n_heads: int, eps: float = EPS_DEFAULT) -> int:
     """Cutoff large enough that the Poisson tail of the head occupation is < eps.
 
-    The raw tail cutoff is rounded up to a multiple of N (the coherent family
-    is supported there) and padded with a 4N safety margin for operator
-    applications; the result never drops below CUTOFF_MIN.
+    A mean past CUTOFF_MAX is refused before any tail is summed: no level up to
+    the cap lies past it.  The raw tail cutoff is rounded up to a multiple of N
+    (the coherent family is supported there) and padded with a 4N safety margin
+    for operator applications; the result never drops below CUTOFF_MIN.
     """
     if not (0.0 < eps < 1.0):
         raise TruncationError(f"eps must lie in (0, 1), got {eps}")
     mean = head_occupation(alpha.r, n_heads)
+    if mean > CUTOFF_MAX:
+        raise CapacityError(f"cutoff for mean occupation {mean:.3g} exceeds {CUTOFF_MAX}")
     d = max(1, int(math.ceil(mean)))
     # Bernstein's Poisson tail bound, P(X >= mean + sqrt(2 mean L) + L/3) <= e^(-L) with
     # L = -ln(eps), ends the candidate levels; one call sums the tails of them all.
     log_eps = -math.log(eps)
     last = min(mean + math.sqrt(2.0 * mean * log_eps) + log_eps / 3.0 + 3.0, CUTOFF_MAX)
-    fits = poisson_tails(d, max(d, int(last)) - d + 1, mean) < eps
+    fits = poisson_tails(d, int(last) - d + 1, mean) < eps
     if not np.any(fits):
         raise CapacityError(f"cutoff for mean occupation {mean:.3g} exceeds {CUTOFF_MAX}")
     d += int(np.argmax(fits))

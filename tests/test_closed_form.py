@@ -178,6 +178,12 @@ class TestMandelQ:
         with pytest.raises(UndefinedStatisticError):
             mandel_q(StateSpec(PolarAmplitude(0.0), 2, Family.COHERENT))
 
+    @pytest.mark.parametrize("n,r", [(2, 1e-30), (3, 1e-30), (1, 5e-324)])
+    def test_a_mean_that_rounds_to_zero_is_a_capacity_error(self, n, r):
+        s = StateSpec(PolarAmplitude(r, 0.7), n, Family.COHERENT)
+        with pytest.raises(CapacityError, match=f"rounds to 0 at r = {r:.4g}"):
+            mandel_q(s)
+
 
 class TestQuadratureVariances:
     def test_single_head_is_vacuum_limited(self):

@@ -8,6 +8,7 @@ from scipy.special import pdtrc
 from scipy.stats import poisson
 
 import multihead
+from multihead import closed_form, fockspace
 from multihead import (
     CapacityError,
     CutoffInsufficientError,
@@ -25,6 +26,7 @@ from multihead import (
     oracle_moment,
     oracle_parity,
     oracle_wigner,
+    validate_spec,
     wigner,
 )
 from multihead.closed_form import _state_sums
@@ -63,6 +65,8 @@ def scan_choose_cutoff(alpha, n_heads, eps):
     if not (0.0 < eps < 1.0):
         raise TruncationError(f"eps must lie in (0, 1), got {eps}")
     mean = head_occupation(alpha.r, n_heads)
+    if mean > CUTOFF_MAX:  # every level up to the cap lies below the mean
+        raise CapacityError(f"cutoff for mean occupation {mean:.3g} exceeds {CUTOFF_MAX}")
     d = max(1, int(math.ceil(mean)))
     while pdtrc(d - 1, mean) >= eps:
         d += 1
@@ -100,6 +104,19 @@ class TestChooseCutoff:
     def test_capacity_error_for_huge_mean(self):
         with pytest.raises(CapacityError):
             choose_cutoff(PolarAmplitude(100.0), 1, 1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-20, 0.9])
+    @pytest.mark.parametrize("mean", [4097.0, 1e4, 1e300])
+    def test_a_mean_past_the_cap_is_refused_before_any_tail(self, monkeypatch, mean, eps):
+        def fail(*args):
+            raise AssertionError("a tail was summed")
+
+        monkeypatch.setattr(fockspace, "poisson_tails", fail)
+        alpha = PolarAmplitude(math.sqrt(mean))
+        want = f"cutoff for mean occupation {head_occupation(alpha.r, 1):.3g} exceeds {CUTOFF_MAX}"
+        with pytest.raises(CapacityError) as refusal:
+            choose_cutoff(alpha, 1, eps)
+        assert str(refusal.value) == want
 
     def test_multiple_of_heads_plus_margin(self):
         d = choose_cutoff(PolarAmplitude(3.0), 5, 1e-12)
@@ -473,8 +490,22 @@ class TestTopLevelsHoldingMass:
     def test_apply_annihilation_power_raises(self, heads):
         spec = StateSpec(PolarAmplitude(3.0**heads), heads, Family.COHERENT)
         state = build_state(spec, cutoff=32, eps=1e-6)
-        with pytest.raises(CutoffInsufficientError):
-            _annihilation_power(state, heads)
+        # A power at the cutoff reads every level.
+        for power in (heads, state.cutoff):
+            with pytest.raises(CutoffInsufficientError):
+                _annihilation_power(state, power)
+
+
+def test_validate_refuses_an_underflowing_cat_before_the_other_checks(monkeypatch):
+    # The 512-head cat's a^N image underflows a double; no Wigner grid or moment is formed.
+    def fail(*args):
+        raise AssertionError("work done before the refusal")
+
+    monkeypatch.setattr(fockspace, "oracle_wigner_grid", fail)
+    monkeypatch.setattr(fockspace, "oracle_moment", fail)
+    monkeypatch.setattr(closed_form, "_wigner_sum", fail)
+    with pytest.raises(CapacityError, match="underflow"):
+        validate_spec(StateSpec(PolarAmplitude(1.0), 512, Family.COHERENT))
 
 
 SRC = Path(multihead.__file__).resolve().parent

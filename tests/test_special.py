@@ -88,14 +88,8 @@ class TestPoissonTail:
             exact = mpmath.gammainc(k, 0, mu, regularized=True)  # P(Gamma(k) <= mu) = P(X >= k)
             assert abs(poisson_tails(k, 1, mu)[0] / exact - 1) < 1e-13
 
-    @pytest.mark.parametrize("mu", [2e7, 1e8, 1e12])
-    def test_normal_approximation_past_the_summed_means(self, mu):
-        for k in (math.ceil(mu - 3 * math.sqrt(mu)), math.ceil(mu), math.ceil(mu + 3 * math.sqrt(mu))):
-            assert poisson_tails(k, 1, mu)[0] == pytest.approx(pdtrc(k - 1, mu), rel=1e-7)
-
     def test_edges(self):
         assert poisson_tails(1, 1, 0.0)[0] == 0.0
-        assert poisson_tails(math.ceil(1e300), 1, 1e300)[0] == 0.5 == pdtrc(1e300 - 1, 1e300)
         assert np.array_equal(poisson_tails(1, 3, 0.0), np.zeros(3))
 
 

@@ -1,9 +1,11 @@
-"""The functions the benchmark harness reaches by name still exist.
+"""The functions and values the benchmark harness reaches by name still exist.
 
 ``perfbench/spans.py`` wraps ``module.function`` names from its ``SPANNED``
-and ``COUNTED`` tuples, and ``perfbench/checks.py`` calls ``fockspace``
-functions directly.  The names are read from those files' syntax trees, so a
-deletion or rename in the package fails here rather than in a traced run.
+and ``COUNTED`` tuples, and every ``perfbench/*.py`` imports names from
+``multihead`` modules or reads them as attributes, also in code it holds as a
+string, such as ``run.py``'s set-up line.  The names are read from those
+files' syntax trees, so a deletion or rename in the package fails here rather
+than in a benchmark run.
 """
 
 import ast
@@ -51,3 +53,69 @@ def test_the_harness_names_some_functions():
 def test_traced_name_resolves(name):
     module, function = name.split(".")
     assert callable(getattr(importlib.import_module(f"multihead.{module}"), function, None))
+
+
+def _dotted(node) -> str | None:
+    """``a.b.c`` for an attribute chain on a plain name, ``a`` for the name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _code_trees(tree: ast.Module):
+    """The module, and each string constant in it that parses as code."""
+    yield tree
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                yield ast.parse(node.value)
+            except SyntaxError:
+                continue
+
+
+def _package_names() -> list:
+    """Every multihead.<module>.<name> a perfbench file imports or reads as an attribute."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for tree in _code_trees(_tree(path.name)):
+            bound = {"multihead": "multihead"}  # local name -> the dotted name it stands for
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "multihead":
+                    for alias in node.names:
+                        bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                elif isinstance(node, ast.Import):
+                    names.update(a.name for a in node.names if a.name.startswith("multihead."))
+            names.update(bound.values())
+            for node in ast.walk(tree):
+                root, _, rest = (_dotted(node) or "").partition(".")
+                if root in bound and rest:
+                    names.add(f"{bound[root]}.{rest}")
+    names.discard("multihead")
+    return sorted(names)
+
+
+def _resolve(dotted: str):
+    """The object a dotted name stands for, importing the longest module prefix."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+def test_the_harness_imports_some_names():
+    names = _package_names()
+    assert {"multihead.compare.TOL_DEFAULT", "multihead.sweeps.SweepTemplate"} <= set(names)
+    assert {"multihead.cli.build_parser", "multihead.cli.main"} <= set(names)
+
+
+@pytest.mark.parametrize("name", _package_names())
+def test_imported_name_resolves(name):
+    _resolve(name)

@@ -32,8 +32,11 @@ fringe phases outrun double precision; at r = 1e308, 2 mu passes the largest
 double); one argv for each of the exit
 codes 1, 2 and 3; one whose ``--out`` cannot be opened;
 and, far past mu = 350, the two-head cat's default ``wigner`` grid at r = 9e5
-and its ``validate`` at r = 1600; and the ``validate`` of a 170-head cat, whose
-a^N factors pass the largest double.  A ``mean-photon`` sweep up to r = 1e8, in
+and its ``validate`` at r = 1600; the ``validate`` of a 170-head cat, whose
+a^N factors pass the largest double; and ``validate``'s refusals (exit 3) of
+the cats at r = 1 with N in {301, 512}, whose a^N images underflow a double,
+and of one-head states at r in {100, 1000}, whose means 1e4 and 1e6 pass the
+largest cutoff.  A ``mean-photon`` sweep up to r = 1e8, in
 both formats, prints fixed-notation texts with every integer digit count from
 1 to 16.  A four-head cat Mandel Q sweep to r = 900 has 8 crossings, too many
 for one ``evaluate`` of their bisection trees.  Long sweeps (``--r-max 25`` at
@@ -175,6 +178,13 @@ def cases():
     yield ("validate", "--alpha", "1600", "--heads", "2", "--family", "coherent")
     # A 170-head cat: its lowering factors sqrt((k + 170)!/k!) pass the largest double.
     yield ("validate", "--alpha", "1@0.7", "--heads", "170", "--family", "coherent")
+    # Refusals: the a^N images of 301- and 512-head cats underflow a double (exit 3),
+    # and one-head states whose means, 1e4 and 1e6, pass the largest cutoff.
+    for n in ("301", "512"):
+        yield ("validate", "--alpha", "1", "--heads", n, "--family", "coherent")
+    for r in ("100", "1000"):
+        for family in FAMILIES:
+            yield ("validate", "--alpha", r, "--heads", "1", "--family", family)
 
 
 def edge_cases():
