@@ -4,8 +4,8 @@ For one state this compares the six low-order moments, scaled by
 max(1, |moment|) since they grow like r^((h+l)/N), a block of Fock
 matrix elements, the photon number distribution, Wigner values on a
 phase-space subgrid, and the parity; the coherent family additionally
-checks the a^N eigenstate residual, scaled by max(1, |alpha|), and the
-head-sum norm against the closed-form normalization factor.
+reads fockspace's a^N eigenstate residual and checks the head-sum norm
+against the closed-form normalization factor.  It reads no oracle private.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_form, fockspace
-from .errors import CapacityError, InvalidInputError
+from .errors import InvalidInputError
 from .states import StateSpec
 
 TOL_DEFAULT = 1e-8
@@ -53,7 +53,7 @@ def validate_spec(spec: StateSpec, tol: float = TOL_DEFAULT) -> ValidationReport
     state = fockspace.build_state(spec, cutoff=cutoff)
     # a^N is the one check that can refuse a built state, where its image
     # underflows; it runs before the rest, and its row is kept in its place below.
-    residual = eigenstate_residual(spec, state) if spec.is_coherent else None
+    residual = fockspace.eigenstate_residual(spec, state) if spec.is_coherent else None
     report = ValidationReport(spec=spec, tol=tol)
     # The state's head sums, formed once and read by every closed-form value below.
     sums = closed_form._state_sums(spec, spec.alpha.r)
@@ -92,39 +92,6 @@ def _moment_error(spec: StateSpec, state, h: int, l: int, sums) -> float:
     """
     analytic = complex(closed_form._moment(spec, spec.alpha.r, h, l, sums))
     return abs(analytic - fockspace.oracle_moment(state, h, l)) / max(1.0, abs(analytic))
-
-
-def _annihilation_power(state, power: int) -> np.ndarray:
-    """a^power applied to a pure state, unnormalized: level k holds the offset
-    product sqrt((k+power)!/k!) c_(k+power), and the top power levels hold 0.
-
-    Where that factor overflows a double, a is applied one power at a time.  An
-    amplitude c_(k+power) below the normal doubles where c_k is above rounding
-    raises CapacityError: the image cannot be formed to rounding there.
-    """
-    # A power at or past the cutoff reads every level, so this check refuses it.
-    fockspace._check_top_occupation(fockspace._populations(state), power)
-    c, k = state.amplitudes, np.arange(state.cutoff - power)
-    image = np.zeros_like(c)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN where a factor overflows
-        image[k] = fockspace._lowering_factors(k, power) * c[power:]
-    far = ~np.isfinite(image)
-    if far.any():
-        tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
-        if np.any((np.abs(c[power:]) < tiny) & (np.abs(c[:-power]) > eps)):
-            raise CapacityError(f"amplitudes at levels >= {power} underflow a double")
-        lowered = c
-        for _ in range(power):  # a|m> = sqrt(m)|m-1>
-            lowered = np.sqrt(np.arange(1.0, lowered.size)) * lowered[1:]
-        image[far] = lowered[far[k]]
-    return image
-
-
-def eigenstate_residual(spec: StateSpec, state) -> float:
-    """||a^N psi - alpha psi|| / max(1, |alpha|), relative to the eigenvalue's scale."""
-    image = _annihilation_power(state, spec.n_heads)
-    alpha = spec.alpha.to_complex()
-    return float(np.linalg.norm(image - alpha * state.amplitudes)) / max(1.0, abs(alpha))
 
 
 def validation_table(report: ValidationReport) -> str:

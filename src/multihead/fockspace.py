@@ -1,10 +1,10 @@
 """Independent truncated Fock-space computation path.
 
-Everything here is built from ladder-operator actions and displacement
-matrix elements in the photon-number basis, deliberately avoiding the
-head-sum formulas of :mod:`multihead.closed_form` so the two paths can
-cross-validate each other.  ln k!, x ln y and the Poisson tails come from
-:mod:`multihead._special`, on numpy and libm alone.
+Every reader here, the a^N eigenstate residual included, works on the
+state's rows with ladder-operator actions and displacement matrix elements
+in the photon-number basis, avoiding the head-sum formulas of
+:mod:`multihead.closed_form` so the two paths can cross-validate each other.
+ln k!, x ln y and the Poisson tails come from :mod:`multihead._special`.
 """
 
 from __future__ import annotations
@@ -163,6 +163,39 @@ def oracle_moment(state, h: int, l: int) -> complex:
     product = np.multiply(rows[:, l : l + k.size], rows[:, h : h + k.size].conj(), order="F")
     entries = np.mean(product, axis=0)
     return complex(np.sum(_lowering_factors(k, h) * _lowering_factors(k, l) * entries))
+
+
+def _annihilation_power(state: FockVector, power: int) -> np.ndarray:
+    """a^power applied to the state's rows, in its shape, unnormalized: level k
+    holds sqrt((k+power)!/k!) c_(k+power), and the top power levels hold 0.
+
+    Where that factor overflows a double, a is applied one power at a time.  An
+    amplitude c_(k+power) below the normal doubles where c_k is above rounding
+    raises CapacityError: the image cannot be formed to rounding there.
+    """
+    # A power at or past the cutoff reads every level, so this check refuses it.
+    _check_top_occupation(_populations(state), power)
+    rows, k = _rows(state), np.arange(state.cutoff - power)
+    image = np.zeros_like(rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN where a factor overflows
+        image[:, : k.size] = _lowering_factors(k, power) * rows[:, power:]
+    far = ~np.isfinite(image)
+    if far.any():
+        tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+        if np.any((np.abs(rows[:, power:]) < tiny) & (np.abs(rows[:, :-power]) > eps)):
+            raise CapacityError(f"amplitudes at levels >= {power} underflow a double")
+        lowered = rows
+        for _ in range(power):  # a|m> = sqrt(m)|m-1>
+            lowered = np.sqrt(np.arange(1.0, lowered.shape[1])) * lowered[:, 1:]
+        image[far] = lowered[far[:, : k.size]]
+    return image.reshape(state.amplitudes.shape)
+
+
+def eigenstate_residual(spec: StateSpec, state: FockVector) -> float:
+    """||a^N psi - alpha psi|| / max(1, |alpha|), root-mean-squared over the state's rows."""
+    alpha = spec.alpha.to_complex()
+    misfit = _annihilation_power(state, spec.n_heads) - alpha * state.amplitudes
+    return float(np.linalg.norm(misfit) / math.sqrt(len(_rows(state)))) / max(1.0, abs(alpha))
 
 
 def _displacement_points(betas) -> np.ndarray:

@@ -27,7 +27,7 @@ from multihead import (
     validate_spec,
     wigner,
 )
-from multihead.compare import _annihilation_power
+from multihead.fockspace import _annihilation_power
 
 ALPHA = PolarAmplitude.from_cartesian(1.0, 1.0)
 

@@ -30,13 +30,15 @@ from multihead import (
     wigner,
 )
 from multihead.closed_form import _state_sums
-from multihead.compare import TOL_DEFAULT, _annihilation_power, _moment_error, eigenstate_residual
+from multihead.compare import TOL_DEFAULT, _moment_error
 from multihead.roots import head_occupation
 from multihead.fockspace import (
     CUTOFF_MAX,
     CUTOFF_MIN,
     FockVector,
+    _annihilation_power,
     density_matrix,
+    eigenstate_residual,
     oracle_wigner_grid,
 )
 
@@ -427,6 +429,40 @@ class TestAnnihilationPower:
         image = _annihilation_power(v, 1)
         assert np.linalg.norm(image - g * v.amplitudes) < 1e-10
 
+    @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    def test_mixture_is_a_mixture_of_eigenstates(self, heads, r):
+        # Each row is a head, an N-th root of alpha: a^N takes it to alpha times itself.
+        spec = StateSpec(PolarAmplitude(r, 0.7), heads, Family.INCOHERENT)
+        cutoff = max(choose_cutoff(spec.alpha, heads, eps=1e-20), 48)
+        assert eigenstate_residual(spec, build_state(spec, cutoff=cutoff)) <= TOL_DEFAULT
+
+    @staticmethod
+    def row_and_stack(spec):
+        """The cat at validate's cutoff, and the same amplitudes as a one-row stack."""
+        row = build_state(spec, cutoff=choose_cutoff(spec.alpha, spec.n_heads, eps=1e-20))
+        return row, FockVector(row.cutoff, row.amplitudes[None, :], row.tail_bound, row.norm_sq)
+
+    # From N = 170 the factors sqrt((k+N)!/k!) overflow and a is applied power by power.
+    @pytest.mark.parametrize("heads", [2, 3, 170, 300])
+    def test_one_row_stack_is_its_row(self, heads):
+        spec = StateSpec(PolarAmplitude(1.0), heads, Family.COHERENT)
+        row, stack = self.row_and_stack(spec)
+        image = _annihilation_power(row, heads)
+        assert np.array_equal(_annihilation_power(stack, heads), image[None, :])
+        assert eigenstate_residual(spec, stack) == eigenstate_residual(spec, row)
+
+    # From N = 301 the level-N amplitude, about 1/sqrt(N!), underflows a double.
+    @pytest.mark.parametrize("heads", [301, 512])
+    def test_one_row_stack_refuses_as_its_row(self, heads):
+        row, stack = self.row_and_stack(StateSpec(PolarAmplitude(1.0), heads, Family.COHERENT))
+        messages = []
+        for state in (row, stack):
+            with pytest.raises(CapacityError, match="underflow") as refused:
+                _annihilation_power(state, heads)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+
 
 class TestOracleWigner:
     def test_vacuum_origin(self):
@@ -511,16 +547,45 @@ def test_validate_refuses_an_underflowing_cat_before_the_other_checks(monkeypatc
 SRC = Path(multihead.__file__).resolve().parent
 
 
-def test_oracle_imports_nothing_from_closed_form():
-    tree = ast.parse((SRC / "fockspace.py").read_text())
+def _imported_names(module: str) -> set:
+    """Every module and name that ``src/multihead/<module>.py`` imports."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
+    return imported
+
+
+def test_oracle_imports_nothing_from_closed_form():
+    imported = _imported_names("fockspace")
     assert not any("closed_form" in name for name in imported), imported
+
+
+def test_the_oracle_owns_its_privates():
+    # compare only compares: the oracle's values, the a^N image included, come
+    # through fockspace's public functions, and fockspace needs nothing of compare.
+    imported = _imported_names("fockspace")
+    assert not any("compare" in name for name in imported), imported
+    tree = ast.parse((SRC / "compare.py").read_text())
+    read = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "fockspace"
+        and node.attr.startswith("_")
+    ]
+    read += [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fockspace")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert read == []
 
 
 def test_every_public_name_resolves():

@@ -38,8 +38,7 @@ from multihead import (
 )
 from multihead import closed_form
 from multihead.cli import main
-from multihead.compare import _annihilation_power
-from multihead.fockspace import oracle_wigner_grid
+from multihead.fockspace import _annihilation_power, oracle_wigner_grid
 
 POINTS = np.array([0.0, 0.4 - 1.1j, 1.5 + 0.2j, -2.0 + 0.7j])
 AXIS = np.linspace(-2.0, 2.0, 5)
